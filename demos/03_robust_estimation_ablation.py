@@ -33,7 +33,6 @@ VARIANTS = {
     "everything on":      dict(),
     "uniform sampling":   dict(use_prosac=False),
     "no fast rejection":  dict(rejection="none"),
-    "sprt rejection":     dict(rejection="sprt"),
     "no local opt":       dict(use_lo=False),
 }
 

@@ -13,8 +13,10 @@ long flags.  With a fixed ``--seed`` and ``--threads 1`` (plus
 ``--timing off``, since wall clocks are measurements, not outputs) every
 emitted byte is reproducible.
 
-Exit codes: 0 all pairs processed, 1 processing failed (empty pool,
-estimation error), 2 unreadable or malformed input.
+Exit codes: 0 all pairs processed, 1 empty result (the benchgen candidate
+pool is empty), 2 bad usage, unreadable or malformed input, or a value
+the estimator rejects (any ``ValueError``, such as a pair with fewer than
+three correspondences).
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ _REGISTER_TYPES: dict[str, type] = {
 
 _REGISTER_CHOICES: dict[str, tuple[str, ...]] = {
     "sampler": ("uniform", "prosac"),
-    "reject": ("none", "elc", "sprt"),
+    "reject": ("none", "elc"),
     "lo": ("on", "off"),
     "filter": ("none", "mnn", "gpf"),
     "refine": ("none", "icp"),

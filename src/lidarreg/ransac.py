@@ -6,23 +6,33 @@ be toggled independently:
 * progressive sampling: minimal samples are drawn from the best-ranked
   correspondences first (mutual pairs, then high ratio), widening toward
   uniform sampling over everything as iterations accumulate;
-* sample rejection: a cheap test discards hopeless samples before model
-  scoring, either by edge-length compatibility of the sampled triangle
-  (elc) or by a sequential probability ratio test on the residuals (sprt);
+* sample rejection: edge-length compatibility (elc) of the sampled
+  triangle discards hopeless samples before they are fitted and scored;
 * local optimization: each time a new best model appears, a few rounds of
   non-minimal re-fitting with an annealed threshold polish it.
+
+Hypotheses are evaluated in blocks of ``_BLOCK`` iterations: the block's
+minimal samples are drawn in one call, screened by elc together, fitted
+with one stacked SVD, and scored ``_SCORE_CHUNK`` models per residual
+pass.  The survivors are then walked in iteration order, so local
+optimization, adaptive stopping and the reported counters
+(``iterations_run``, ``hypotheses_rejected_fast``, ``best_history``) are
+exactly those of a loop that handles one sample per iteration and stops
+at the same iteration.
 
 Scoring counts correspondences whose post-transform residual is within
 ``inlier_threshold``.  With a fixed seed the whole run is deterministic;
 the local optimizer draws from its own random stream, so toggling it does
-not change which minimal samples are drawn.
+not change which minimal samples are drawn.  The draws are fixed by the
+seed, but they are not the draws of versions that sampled one hypothesis
+at a time.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -70,28 +80,55 @@ def kabsch(src_pts: Points, dst_pts: Points, weights=None) -> RigidMotion:
             raise ValueError("weights must be nonnegative with positive sum")
         w = w / w.sum()
 
-    cp = w @ p
-    cq = w @ q
-    a = p - cp
-    b = q - cq
-    h = a.T @ (b * w[:, None])
-    u, s, vt = np.linalg.svd(h)
-    if s[1] <= 1e-9 * max(s[0], 1e-300):
+    rot, trans, ok = _fit_rigid(p[None], q[None], w[None])
+    if not ok[0]:
         raise DegenerateSampleError("sample covariance has rank < 2")
-    r = vt.T @ u.T
-    if np.linalg.det(r) < 0.0:
-        vt[-1, :] *= -1.0
-        r = vt.T @ u.T
-    return RigidMotion(r, cq - r @ cp)
+    return RigidMotion(rot[0], trans[0])
+
+
+def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64],
+               w: NDArray[np.float64]):
+    """Stacked weighted Kabsch over S point sets of k points each.
+
+    ``p`` and ``q`` are (S, k, 3), ``w`` is (S, k) or (k,) with unit row
+    sums.  Returns rotations (S, 3, 3), translations (S, 3) and a mask of
+    the fits whose centered source spans at least two dimensions; the
+    other rows hold an arbitrary rotation.
+    """
+    cp = (w[..., None, :] @ p)[:, 0]
+    cq = (w[..., None, :] @ q)[:, 0]
+    h = np.swapaxes(p - cp[:, None], 1, 2) @ ((q - cq[:, None]) * w[..., None])
+    u, s, vt = np.linalg.svd(h)
+    ok = s[:, 1] > 1e-9 * np.maximum(s[:, 0], 1e-300)
+    ut = np.swapaxes(u, 1, 2)
+    rot = np.swapaxes(vt, 1, 2) @ ut
+    flip = np.linalg.det(rot) < 0.0
+    if flip.any():
+        # reflection: negate the axis of the smallest singular value
+        vt[flip, -1, :] *= -1.0
+        rot[flip] = np.swapaxes(vt[flip], 1, 2) @ ut[flip]
+    return rot, cq - (rot @ cp[..., None])[..., 0], ok
 
 
 # ---------------------------------------------------------------------------
 # scoring and stopping
 # ---------------------------------------------------------------------------
 
-def _residuals(motion: RigidMotion, a: Points, b: Points) -> NDArray[np.float64]:
-    d = a @ motion.rotation.T + motion.translation - b
-    return np.sqrt(np.sum(d * d, axis=1))
+def _residuals(rotation, translation, a: Points, b: Points) -> NDArray[np.float64]:
+    """Residual norms of ``a`` mapped onto ``b``: (n,) for one motion, or
+    (S, n) for stacked rotations (S, 3, 3) and translations (S, 3)."""
+    # one coordinate at a time keeps every temporary a contiguous (S, n)
+    at = a.T
+    for i in range(3):
+        d = rotation[..., i, :] @ at
+        d += translation[..., i, None]
+        d -= b[:, i]
+        d *= d
+        if i == 0:
+            sq = d
+        else:
+            sq += d
+    return np.sqrt(sq, out=sq)
 
 
 def count_inliers(motion: RigidMotion, corrs: Correspondences,
@@ -100,7 +137,7 @@ def count_inliers(motion: RigidMotion, corrs: Correspondences,
     """Inlier count and mask: residual under ``motion`` within threshold."""
     a = np.asarray(src_points, dtype=np.float64)[corrs.src]
     b = np.asarray(dst_points, dtype=np.float64)[corrs.dst]
-    mask = _residuals(motion, a, b) <= threshold
+    mask = _residuals(motion.rotation, motion.translation, a, b) <= threshold
     return int(mask.sum()), mask
 
 
@@ -142,117 +179,40 @@ def elc_check(src_tri: Points, dst_tri: Points, tolerance: float) -> bool:
     A rigid motion preserves edge lengths, so a sample whose triangles
     disagree cannot be all-inlier and is not worth fitting.
     """
-    p = np.asarray(src_tri, dtype=np.float64).reshape(3, 3)
-    q = np.asarray(dst_tri, dtype=np.float64).reshape(3, 3)
-    dp = np.sqrt(np.sum((p[_EDGE_I] - p[_EDGE_J]) ** 2, axis=1))
-    dq = np.sqrt(np.sum((q[_EDGE_I] - q[_EDGE_J]) ** 2, axis=1))
-    return bool(np.all(np.abs(dp - dq) <= tolerance))
+    p = np.asarray(src_tri, dtype=np.float64).reshape(1, 3, 3)
+    q = np.asarray(dst_tri, dtype=np.float64).reshape(1, 3, 3)
+    return bool(_elc_mask(p, q, tolerance)[0])
 
 
-# ---------------------------------------------------------------------------
-# sample rejection: sequential probability ratio test
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SprtState:
-    """Running SPRT parameters.
-
-    epsilon is the expected inlier rate under a good model, delta the rate
-    under a bad one; threshold is the likelihood-ratio decision bound A.
-    """
-
-    epsilon: float
-    delta: float
-    threshold: float
-
-
-def sprt_threshold(epsilon: float, delta: float,
-                   t_m: float = 100.0, m_s: float = 1.0) -> float:
-    """Decision bound A for the given error rates.
-
-    Standard design: with C = (1-delta)·log((1-delta)/(1-epsilon))
-    + delta·log(delta/epsilon) and K = t_m·C/m_s + 1, A is the unique
-    fixed point of A = K + log(A), found by iteration.  t_m is the model
-    fit cost in point-verification units, m_s the models per sample.
-    """
-    if not 0.0 < delta < epsilon < 1.0:
-        raise ValueError(f"need 0 < delta < epsilon < 1, got {delta}, {epsilon}")
-    c = (1.0 - delta) * math.log((1.0 - delta) / (1.0 - epsilon)) \
-        + delta * math.log(delta / epsilon)
-    k = t_m * c / m_s + 1.0
-    a = k
-    for _ in range(100):
-        a_next = k + math.log(a)
-        if abs(a_next - a) < 1.5e-8:
-            return a_next
-        a = a_next
-    return a
-
-
-def sprt_initial(epsilon: float = 0.2, delta: float = 0.05) -> SprtState:
-    return SprtState(epsilon, delta, sprt_threshold(epsilon, delta))
-
-
-def sprt_update_epsilon(state: SprtState, inlier_fraction: float) -> SprtState:
-    """Re-estimate epsilon from a new best model; delta stays fixed.
-
-    Epsilon only grows, and is kept strictly inside (delta, 1).
-    """
-    eps = min(max(state.epsilon, inlier_fraction), 0.999)
-    if eps == state.epsilon:
-        return state
-    return SprtState(eps, state.delta, sprt_threshold(eps, state.delta))
-
-
-@dataclass(frozen=True)
-class SprtDecision:
-    accepted: bool
-    inlier_count: int
-    inlier_mask: NDArray[np.bool_]
-    points_tested: int
-
-
-def _sprt_gathered(motion: RigidMotion, a: Points, b: Points,
-                   threshold: float, state: SprtState) -> SprtDecision:
-    mask = _residuals(motion, a, b) <= threshold
-    log_in = math.log(state.delta / state.epsilon)
-    log_out = math.log((1.0 - state.delta) / (1.0 - state.epsilon))
-    log_lambda = np.cumsum(np.where(mask, log_in, log_out))
-    over = log_lambda > math.log(state.threshold)
-    if over.any():
-        j = int(np.argmax(over))
-        return SprtDecision(False, int(mask[:j + 1].sum()), mask, j + 1)
-    return SprtDecision(True, int(mask.sum()), mask, len(mask))
-
-
-def sprt_evaluate(motion: RigidMotion, corrs: Correspondences,
-                  src_points: Points, dst_points: Points,
-                  threshold: float, state: SprtState) -> SprtDecision:
-    """Run the SPRT over the correspondences in order.
-
-    The likelihood ratio is multiplied by delta/epsilon on each inlier and
-    (1-delta)/(1-epsilon) on each outlier; the model is rejected as soon
-    as the ratio exceeds the decision bound.  Decisions are identical to
-    the one-point-at-a-time formulation.
-    """
-    a = np.asarray(src_points, dtype=np.float64)[corrs.src]
-    b = np.asarray(dst_points, dtype=np.float64)[corrs.dst]
-    return _sprt_gathered(motion, a, b, threshold, state)
+def _elc_mask(p: NDArray[np.float64], q: NDArray[np.float64],
+              tolerance: float) -> NDArray[np.bool_]:
+    """``elc_check`` over stacked triangle pairs ``p``, ``q`` of shape (B, 3, 3)."""
+    dp = np.sqrt(np.sum((p[:, _EDGE_I] - p[:, _EDGE_J]) ** 2, axis=2))
+    dq = np.sqrt(np.sum((q[:, _EDGE_I] - q[:, _EDGE_J]) ** 2, axis=2))
+    return np.all(np.abs(dp - dq) <= tolerance, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # progressive sampler
 # ---------------------------------------------------------------------------
 
-def _distinct(rng: np.random.Generator, n: int, k: int) -> NDArray[np.int64]:
-    # rejection sampling is O(k) when n >> k; fall back to a shuffle when
-    # the sample covers a big share of the population
-    if 3 * k >= n:
-        return rng.permutation(n)[:k]
-    while True:
-        pick = rng.integers(0, n, size=k)
-        if len(np.unique(pick)) == k:
-            return pick
+def _distinct_rows(rng: np.random.Generator, pop: NDArray[np.int64], k: int,
+                   newest: NDArray[np.bool_] | None = None) -> NDArray[np.int64]:
+    """One row of k distinct indices per entry of ``pop``, uniform over
+    [0, pop[i]).  Rows flagged in ``newest`` start with pop[i] - 1 and draw
+    the rest uniformly below it.
+
+    The j-th draw of a row is uniform over the pop[i] - j values not yet
+    taken and is mapped onto them, so no row is ever redrawn.
+    """
+    rows = rng.integers(0, pop[:, None] - np.arange(k), size=(len(pop), k))
+    if newest is not None:
+        rows[newest, 0] = pop[newest] - 1
+    for j in range(1, k):
+        taken = np.sort(rows[:, :j], axis=1)
+        for c in range(j):
+            rows[:, j] += rows[:, j] >= taken[:, c]
+    return rows
 
 
 class ProsacSampler:
@@ -284,20 +244,25 @@ class ProsacSampler:
 
     def subset_size(self, t: int) -> int:
         """n(t): how many top-ranked entries the t-th sample draws from."""
-        idx = int(np.searchsorted(self._tprime, t, side="left"))
-        if idx >= len(self._tprime):
-            return self.n
-        return self.m + idx
+        return int(self._subset_sizes(np.asarray([t]))[0])
+
+    def _subset_sizes(self, ts: NDArray[np.int64]) -> NDArray[np.int64]:
+        idx = np.searchsorted(self._tprime, ts, side="left")
+        return np.where(idx < len(self._tprime), self.m + idx, self.n)
 
     def sample(self, t: int, rng: np.random.Generator) -> NDArray[np.int64]:
         """Ranked positions of the t-th minimal sample (t counts from 1)."""
-        if t > int(self._tprime[-1]):
-            return _distinct(rng, self.n, self.m)
-        n_t = self.subset_size(t)
-        if n_t == self.m:
-            return np.arange(self.m, dtype=np.int64)
-        rest = _distinct(rng, n_t - 1, self.m - 1)
-        return np.concatenate([[n_t - 1], rest]).astype(np.int64)
+        return self.sample_block(t, 1, rng)[0]
+
+    def sample_block(self, t: int, count: int,
+                     rng: np.random.Generator) -> NDArray[np.int64]:
+        """Samples t .. t + count - 1, one row of ranked positions each."""
+        ts = np.arange(t, t + count)
+        n_t = self._subset_sizes(ts)
+        growing = ts <= self._tprime[-1]
+        rows = _distinct_rows(rng, n_t, self.m, newest=growing)
+        rows[growing & (n_t == self.m)] = np.arange(self.m)
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +281,17 @@ _LO_MAX_SAMPLE = 14
 _LO_MIN_SAMPLE = 4
 
 
+def _distinct(rng: np.random.Generator, n: int, k: int) -> NDArray[np.int64]:
+    # rejection sampling is O(k) when n >> k; fall back to a shuffle when
+    # the sample covers a big share of the population
+    if 3 * k >= n:
+        return rng.permutation(n)[:k]
+    while True:
+        pick = rng.integers(0, n, size=k)
+        if len(np.unique(pick)) == k:
+            return pick
+
+
 def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
              inner_iters: int, rng: np.random.Generator) -> Hypothesis:
     """Polish a hypothesis by non-minimal re-fitting with annealed gating."""
@@ -330,13 +306,14 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
         try:
             motion = kabsch(a[pick], b[pick])
             for mult in _LO_ANNEAL:
-                gate = _residuals(motion, a, b) <= mult * threshold
+                gate = _residuals(motion.rotation, motion.translation, a, b) \
+                    <= mult * threshold
                 if int(gate.sum()) < SAMPLE_SIZE:
                     raise DegenerateSampleError("annealed gate emptied out")
                 motion = kabsch(a[gate], b[gate])
         except DegenerateSampleError:
             continue
-        mask = _residuals(motion, a, b) <= threshold
+        mask = _residuals(motion.rotation, motion.translation, a, b) <= threshold
         count = int(mask.sum())
         if count > cur.inlier_count:
             cur = Hypothesis(motion, count, mask)
@@ -360,17 +337,20 @@ def lo_step(best: Hypothesis, corrs: Correspondences, src_points: Points,
 # the estimator
 # ---------------------------------------------------------------------------
 
+_BLOCK = 256          # iterations drawn, screened and fitted together
+_SCORE_CHUNK = 16     # models per residual pass
+_SAMPLE_WEIGHTS = np.full(SAMPLE_SIZE, 1.0 / SAMPLE_SIZE)
+
+
 @dataclass(frozen=True)
 class RansacConfig:
     max_iterations: int = 1_000_000
     confidence: float = 0.999
     inlier_threshold: float = 0.6
     use_prosac: bool = True
-    rejection: str = "elc"            # none | elc | sprt
+    rejection: str = "elc"            # none | elc
     use_lo: bool = True
     elc_tolerance: float = 0.6
-    sprt_epsilon0: float = 0.2
-    sprt_delta0: float = 0.05
     lo_inner_iters: int = 50
     lo_max_rounds: int = 10
     prosac_t_total: int = 200_000
@@ -383,7 +363,7 @@ class RansacConfig:
             raise ValueError("confidence must be in (0, 1)")
         if self.inlier_threshold <= 0.0:
             raise ValueError("inlier_threshold must be positive")
-        if self.rejection not in ("none", "elc", "sprt"):
+        if self.rejection not in ("none", "elc"):
             raise ValueError(f"unknown rejection kind {self.rejection!r}")
         if self.elc_tolerance <= 0.0:
             raise ValueError("elc_tolerance must be positive")
@@ -399,8 +379,12 @@ class RegistrationResult:
 
     ``inlier_mask`` is aligned with the input correspondence order.
     ``best_history`` records (iteration, inlier count, motion) at every
-    improvement, which makes convergence studies cheap.  ``wall_time`` is
-    the only field that is not reproducible run to run.
+    improvement, which makes convergence studies cheap.  The counters are
+    those of one hypothesis per iteration even though hypotheses are
+    evaluated in blocks: samples drawn past the stopping iteration are
+    neither counted nor scored.  ``wall_time`` is the only field that is
+    not reproducible run to run; the rest is fixed by the seed, though not
+    equal to what versions that drew one sample at a time returned.
     """
 
     motion: RigidMotion
@@ -433,7 +417,6 @@ def ransac_register(src_points: Points, dst_points: Points,
     root = np.random.default_rng(cfg.seed)
     sample_rng, lo_rng = root.spawn(2)
     sampler = ProsacSampler(n, SAMPLE_SIZE, cfg.prosac_t_total) if cfg.use_prosac else None
-    sprt = sprt_initial(cfg.sprt_epsilon0, cfg.sprt_delta0) if cfg.rejection == "sprt" else None
 
     best = Hypothesis(RigidMotion.identity(), 0, np.zeros(n, dtype=bool))
     history: list[tuple[int, int, RigidMotion]] = []
@@ -443,41 +426,43 @@ def ransac_register(src_points: Points, dst_points: Points,
     t = 0
 
     while t < cfg.max_iterations and t < required:
-        t += 1
-        idx = sampler.sample(t, sample_rng) if sampler is not None \
-            else _distinct(sample_rng, n, SAMPLE_SIZE)
+        # iterations t+1 .. t+size; block position i is iteration t+1+i
+        size = min(_BLOCK, cfg.max_iterations - t, required - t)
+        idx = sampler.sample_block(t + 1, size, sample_rng) if sampler is not None \
+            else _distinct_rows(sample_rng, np.full(size, n), SAMPLE_SIZE)
         sp, dp = a[idx], b[idx]
+        live = np.flatnonzero(_elc_mask(sp, dp, cfg.elc_tolerance)) \
+            if cfg.rejection == "elc" else np.arange(size)
+        rot, trans, ok = _fit_rigid(sp[live], dp[live], _SAMPLE_WEIGHTS)
+        live, rot, trans = live[ok], rot[ok], trans[ok]
 
-        if cfg.rejection == "elc" and not elc_check(sp, dp, cfg.elc_tolerance):
-            rejected_fast += 1
-            continue
-        try:
-            motion = kabsch(sp, dp)
-        except DegenerateSampleError:
-            rejected_fast += 1
-            continue
+        # walk the survivors in iteration order, scoring them chunk by chunk
+        last_gain = t
+        for c in range(0, len(live), _SCORE_CHUNK):
+            if t + 1 + live[c] > required:
+                break
+            chunk = slice(c, c + _SCORE_CHUNK)
+            masks = _residuals(rot[chunk], trans[chunk], a, b) <= cfg.inlier_threshold
+            for k, count in enumerate(masks.sum(axis=1).tolist()):
+                it = t + 1 + int(live[c + k])
+                if it > required:
+                    break
+                if count <= best.inlier_count:
+                    continue
+                best = Hypothesis(RigidMotion(rot[c + k], trans[c + k]), count, masks[k])
+                if cfg.use_lo and lo_rounds < cfg.lo_max_rounds:
+                    lo_rounds += 1
+                    best = _lo_step(best, a, b, cfg.inlier_threshold,
+                                    cfg.lo_inner_iters, lo_rng)
+                history.append((it, best.inlier_count, best.motion))
+                required = required_iterations(cfg.confidence, best.inlier_count / n,
+                                               SAMPLE_SIZE, cfg.max_iterations)
+                last_gain = it
 
-        if sprt is not None:
-            decision = _sprt_gathered(motion, a, b, cfg.inlier_threshold, sprt)
-            if not decision.accepted:
-                rejected_fast += 1
-                continue
-            count, mask = decision.inlier_count, decision.inlier_mask
-        else:
-            mask = _residuals(motion, a, b) <= cfg.inlier_threshold
-            count = int(mask.sum())
-
-        if count > best.inlier_count:
-            best = Hypothesis(motion, count, mask)
-            if cfg.use_lo and lo_rounds < cfg.lo_max_rounds:
-                lo_rounds += 1
-                best = _lo_step(best, a, b, cfg.inlier_threshold,
-                                cfg.lo_inner_iters, lo_rng)
-            history.append((t, best.inlier_count, best.motion))
-            if sprt is not None:
-                sprt = sprt_update_epsilon(sprt, best.inlier_count / n)
-            required = required_iterations(cfg.confidence, best.inlier_count / n,
-                                           SAMPLE_SIZE, cfg.max_iterations)
+        # the one-at-a-time loop stops once t >= required
+        end = min(t + size, max(required, last_gain))
+        rejected_fast += (end - t) - int(np.count_nonzero(live < end - t))
+        t = end
 
     mask_input_order = np.zeros(n, dtype=bool)
     mask_input_order[order] = best.inlier_mask

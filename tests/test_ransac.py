@@ -6,29 +6,31 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 from scipy.stats import chisquare
 
+from lidarreg import ransac as ransac_module
 from lidarreg.geom import RigidMotion, apply
+from lidarreg.gpf import priority_order
 from lidarreg.match import Correspondences
 from lidarreg.metrics import rotation_error, translation_error
 from lidarreg.ransac import (
+    _BLOCK,
+    _SAMPLE_WEIGHTS,
     DegenerateSampleError,
     Hypothesis,
     ProsacSampler,
     RansacConfig,
     RegistrationResult,
-    SprtState,
+    _distinct_rows,
+    _elc_mask,
+    _fit_rigid,
+    _lo_step,
     count_inliers,
     elc_check,
     kabsch,
     lo_step,
     ransac_register,
     required_iterations,
-    sprt_evaluate,
-    sprt_initial,
-    sprt_threshold,
-    sprt_update_epsilon,
 )
 
 from test_geom import random_motion, random_rotation
@@ -146,6 +148,70 @@ def test_kabsch_input_validation():
         kabsch(np.eye(3), np.eye(3), weights=np.array([-1.0, 1.0, 1.0]))
 
 
+def random_triangle_pairs(rng, count):
+    """Triangle pairs (count, 3, 3): rigidly moved, reflected, unrelated,
+    collinear and coincident, in shuffled order."""
+    p = rng.uniform(-20.0, 20.0, size=(count, 3, 3))
+    q = np.empty_like(p)
+    kind = rng.permutation(np.arange(count) % 5)
+    for i in range(count):
+        if kind[i] == 2:
+            q[i] = rng.uniform(-20.0, 20.0, size=(3, 3))
+            continue
+        if kind[i] == 3:
+            p[i] = p[i, 0] + np.outer([0.0, 1.0, rng.uniform(-3.0, 3.0)],
+                                      rng.normal(size=3))
+        elif kind[i] == 4:
+            p[i] = p[i, 0]
+        q[i] = apply(random_motion(rng), p[i])
+        if kind[i] == 1:
+            q[i, :, 2] *= -1.0          # mirror image: needs the reflection fix
+    return p, q
+
+
+def kabsch_2d(p, q):
+    """Unstacked Kabsch on one point set; None when the fit is degenerate."""
+    cp, cq = p.mean(axis=0), q.mean(axis=0)
+    u, s, vt = np.linalg.svd((p - cp).T @ (q - cq) / len(p))
+    if s[1] <= 1e-9 * max(s[0], 1e-300):
+        return None
+    r = vt.T @ u.T
+    if np.linalg.det(r) < 0.0:
+        vt[-1, :] *= -1.0
+        r = vt.T @ u.T
+    return r, cq - r @ cp
+
+
+def test_stacked_fit_equals_kabsch_per_sample():
+    rng = np.random.default_rng(40)
+    p, q = random_triangle_pairs(rng, 400)
+    rot, trans, ok = _fit_rigid(p, q, _SAMPLE_WEIGHTS)
+    assert 0 < ok.sum() < len(ok)
+    for i in range(len(p)):
+        ref = kabsch_2d(p[i], q[i])
+        try:
+            one = kabsch(p[i], q[i])
+        except DegenerateSampleError:
+            assert not ok[i] and ref is None, i
+            continue
+        assert ok[i] and ref is not None, i
+        for r, t in ((one.rotation, one.translation), ref):
+            assert np.abs(rot[i] - r).max() <= 1e-12, i
+            assert np.abs(trans[i] - t).max() <= 1e-12, i
+        assert abs(np.linalg.det(rot[i]) - 1.0) < 1e-12, i
+
+
+def test_stacked_elc_equals_elc_check_per_row():
+    rng = np.random.default_rng(41)
+    p, q = random_triangle_pairs(rng, 400)
+    q[::3] += rng.normal(scale=0.3, size=q[::3].shape)   # near the tolerance
+    for tol in (0.1, 0.6, 2.0):
+        mask = _elc_mask(p, q, tol)
+        assert mask.any() and not mask.all()
+        assert [bool(v) for v in mask] == [elc_check(p[i], q[i], tol)
+                                           for i in range(len(p))]
+
+
 # ---------------------------------------------------------------------------
 # inlier counting and adaptive stopping
 # ---------------------------------------------------------------------------
@@ -237,74 +303,6 @@ def test_elc_checks_all_three_edges():
 
 
 # ---------------------------------------------------------------------------
-# sequential probability ratio test
-# ---------------------------------------------------------------------------
-
-def test_sprt_threshold_matches_root_solve():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        delta = rng.uniform(0.01, 0.2)
-        epsilon = rng.uniform(delta + 0.05, 0.95)
-        c = (1 - delta) * math.log((1 - delta) / (1 - epsilon)) \
-            + delta * math.log(delta / epsilon)
-        k = 100.0 * c + 1.0
-        root = brentq(lambda x: k + math.log(x) - x, 1.0 + 1e-9, 1e9)
-        assert abs(sprt_threshold(epsilon, delta) - root) < 1e-6
-
-
-def test_sprt_threshold_validation():
-    with pytest.raises(ValueError):
-        sprt_threshold(0.2, 0.2)
-    with pytest.raises(ValueError):
-        sprt_threshold(0.1, 0.2)
-
-
-def sprt_loop_oracle(mask, state):
-    log_lambda = 0.0
-    log_in = math.log(state.delta / state.epsilon)
-    log_out = math.log((1 - state.delta) / (1 - state.epsilon))
-    bound = math.log(state.threshold)
-    for j, is_in in enumerate(mask):
-        log_lambda += log_in if is_in else log_out
-        if log_lambda > bound:
-            return False, j + 1
-    return True, len(mask)
-
-
-def test_sprt_decisions_match_sequential_loop():
-    rng = np.random.default_rng(8)
-    state = sprt_initial(0.2, 0.05)
-    for frac in (0.05, 0.2, 0.5, 0.9):
-        src, dst, corrs, labels, truth = make_planted(
-            np.random.default_rng(int(frac * 100)), n=300, frac=frac)
-        decision = sprt_evaluate(truth, corrs, src, dst, 0.6, state)
-        want_accept, want_tested = sprt_loop_oracle(labels, state)
-        assert decision.accepted == want_accept
-        assert decision.points_tested == want_tested
-
-
-def test_sprt_accepts_good_model_rejects_bad():
-    rng = np.random.default_rng(9)
-    src, dst, corrs, labels, truth = make_planted(rng, n=500, frac=0.5)
-    state = sprt_initial(0.2, 0.05)
-    good = sprt_evaluate(truth, corrs, src, dst, 0.6, state)
-    assert good.accepted and good.inlier_count == 250
-    bogus = RigidMotion(np.eye(3), np.array([500.0, 0.0, 0.0]))
-    bad = sprt_evaluate(bogus, corrs, src, dst, 0.6, state)
-    assert not bad.accepted
-    assert bad.points_tested < len(corrs)    # rejected before exhausting the list
-
-
-def test_sprt_epsilon_update_only_grows():
-    state = sprt_initial(0.2, 0.05)
-    up = sprt_update_epsilon(state, 0.6)
-    assert up.epsilon == 0.6 and up.delta == 0.05
-    assert up.threshold != state.threshold
-    same = sprt_update_epsilon(up, 0.3)
-    assert same.epsilon == 0.6
-
-
-# ---------------------------------------------------------------------------
 # progressive sampler
 # ---------------------------------------------------------------------------
 
@@ -343,6 +341,28 @@ def test_prosac_uniform_phase_covers_all_triples():
     assert len(counts) == n_triples
     stat = chisquare(list(counts.values()))
     assert stat.pvalue > 0.001
+
+
+def test_distinct_rows_are_distinct_and_in_range():
+    rng = np.random.default_rng(42)
+    pop = rng.integers(3, 9, size=5000)
+    newest = rng.random(5000) < 0.5
+    rows = _distinct_rows(rng, pop, 3, newest=newest)
+    assert (rows >= 0).all() and (rows < pop[:, None]).all()
+    srt = np.sort(rows, axis=1)
+    assert (srt[:, 1:] != srt[:, :-1]).all()
+    assert np.array_equal(rows[newest, 0], pop[newest] - 1)
+
+
+def test_prosac_block_matches_schedule():
+    s = ProsacSampler(60, 3, t_total=500)
+    t_end = int(s._tprime[-1]) + 40
+    rows = s.sample_block(1, t_end, np.random.default_rng(43))
+    for t, row in enumerate(rows, start=1):
+        n_t = s.subset_size(t)
+        assert row.max() < n_t and len(set(row.tolist())) == 3
+        if 1 < t <= s._tprime[-1]:
+            assert row[0] == n_t - 1
 
 
 def test_prosac_needs_enough_correspondences():
@@ -397,7 +417,7 @@ def engine_cfg(**kw) -> RansacConfig:
 
 
 @pytest.mark.parametrize("prosac", [False, True])
-@pytest.mark.parametrize("rejection", ["none", "elc", "sprt"])
+@pytest.mark.parametrize("rejection", ["none", "elc"])
 @pytest.mark.parametrize("lo", [False, True])
 def test_engine_recovers_planted_motion(prosac, rejection, lo):
     rng = np.random.default_rng(15)
@@ -465,18 +485,124 @@ def test_engine_best_count_nondecreasing_in_history():
 
 
 def test_engine_all_degenerate_hits_iteration_cap():
-    # collinear source points: every minimal sample fails the rigid fit
+    # collinear source points: every minimal sample fails the rigid fit,
+    # in the first block and across block boundaries
     line = np.outer(np.linspace(0.0, 10.0, 50), np.array([1.0, 0.0, 0.0]))
     corrs = Correspondences(
         src=np.arange(50, dtype=np.int64), dst=np.arange(50, dtype=np.int64),
         feat_dist=np.ones(50), ratio=np.ones(50), is_mnn=np.ones(50, dtype=bool))
-    cfg = engine_cfg(max_iterations=50, rejection="none")
-    res = ransac_register(line, line, corrs, cfg)
-    assert res.converged_by == "iteration_cap"
-    assert res.iterations_run == 50
-    assert res.hypotheses_rejected_fast == 50
-    assert res.inlier_count == 0
-    assert np.array_equal(res.motion.rotation, np.eye(3))
+    for cap, prosac in ((50, True), (2 * _BLOCK + 1, True), (2 * _BLOCK + 1, False)):
+        cfg = engine_cfg(max_iterations=cap, rejection="none", use_prosac=prosac)
+        res = ransac_register(line, line, corrs, cfg)
+        assert res.converged_by == "iteration_cap"
+        assert res.iterations_run == cap
+        assert res.hypotheses_rejected_fast == cap
+        assert res.inlier_count == 0
+        assert res.best_history == ()
+        assert np.array_equal(res.motion.rotation, np.eye(3))
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.1, 0.2, 0.3, 0.4, 0.6])
+def test_engine_stops_at_the_one_at_a_time_iteration(frac):
+    # a loop that draws one sample per iteration runs until t reaches the
+    # bound of the best model so far; blocks must trim to that iteration.
+    # Noise at a third of the threshold spreads the counts, so without
+    # local optimization some improvements land past their own bound.
+    for seed in range(3):
+        src, dst, corrs, labels, truth = make_planted(
+            np.random.default_rng([seed, 21]), n=300, frac=frac, sigma=0.2)
+        n = len(corrs)
+        for max_iterations in (4000, _BLOCK + 1):
+            for rejection, prosac, lo in (("elc", True, True), ("none", True, True),
+                                          ("elc", False, False), ("none", False, True)):
+                cfg = engine_cfg(max_iterations=max_iterations, seed=seed,
+                                 rejection=rejection, use_prosac=prosac, use_lo=lo)
+                res = ransac_register(src, dst, corrs, cfg)
+                case = (seed, max_iterations, rejection, prosac, lo)
+
+                def bound(count):
+                    return required_iterations(cfg.confidence, count / n,
+                                               max_iterations=max_iterations)
+                last_gain = res.best_history[-1][0] if res.best_history else 0
+                want = min(max_iterations, max(bound(res.inlier_count), last_gain))
+                assert res.iterations_run == want, case
+                # no improvement after the iteration the loop had to stop at
+                for (_, count, _), (it, _, _) in zip(res.best_history,
+                                                     res.best_history[1:]):
+                    assert it <= bound(count), case
+                assert 0 <= res.hypotheses_rejected_fast <= res.iterations_run
+                early = res.iterations_run < max_iterations
+                assert res.converged_by == ("early_stop" if early else "iteration_cap")
+
+
+def one_at_a_time(src, dst, corrs, cfg, rows):
+    """Reference loop: one minimal sample per iteration, taken from rows."""
+    a, b = src[corrs.src], dst[corrs.dst]
+    if cfg.use_prosac:
+        order = priority_order(corrs)
+        a, b = a[order], b[order]
+    n = len(corrs)
+    lo_rng = np.random.default_rng(cfg.seed).spawn(2)[1]
+    best = Hypothesis(RigidMotion.identity(), 0, np.zeros(n, dtype=bool))
+    history, rejected, lo_rounds = [], 0, 0
+    required, t = cfg.max_iterations, 0
+    while t < cfg.max_iterations and t < required:
+        t += 1
+        sp, dp = a[rows[t - 1]], b[rows[t - 1]]
+        if cfg.rejection == "elc" and not elc_check(sp, dp, cfg.elc_tolerance):
+            rejected += 1
+            continue
+        try:
+            motion = kabsch(sp, dp)
+        except DegenerateSampleError:
+            rejected += 1
+            continue
+        d = np.linalg.norm(a @ motion.rotation.T + motion.translation - b, axis=1)
+        mask = d <= cfg.inlier_threshold
+        if mask.sum() > best.inlier_count:
+            best = Hypothesis(motion, int(mask.sum()), mask)
+            if cfg.use_lo and lo_rounds < cfg.lo_max_rounds:
+                lo_rounds += 1
+                best = _lo_step(best, a, b, cfg.inlier_threshold,
+                                cfg.lo_inner_iters, lo_rng)
+            history.append((t, best.inlier_count))
+            required = required_iterations(cfg.confidence, best.inlier_count / n,
+                                           max_iterations=cfg.max_iterations)
+    return t, rejected, lo_rounds, history
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.3, 0.5])
+def test_engine_matches_the_one_at_a_time_loop_on_its_draws(frac, monkeypatch):
+    drawn = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            rows = fn(*args, **kwargs)
+            drawn.append(rows.copy())
+            return rows
+        return wrapper
+
+    monkeypatch.setattr(ProsacSampler, "sample_block",
+                        recording(ProsacSampler.sample_block))
+    for seed in range(2):
+        src, dst, corrs, labels, truth = make_planted(
+            np.random.default_rng([seed, 22]), n=300, frac=frac, sigma=0.2)
+        for max_iterations in (3000, _BLOCK + 1):
+            for rejection, prosac, lo in (("elc", True, True), ("none", True, False),
+                                          ("elc", False, False), ("none", False, True)):
+                cfg = engine_cfg(max_iterations=max_iterations, seed=seed,
+                                 rejection=rejection, use_prosac=prosac, use_lo=lo)
+                drawn.clear()
+                with monkeypatch.context() as m:
+                    if not prosac:
+                        m.setattr(ransac_module, "_distinct_rows",
+                                  recording(ransac_module._distinct_rows))
+                    res = ransac_register(src, dst, corrs, cfg)
+                rows = np.concatenate(drawn)
+                want = one_at_a_time(src, dst, corrs, cfg, rows)
+                got = (res.iterations_run, res.hypotheses_rejected_fast, res.lo_rounds,
+                       [(it, count) for it, count, _ in res.best_history])
+                assert got == want, (seed, max_iterations, rejection, prosac, lo)
 
 
 def test_engine_requires_three_correspondences():
@@ -489,6 +615,8 @@ def test_engine_requires_three_correspondences():
 def test_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(rejection="both")
+    with pytest.raises(ValueError):
+        RansacConfig(rejection="sprt")     # removed: never beat elc
     with pytest.raises(ValueError):
         RansacConfig(confidence=1.0)
     with pytest.raises(ValueError):
