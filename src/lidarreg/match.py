@@ -11,6 +11,17 @@ the downstream filtering and sampling stages:
 
 Distance ties are broken toward the lowest row index, which keeps the
 output reproducible.
+
+The search is an exact brute force done as blocked matrix products.  Both
+sets are shifted by one common vector, and each block of query rows gets
+an estimate of every squared distance (up to a per-query constant) from
+one GEMM.  Entries within a proven rounding-error window of a query's best
+estimate (second-best when the ratio needs it) are re-measured with the
+arithmetic of a plain scan, ``sqrt(sum((r - q)**2))``, and ranked by
+(distance, row index).  The window always holds the scan's nearest and
+second-nearest rows, so the output equals the scan's bit for bit; the
+bound is derived in ``_nearest``.  Working memory is bounded by the block
+size, not by N x M.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -55,31 +65,89 @@ def feature_distance(p_row: NDArray[np.float64], q_row: NDArray[np.float64]) -> 
     return float(np.sqrt(np.sum((p - q) ** 2)))
 
 
-def _nearest_two(tree: cKDTree, rows: NDArray[np.float64], queries: NDArray[np.float64]):
-    """(d1, i1, d2) per query with ties resolved toward the lowest row index.
+# Query rows per block are sized so one block's estimate matrix holds about
+# this many float64 entries (2 MB; the passes over it run faster than over
+# 8 MB blocks); the selection mask and the candidate re-measure of a block
+# scale with it.
+_BLOCK_ENTRIES = 1 << 18
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
-    d2 is the second-smallest distance (it may equal d1).
+
+def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64], second: bool):
+    """(d1, i1, d2) per query, ties resolved toward the lowest row index.
+
+    d1 and i1 are the nearest row's distance and index; d2 is the
+    second-smallest distance (it may equal d1), or None unless ``second``.
+    Distances are computed as ``sqrt(sum((r - q)**2))``, the arithmetic of
+    a brute-force scan, so the output equals that scan's bit for bit.
     """
-    k = min(3, len(rows))
-    d, i = tree.query(queries, k=k)
-    d = d.reshape(len(queries), k)
-    i = i.reshape(len(queries), k)
-    # recompute with the same arithmetic a linear scan would use, then order
-    # equal distances by index
-    d = np.sqrt(np.sum((rows[i] - queries[:, None, :]) ** 2, axis=2))
-    order = np.lexsort((i, d), axis=1)
-    d = np.take_along_axis(d, order, axis=1)
-    i = np.take_along_axis(i, order, axis=1)
-    # a three-way tie spilling past the probe window could still hide a lower
-    # index; resolve those rows against the full scan
-    if k == 3:
-        suspect = np.nonzero(d[:, 0] == d[:, 2])[0]
-        for row in suspect:
-            dr = np.sqrt(np.sum((rows - queries[row]) ** 2, axis=1))
-            full = np.lexsort((np.arange(len(rows)), dr))
-            i[row, :2] = full[:2]
-            d[row, :2] = dr[full[:2]]
-    return d[:, 0], i[:, 0], d[:, 1]
+    n, m, dim = len(queries), len(rows), rows.shape[1]
+    center = (rows.mean(axis=0) + queries.mean(axis=0)) / 2.0
+    r = rows - center
+    q = queries - center
+    # [-2q, 1] . [r, |r|^2] = |r|^2 - 2 q.r = |r - q|^2 - |q|^2, one GEMM per
+    # block; |q|^2 is constant along a query row, so it is left out.
+    r_aug = np.empty((m, dim + 1))
+    r_aug[:, :dim] = r
+    r_aug[:, dim] = np.einsum("ij,ij->i", r, r)
+    q_aug = np.empty((n, dim + 1))
+    q_aug[:, :dim] = -2.0 * q
+    q_aug[:, dim] = 1.0
+    # Candidate window.  Let u be the unit roundoff and, all centered,
+    # err = (D+3)u(|q|^2 + 3 max|r|^2).  Each estimate is within err of the
+    # exact |r - q|^2 - |q|^2: the GEMM's dot product of length D+1 errs by
+    # at most gamma_{D+1}(2|q||r| + |r|^2) <= (D+1)u(|q|^2 + 2|r|^2) in any
+    # summation order, the rounded |r|^2 adds Du|r|^2, and rounding the
+    # centered rows adds 2u(|q|^2 + 2|r|^2).  A re-measured square differs
+    # from the exact one by a relative (D+4)u, so a row the scan ranks at
+    # or before another has an exact square at most 4(D+4)u(|q|^2 + |r|^2)
+    # above it.  The scan's nearest row therefore estimates within
+    # 2 err + 4(D+4)u(...) <= 10(D+3)u(|q|^2 + 3 max|r|^2) of the best
+    # estimate, and its second nearest within as much of the second-best
+    # estimate (of any two distinct rows, one is at least as far as the
+    # second nearest).  The window is 16(D+3)u(...), which also covers the
+    # second-order terms and its own rounding; the added tiny covers
+    # products that underflow.
+    q_norm = np.einsum("ij,ij->i", q, q)
+    window = (16.0 * (dim + 3) * _UNIT_ROUNDOFF * (q_norm + 3.0 * r_aug[:, dim].max())
+              + np.finfo(np.float64).tiny)
+
+    d1 = np.empty(n)
+    i1 = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n) if second else None
+    step = max(1, _BLOCK_ENTRIES // m)
+    # one estimate and one mask buffer serve every block: fresh block-sized
+    # arrays cost a page fault per 4 KB, which doubled the time of a
+    # 700 x 700 match
+    est_buf = np.empty((min(step, n), m))
+    keep_buf = np.empty(est_buf.shape, dtype=bool)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        est = np.matmul(q_aug[lo:hi], r_aug.T, out=est_buf[:hi - lo])
+        if second:
+            # the second-best estimate is the row minimum with the best hidden
+            at = (np.arange(hi - lo), est.argmin(axis=1))
+            best = est[at]
+            est[at] = np.inf
+            ref = est.min(axis=1)
+            est[at] = best
+        else:
+            ref = est.min(axis=1)
+        # flat indices and divmod: 2-D np.nonzero is several times slower here
+        keep = np.less_equal(est, (ref + window[lo:hi])[:, None], out=keep_buf[:hi - lo])
+        qi, rj = np.divmod(np.flatnonzero(keep), m)
+        qi += lo
+        d = np.sqrt(np.sum((rows[rj] - queries[qi]) ** 2, axis=1))
+        order = np.lexsort((rj, d, qi))
+        # every query keeps at least one candidate (two with ``second``);
+        # its sorted candidates start after those of the queries before it
+        counts = np.bincount(qi - lo, minlength=hi - lo)
+        first = np.cumsum(counts) - counts
+        d1[lo:hi] = d[order[first]]
+        i1[lo:hi] = rj[order[first]]
+        if second:
+            d2[lo:hi] = d[order[first + 1]]
+    return d1, i1, d2
 
 
 def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64]) -> Correspondences:
@@ -104,16 +172,16 @@ def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64])
             f"descriptor dims differ: {src_desc.shape[1]} vs {dst_desc.shape[1]}")
     if len(src_desc) < 2 or len(dst_desc) < 2:
         raise ValueError("need at least two descriptors on each side")
+    if not (np.isfinite(src_desc).all() and np.isfinite(dst_desc).all()):
+        raise ValueError("descriptors must be finite")
 
-    fwd = cKDTree(dst_desc)
-    d1, nearest_dst, d2 = _nearest_two(fwd, dst_desc, src_desc)
+    d1, nearest_dst, d2 = _nearest(dst_desc, src_desc, second=True)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d2 / d1
     ratio[(d1 == 0.0) & (d2 == 0.0)] = 1.0   # identical rows: no preference signal
 
-    rev = cKDTree(src_desc)
-    _, nearest_src, _ = _nearest_two(rev, src_desc, dst_desc)
+    _, nearest_src, _ = _nearest(src_desc, dst_desc, second=False)
     is_mnn = nearest_src[nearest_dst] == np.arange(len(src_desc))
 
     return Correspondences(

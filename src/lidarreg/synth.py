@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial.distance import cdist
 
 from .benchgen import PosedFrame
 from .geom import EulerAngles, F64, Mat3, Points, RigidMotion, apply, from_euler, inverse
-from .match import Correspondences
+from .match import Correspondences, match_features
 
 __all__ = [
     "SceneSpec",
@@ -183,17 +182,13 @@ def generate_scene(spec: SceneSpec) -> Scene:
     dst_desc[labels] = src_desc[labels] + scale * rng.standard_normal(
         (int(labels.sum()), spec.descriptor_dim))
 
-    d = cdist(src_desc, dst_desc)
+    # the planted pairs are (i, i); their ratio and mutual flag are those the
+    # matcher gives row i, and a pair is mutual only if i's nearest is i
+    m = match_features(src_desc, dst_desc)
     idx = np.arange(n)
-    feat_dist = d[idx, idx].copy()
-    two = np.partition(d, 1, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = two[:, 1] / two[:, 0]
-    ratio[(two[:, 0] == 0.0) & (two[:, 1] == 0.0)] = 1.0
-    is_mnn = (np.argmin(d, axis=1) == idx) & (np.argmin(d, axis=0) == idx)
-
-    corrs = Correspondences(src=idx.copy(), dst=idx.copy(),
-                            feat_dist=feat_dist, ratio=ratio, is_mnn=is_mnn)
+    corrs = Correspondences(src=idx, dst=idx.copy(),
+                            feat_dist=np.sqrt(np.sum((src_desc - dst_desc) ** 2, axis=1)),
+                            ratio=m.ratio, is_mnn=(m.dst == idx) & m.is_mnn)
     return Scene(src=src, dst=dst, src_desc=src_desc, dst_desc=dst_desc,
                  corrs=corrs, inlier_labels=labels, true_motion=motion)
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from lidarreg import match
 from lidarreg.match import Correspondences, feature_distance, match_features, mnn_filter
 
 
@@ -155,3 +159,122 @@ def test_output_order_is_source_order():
     dst = rng.normal(size=(40, 7))
     c = match_features(src, dst)
     assert np.array_equal(c.src, np.arange(25))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact agreement with the brute-force oracle
+# ---------------------------------------------------------------------------
+
+def _assert_equals_oracle(src: np.ndarray, dst: np.ndarray) -> None:
+    c = match_features(src, dst)
+    bd, bf, br, bm = _brute_match(src, dst)
+    assert np.array_equal(c.dst, bd)
+    assert np.array_equal(c.feat_dist, bf)     # same bits, not just close
+    assert np.array_equal(c.ratio, br)
+    assert np.array_equal(c.is_mnn, bm)
+
+
+@pytest.mark.parametrize("seed", [343, 350])
+def test_near_ties_on_a_large_offset_follow_the_tie_contract(seed):
+    # Rows on a 1e-3 grid around 1000 tie often.  A k=3 KD-tree query ranked
+    # such near-ties by its own arithmetic, so the lowest-index nearest row
+    # could fall outside its window: seed 343 gave dst[17] == 13 instead of 8,
+    # seed 350 two wrong mutual flags.
+    rng = np.random.default_rng(seed)
+    src = rng.integers(-2, 3, (60, 12)) * 1e-3 + 1000.0
+    dst = rng.integers(-2, 3, (60, 12)) * 1e-3 + 1000.0
+    _assert_equals_oracle(src, dst)
+
+
+def test_query_blocks_of_the_module_size_span_several_blocks():
+    # 2000 rows give 131 queries per forward block and 300 rows give 873 per
+    # reverse block, so both passes run 3 blocks with a short last one
+    rng = np.random.default_rng(7)
+    src = rng.integers(-3, 4, (300, 4)).astype(np.float64)
+    dst = rng.integers(-3, 4, (2000, 4)).astype(np.float64)
+    assert len(src) % (match._BLOCK_ENTRIES // len(dst)) != 0
+    assert len(dst) % (match._BLOCK_ENTRIES // len(src)) != 0
+    _assert_equals_oracle(src, dst)
+
+
+@pytest.mark.parametrize("block_entries", [1, 7, 100, 1000])
+def test_small_blocks_give_the_oracle_answer(monkeypatch, block_entries):
+    monkeypatch.setattr(match, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(block_entries)
+    src = rng.integers(-2, 3, (101, 3)) * 0.5
+    dst = rng.integers(-2, 3, (37, 3)) * 0.5
+    _assert_equals_oracle(src, dst)
+    _assert_equals_oracle(dst, src)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_large_common_offset(offset):
+    rng = np.random.default_rng(int(np.log10(offset)))
+    src = rng.normal(size=(90, 8)) + offset
+    dst = rng.normal(size=(70, 8)) + offset
+    dst[:30] = src[:30] + 1e-6 * rng.normal(size=(30, 8))
+    _assert_equals_oracle(src, dst)
+    grid_src = rng.integers(-2, 3, (50, 6)) * 0.25 + offset
+    grid_dst = rng.integers(-2, 3, (50, 6)) * 0.25 + offset
+    _assert_equals_oracle(grid_src, grid_dst)
+
+
+def test_duplicate_rows_and_integer_grids():
+    rng = np.random.default_rng(11)
+    base = rng.integers(-1, 2, (12, 5)).astype(np.float64)
+    src = base[rng.integers(0, 12, 80)]
+    dst = base[rng.integers(0, 12, 60)]
+    _assert_equals_oracle(src, dst)
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    _assert_equals_oracle(grid, grid[::-1] + 0.5)
+
+
+def test_one_dimensional_descriptors():
+    rng = np.random.default_rng(12)
+    _assert_equals_oracle(rng.integers(0, 9, (40, 1)) * 1.0,
+                          rng.integers(0, 9, (25, 1)) * 1.0)
+    _assert_equals_oracle(rng.normal(size=(40, 1)), rng.normal(size=(25, 1)))
+
+
+def test_two_row_sets():
+    _assert_equals_oracle(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          np.array([[0.5, 0.5], [2.0, 2.0]]))
+    _assert_equals_oracle(np.array([[1.0], [1.0]]), np.array([[0.0], [2.0]]))
+
+
+def test_non_finite_descriptors_are_rejected():
+    good = np.zeros((3, 2))
+    for bad in (np.nan, np.inf):
+        src = good.copy()
+        src[1, 0] = bad
+        with pytest.raises(ValueError):
+            match_features(src, good)
+        with pytest.raises(ValueError):
+            match_features(good, src)
+
+
+@st.composite
+def _tie_heavy_pair(draw):
+    dim = draw(st.integers(1, 4))
+    levels = st.integers(-2, 2)
+    src = draw(arrays(np.int64, (draw(st.integers(2, 12)), dim), elements=levels))
+    dst = draw(arrays(np.int64, (draw(st.integers(2, 12)), dim), elements=levels))
+    step = draw(st.sampled_from([1.0, 1e-3, 0.1]))
+    offset = draw(st.sampled_from([0.0, 1000.0, -3.5, 1e8]))
+    return src * step + offset, dst * step + offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_pair())
+def test_property_tie_heavy_arrays_equal_the_oracle(pair):
+    _assert_equals_oracle(*pair)
+
+
+def test_fine_structure_inside_far_apart_clusters():
+    # the rows' mean lies between two clusters 2e4 apart, so the product
+    # estimates err by far more than the 1e-5 grid step inside a cluster
+    rng = np.random.default_rng(13)
+    far = np.repeat([[1e4], [-1e4]], 40, axis=0)
+    src = far + rng.integers(-2, 3, (80, 4)) * 1e-5
+    dst = far + rng.integers(-2, 3, (80, 4)) * 1e-5
+    _assert_equals_oracle(src, dst)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,33 @@ def test_perfect_quality_correlation_ranks_all_inliers_first():
     assert np.all(np.isinf(inlier_ratio))
     assert np.all(np.isfinite(outlier_ratio))
     assert scene.corrs.is_mnn[scene.inlier_labels].all()
+
+
+def test_planted_pair_signals_agree_with_a_dense_distance_matrix():
+    scene = generate_scene(SceneSpec(n_points=300, inlier_fraction=0.3,
+                                     quality_correlation=0.5, seed=17))
+    d = np.sqrt(np.sum((scene.src_desc[:, None, :] - scene.dst_desc[None, :, :]) ** 2,
+                       axis=2))
+    idx = np.arange(300)
+    two = np.sort(d, axis=1)[:, :2]
+    assert np.array_equal(scene.corrs.src, idx)
+    assert np.array_equal(scene.corrs.dst, idx)
+    assert np.array_equal(scene.corrs.feat_dist, d[idx, idx])
+    assert np.array_equal(scene.corrs.ratio, two[:, 1] / two[:, 0])
+    assert np.array_equal(scene.corrs.is_mnn,
+                          (d.argmin(axis=1) == idx) & (d.argmin(axis=0) == idx))
+
+
+def test_large_scene_needs_no_dense_distance_matrix():
+    # a dense 8000 x 8000 float64 distance matrix alone is 512 MB
+    tracemalloc.start()
+    try:
+        scene = generate_scene(SceneSpec(n_points=8000, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scene.corrs) == 8000
+    assert peak < 64 * 2**20
 
 
 def _ratio_auc(scene: Scene) -> float:
