@@ -109,7 +109,15 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64], second: bo
     # second-order terms and its own rounding; the added tiny covers
     # products that underflow.
     q_norm = np.einsum("ij,ij->i", q, q)
-    window = (16.0 * (dim + 3) * _UNIT_ROUNDOFF * (q_norm + 3.0 * r_aug[:, dim].max())
+    r_max = r_aug[:, dim].max()
+    # Every squared distance, centered or as the scan computes it, is at
+    # most 2(|q|^2 + |r|^2) up to rounding, and the window and estimates
+    # are smaller still.  Past float64's range they overflow, the window
+    # argument fails and the scan's own distances turn infinite.
+    if not np.isfinite(4.0 * (q_norm.max() + r_max)):
+        raise ValueError("descriptor values too large: squared distances "
+                         "overflow float64")
+    window = (16.0 * (dim + 3) * _UNIT_ROUNDOFF * (q_norm + 3.0 * r_max)
               + np.finfo(np.float64).tiny)
 
     d1 = np.empty(n)
@@ -162,6 +170,12 @@ def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64])
     Returns
     -------
     Correspondences in source-row order, one entry per source row.
+
+    Raises
+    ------
+    ValueError
+        On malformed or non-finite input, and on values so large that
+        squared descriptor distances overflow float64.
     """
     src_desc = np.ascontiguousarray(src_desc, dtype=np.float64)
     dst_desc = np.ascontiguousarray(dst_desc, dtype=np.float64)

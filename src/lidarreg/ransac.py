@@ -8,8 +8,11 @@ be toggled independently:
   uniform sampling over everything as iterations accumulate;
 * sample rejection: edge-length compatibility (elc) of the sampled
   triangle discards hopeless samples before they are fitted and scored;
-* local optimization: each time a new best model appears, a few rounds of
-  non-minimal re-fitting with an annealed threshold polish it.
+* local optimization: each time a new best model appears, non-minimal
+  re-fits with an annealed threshold polish it.  The inner samples come
+  from that model's inliers, so they are independent and are refined
+  together: one stacked fit, then per annealing step one residual pass
+  and one moment product for all of their gated re-fits.
 
 Hypotheses are evaluated in blocks of ``_BLOCK`` iterations: the block's
 minimal samples are drawn in one call, screened by elc together, fitted
@@ -98,6 +101,13 @@ def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64],
     cp = (w[..., None, :] @ p)[:, 0]
     cq = (w[..., None, :] @ q)[:, 0]
     h = np.swapaxes(p - cp[:, None], 1, 2) @ ((q - cq[:, None]) * w[..., None])
+    rot, ok = _rotation(h)
+    return rot, cq - (rot @ cp[..., None])[..., 0], ok
+
+
+def _rotation(h: NDArray[np.float64]):
+    """Proper rotations maximizing tr(R h) for stacked cross-covariances
+    ``h`` (S, 3, 3), and a mask of those of rank at least two."""
     u, s, vt = np.linalg.svd(h)
     ok = s[:, 1] > 1e-9 * np.maximum(s[:, 0], 1e-300)
     ut = np.swapaxes(u, 1, 2)
@@ -107,27 +117,30 @@ def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64],
         # reflection: negate the axis of the smallest singular value
         vt[flip, -1, :] *= -1.0
         rot[flip] = np.swapaxes(vt[flip], 1, 2) @ ut[flip]
-    return rot, cq - (rot @ cp[..., None])[..., 0], ok
+    return rot, ok
 
 
 # ---------------------------------------------------------------------------
 # scoring and stopping
 # ---------------------------------------------------------------------------
 
-def _residuals(rotation, translation, a: Points, b: Points) -> NDArray[np.float64]:
+def _residuals(rotation, translation, a: Points, b: Points,
+               out=None) -> NDArray[np.float64]:
     """Residual norms of ``a`` mapped onto ``b``: (n,) for one motion, or
-    (S, n) for stacked rotations (S, 3, 3) and translations (S, 3)."""
-    # one coordinate at a time keeps every temporary a contiguous (S, n)
+    (S, n) for stacked rotations (S, 3, 3) and translations (S, 3).
+    They are written into ``out`` when it is given."""
+    # one coordinate at a time keeps every temporary a contiguous (S, n),
+    # and one of them serves all three
     at = a.T
+    sq = d = None
     for i in range(3):
-        d = rotation[..., i, :] @ at
+        d = np.matmul(rotation[..., i, :], at, out=d)
         d += translation[..., i, None]
         d -= b[:, i]
-        d *= d
-        if i == 0:
-            sq = d
+        if sq is None:
+            sq = np.square(d, out=out)
         else:
-            sq += d
+            sq += np.square(d, out=d)
     return np.sqrt(sq, out=sq)
 
 
@@ -279,58 +292,81 @@ class Hypothesis:
 _LO_ANNEAL = np.linspace(2.0, 1.0, 4)
 _LO_MAX_SAMPLE = 14
 _LO_MIN_SAMPLE = 4
+# inner samples fitted and scored together; LO's working memory is a few
+# (_LO_CHUNK, n) arrays whatever the number of inner iterations
+_LO_CHUNK = 64
 
 
-def _distinct(rng: np.random.Generator, n: int, k: int) -> NDArray[np.int64]:
-    # rejection sampling is O(k) when n >> k; fall back to a shuffle when
-    # the sample covers a big share of the population
-    if 3 * k >= n:
-        return rng.permutation(n)[:k]
-    while True:
-        pick = rng.integers(0, n, size=k)
-        if len(np.unique(pick)) == k:
-            return pick
+def _moment_table(a: Points, b: Points):
+    """Per-correspondence moments ``[1, a, b, a (x) b]`` (n, 16) of ``a``
+    and ``b`` centered on their means, with the two means."""
+    ma, mb = a.mean(axis=0), b.mean(axis=0)
+    ac, bc = a - ma, b - mb
+    table = np.empty((len(a), 16))
+    table[:, 0] = 1.0
+    table[:, 1:4] = ac
+    table[:, 4:7] = bc
+    table[:, 7:] = (ac[:, :, None] * bc[:, None, :]).reshape(-1, 9)
+    return table, ma, mb
+
+
+def _gated_fit(gate: NDArray, table: NDArray[np.float64],
+               ma: NDArray[np.float64], mb: NDArray[np.float64]):
+    """Unweighted Kabsch of every row of ``gate`` (S, n), boolean or 0/1,
+    over the correspondences it selects, from one product with
+    ``_moment_table``.
+
+    Returns rotations (S, 3, 3), translations (S, 3) and a mask of the fits
+    with at least ``SAMPLE_SIZE`` points spanning two dimensions or more.
+    """
+    sums = np.asarray(gate, dtype=np.float64) @ table
+    count = sums[:, 0]
+    mom = sums[:, 1:] / np.maximum(count, 1.0)[:, None]
+    cp, cq = mom[:, :3], mom[:, 3:6]
+    h = mom[:, 6:].reshape(-1, 3, 3) - cp[:, :, None] * cq[:, None, :]
+    rot, ok = _rotation(h)
+    trans = cq + mb - (rot @ (cp + ma)[..., None])[..., 0]
+    return rot, trans, ok & (count >= SAMPLE_SIZE)
+
+
+def _lo_subsets(rng: np.random.Generator, pool: NDArray[np.int64], rows: int,
+                size: int) -> NDArray[np.int64]:
+    """``rows`` uniform ``size``-subsets of ``pool``, one per row."""
+    keys = rng.random((rows, len(pool)))
+    return pool[np.argpartition(keys, size - 1, axis=1)[:, :size]]
 
 
 def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
              inner_iters: int, rng: np.random.Generator) -> Hypothesis:
-    """Polish a hypothesis by non-minimal re-fitting with annealed gating."""
-    cur = best
-    for _ in range(inner_iters):
-        inliers = np.nonzero(cur.inlier_mask)[0]
-        if len(inliers) < _LO_MIN_SAMPLE:
-            break
-        size = min(_LO_MAX_SAMPLE, max(_LO_MIN_SAMPLE, len(inliers) // 2))
-        size = min(size, len(inliers))
-        pick = inliers[_distinct(rng, len(inliers), size)]
-        try:
-            motion = kabsch(a[pick], b[pick])
-            for mult in _LO_ANNEAL:
-                gate = _residuals(motion.rotation, motion.translation, a, b) \
-                    <= mult * threshold
-                if int(gate.sum()) < SAMPLE_SIZE:
-                    raise DegenerateSampleError("annealed gate emptied out")
-                motion = kabsch(a[gate], b[gate])
-        except DegenerateSampleError:
-            continue
-        mask = _residuals(motion.rotation, motion.translation, a, b) <= threshold
-        count = int(mask.sum())
-        if count > cur.inlier_count:
-            cur = Hypothesis(motion, count, mask)
-    return cur
+    """Polish a hypothesis by non-minimal re-fitting with annealed gating.
 
-
-def lo_step(best: Hypothesis, corrs: Correspondences, src_points: Points,
-            dst_points: Points, threshold: float,
-            inner_iters: int = 50, seed: int = 0) -> Hypothesis:
-    """Public wrapper over the local optimizer (see ``_lo_step``).
-
-    Needs at least 4 current inliers to do anything; returns a hypothesis
-    whose inlier count is never below the input's.
+    Every inner sample is drawn from the inliers of ``best``, so the inner
+    iterations are independent: ``_LO_CHUNK`` of them at a time are fitted,
+    re-fitted under each annealed gate and scored together.  The first
+    sample with the highest count wins if it beats ``best``.
     """
-    a = np.asarray(src_points, dtype=np.float64)[corrs.src]
-    b = np.asarray(dst_points, dtype=np.float64)[corrs.dst]
-    return _lo_step(best, a, b, threshold, inner_iters, np.random.default_rng(seed))
+    inliers = np.flatnonzero(best.inlier_mask)
+    if len(inliers) < _LO_MIN_SAMPLE:
+        return best
+    size = min(_LO_MAX_SAMPLE, max(_LO_MIN_SAMPLE, len(inliers) // 2))
+    table, ma, mb = _moment_table(a, b)
+    cur = best
+    for done in range(0, inner_iters, _LO_CHUNK):
+        pick = _lo_subsets(rng, inliers, min(_LO_CHUNK, inner_iters - done), size)
+        rot, trans, ok = _fit_rigid(a[pick], b[pick], np.full(size, 1.0 / size))
+        res = None
+        for mult in _LO_ANNEAL:
+            # one buffer holds each pass's residuals, then its 0/1 gate
+            res = _residuals(rot, trans, a, b, out=res)
+            np.less_equal(res, mult * threshold, out=res)
+            rot, trans, gated_ok = _gated_fit(res, table, ma, mb)
+            ok &= gated_ok
+        masks = _residuals(rot, trans, a, b, out=res) <= threshold
+        counts = np.where(ok, masks.sum(axis=1), -1)
+        k = int(counts.argmax())
+        if counts[k] > cur.inlier_count:
+            cur = Hypothesis(RigidMotion(rot[k], trans[k]), int(counts[k]), masks[k])
+    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,26 @@ def test_non_finite_descriptors_are_rejected():
             match_features(good, src)
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e153, 1e154, 1e155, 1e200])
+def test_huge_descriptors_equal_the_oracle_or_raise_value_error(scale):
+    # near 1e154 the squared distances overflow float64: the matcher used to
+    # raise IndexError, or return rows other than the scan's without an error
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        src = rng.normal(size=(6, 3)) * scale
+        dst = rng.normal(size=(6, 3)) * scale
+        try:
+            c = match_features(src, dst)
+        except ValueError:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            bd, bf, br, bm = _brute_match(src, dst)
+        assert c.dst.tobytes() == bd.tobytes(), seed
+        assert c.feat_dist.tobytes() == bf.tobytes(), seed
+        assert c.ratio.tobytes() == br.tobytes(), seed
+        assert c.is_mnn.tobytes() == bm.tobytes(), seed
+
+
 @st.composite
 def _tie_heavy_pair(draw):
     dim = draw(st.integers(1, 4))

@@ -15,6 +15,7 @@ from lidarreg.match import Correspondences
 from lidarreg.metrics import rotation_error, translation_error
 from lidarreg.ransac import (
     _BLOCK,
+    _LO_ANNEAL,
     _SAMPLE_WEIGHTS,
     DegenerateSampleError,
     Hypothesis,
@@ -24,11 +25,12 @@ from lidarreg.ransac import (
     _distinct_rows,
     _elc_mask,
     _fit_rigid,
+    _gated_fit,
     _lo_step,
+    _moment_table,
     count_inliers,
     elc_check,
     kabsch,
-    lo_step,
     ransac_register,
     required_iterations,
 )
@@ -380,7 +382,8 @@ def test_lo_never_decreases_inlier_count():
     count, mask = count_inliers(truth, corrs, src, dst, 0.6)
     start = Hypothesis(truth, count, mask)
     for seed in range(5):
-        out = lo_step(start, corrs, src, dst, 0.6, inner_iters=10, seed=seed)
+        out = _lo_step(start, src[corrs.src], dst[corrs.dst], 0.6, 10,
+                       np.random.default_rng(seed))
         assert out.inlier_count >= start.inlier_count
 
 
@@ -391,8 +394,8 @@ def test_lo_improves_a_perturbed_hypothesis():
         truth.rotation @ random_rotation_small(0.8), truth.translation + 0.25)
     count, mask = count_inliers(wobble, corrs, src, dst, 0.6)
     assert count > 4
-    out = lo_step(Hypothesis(wobble, count, mask), corrs, src, dst, 0.6,
-                  inner_iters=30, seed=0)
+    out = _lo_step(Hypothesis(wobble, count, mask), src[corrs.src], dst[corrs.dst],
+                   0.6, 30, np.random.default_rng(0))
     best_possible, _ = count_inliers(truth, corrs, src, dst, 0.6)
     assert out.inlier_count >= int(0.95 * best_possible)
     assert out.inlier_count > count
@@ -404,6 +407,127 @@ def random_rotation_small(deg):
     axis = axis / np.linalg.norm(axis)
     k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
     return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+
+
+@pytest.mark.parametrize("offset", [0.0, 30.0, 1e3])
+def test_gated_moment_fit_equals_kabsch_per_row(offset):
+    rng = np.random.default_rng(45)
+    src, dst, corrs, labels, truth = make_planted(rng, n=300, frac=0.5, sigma=0.05)
+    a, b = src + offset, dst + offset
+    line = np.flatnonzero(labels)[:6]
+    a[line] = a[line[0]] + np.outer(np.arange(6.0), [0.4, -1.0, 2.0])
+    gates = [rng.random((40, 300)) < share for share in (0.02, 0.3, 0.9)]
+    gates.append(np.broadcast_to(labels, (4, 300)))
+    few = np.zeros((4, 300), dtype=bool)
+    few[1, 0] = few[2, :2] = few[3, line[:3]] = True    # 0, 1 and 2 points, a line
+    gates.append(few)
+    collinear = np.zeros((5, 300), dtype=bool)
+    for k in range(5):
+        collinear[k, line[:k + 2]] = True
+    gates.append(collinear)
+    gate = np.concatenate(gates)
+    rot, trans, ok = _gated_fit(gate, *_moment_table(a, b))
+    assert ok.any() and not ok.all()
+    for i, g in enumerate(gate):
+        try:
+            want = kabsch(a[g], b[g])
+        except ValueError:            # fewer than 3 points, or degenerate
+            assert not ok[i], i
+            continue
+        assert ok[i], i
+        assert np.abs(rot[i] - want.rotation).max() <= 1e-12, i
+        assert np.abs(trans[i] - want.translation).max() <= 1e-12 * max(1.0, offset), i
+
+
+def replay_lo(best, a, b, threshold, picks):
+    """The local optimizer one inner sample at a time, on given samples."""
+    win, skipped = best, 0
+    for pick in picks:
+        try:
+            motion = kabsch(a[pick], b[pick])
+            for mult in _LO_ANNEAL:
+                d = np.linalg.norm(a @ motion.rotation.T + motion.translation - b, axis=1)
+                motion = kabsch(a[d <= mult * threshold], b[d <= mult * threshold])
+        except ValueError:
+            skipped += 1
+            continue
+        d = np.linalg.norm(a @ motion.rotation.T + motion.translation - b, axis=1)
+        mask = d <= threshold
+        if mask.sum() > win.inlier_count:      # the first highest count wins
+            win = Hypothesis(motion, int(mask.sum()), mask)
+    return win, skipped
+
+
+def lo_start(seed):
+    """A scene whose first inliers are collinear and a hypothesis whose
+    inliers are a few of those plus the rest, slightly off the truth."""
+    rng = np.random.default_rng([seed, 46])
+    src, dst, corrs, labels, truth = make_planted(rng, n=400, frac=0.4, sigma=0.2)
+    a, b = src[corrs.src], dst[corrs.dst]
+    line = np.flatnonzero(labels)[:4]
+    a[line] = a[line[0]] + np.outer(np.arange(4.0), [1.0, 0.5, -0.3])
+    b[line] = apply(truth, a[line])
+    wobble = RigidMotion(truth.rotation @ random_rotation_small(0.6),
+                         truth.translation + 0.2)
+    mask = np.linalg.norm(apply(wobble, a) - b, axis=1) <= 0.6
+    if seed == 0:                 # six inliers: samples of 4 are often a line
+        mask = np.zeros(len(a), dtype=bool)
+        mask[np.flatnonzero(labels)[:6]] = True
+    return Hypothesis(wobble, int(mask.sum()), mask), a, b
+
+
+def two_motion_start(seed):
+    """Two planted motions with 60 inliers each and a hypothesis holding
+    four inliers of each: inner samples of either kind tie at 60 with
+    different masks, so the order of the winners matters."""
+    rng = np.random.default_rng([seed, 47])
+    a = rng.uniform(-25.0, 25.0, size=(300, 3))
+    b = rng.uniform(-25.0, 25.0, size=(300, 3))
+    first, second = random_motion(rng, t_scale=8.0), random_motion(rng, t_scale=8.0)
+    b[:60], b[60:120] = apply(first, a[:60]), apply(second, a[60:120])
+    mask = np.zeros(300, dtype=bool)
+    mask[[0, 1, 2, 3, 60, 61, 62, 63]] = True
+    return Hypothesis(first, 8, mask), a, b
+
+
+@pytest.mark.parametrize("inner_iters", [50, 150])
+def test_lo_equals_kabsch_replay_of_its_own_draws(inner_iters, monkeypatch):
+    drawn = []
+    subsets = ransac_module._lo_subsets
+
+    def recording(*args):
+        rows = subsets(*args)
+        drawn.append(rows.copy())
+        return rows
+
+    monkeypatch.setattr(ransac_module, "_lo_subsets", recording)
+    skipped = 0
+    cases = [(lo_start(s), s) for s in range(4)] + [(two_motion_start(1), 2)]
+    for (start, a, b), seed in cases:
+        drawn.clear()
+        got = _lo_step(start, a, b, 0.6, inner_iters, np.random.default_rng(seed))
+        picks = np.concatenate(drawn)
+        assert len(picks) == inner_iters
+        assert np.isin(picks, np.flatnonzero(start.inlier_mask)).all()
+        want, gone = replay_lo(start, a, b, 0.6, picks)
+        skipped += gone
+        assert got.inlier_count == want.inlier_count > start.inlier_count, seed
+        assert np.array_equal(got.inlier_mask, want.inlier_mask), seed
+        assert np.abs(got.motion.rotation - want.motion.rotation).max() <= 1e-9
+        assert np.abs(got.motion.translation - want.motion.translation).max() <= 1e-9
+    assert skipped > 0                # degenerate samples were met and skipped
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_lo_result_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    cases = [(lo_start(s), s) for s in range(4)] + [(two_motion_start(1), 2)]
+    for (start, a, b), seed in cases:
+        want = _lo_step(start, a, b, 0.6, 50, np.random.default_rng(seed))
+        with monkeypatch.context() as m:
+            m.setattr(ransac_module, "_LO_CHUNK", chunk)
+            got = _lo_step(start, a, b, 0.6, 50, np.random.default_rng(seed))
+        assert got.inlier_count == want.inlier_count, seed
+        assert np.array_equal(got.inlier_mask, want.inlier_mask), seed
 
 
 # ---------------------------------------------------------------------------
