@@ -76,7 +76,6 @@ from .ransac import (
     ProsacSampler,
     RansacConfig,
     RegistrationResult,
-    count_inliers,
     elc_check,
     kabsch,
     ransac_register,
@@ -104,7 +103,7 @@ __all__ = [
     "RansacConfig", "RegistrationResult", "RigidMotion", "Scene", "SceneSpec",
     "SelectionResult", "SelectorConfig", "SpatialIndex", "TrajectorySpec",
     "alignment_motion", "apply", "build_candidate_pool", "compose",
-    "count_inliers", "elc_check", "evaluate", "failure_histogram",
+    "elc_check", "evaluate", "failure_histogram",
     "feature_distance", "frame_descriptors", "from_euler", "generate_scene",
     "generate_trajectory", "gpf", "grid_assign", "histogram", "icp_refine",
     "inverse", "is_success", "kabsch", "match_features", "mnn_filter",

@@ -145,19 +145,20 @@ def motion_descriptor(pose_src: RigidMotion, pose_tgt: RigidMotion) -> MotionDes
                              roll=e.roll, pitch=e.pitch, yaw=e.yaw)
 
 
-def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
+def overlap(src: Points, tgt: Points | SpatialIndex, gt: RigidMotion,
+            tau: float) -> float:
     """Fraction of source points with a target neighbor within tau after gt.
 
-    Asymmetric by construction (source side only).
+    Asymmetric by construction (source side only).  ``tgt`` may be a
+    prebuilt index of the target cloud.
     """
     src = np.asarray(src, dtype=np.float64)
-    tgt = np.asarray(tgt, dtype=np.float64)
     if len(src) == 0 or len(tgt) == 0:
         raise ValueError("overlap needs two nonempty clouds")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    d, _ = SpatialIndex(tgt).nearest(apply(gt, src))
-    return float(np.mean(d <= tau))
+    index = tgt if isinstance(tgt, SpatialIndex) else SpatialIndex(tgt)
+    return float(np.mean(index.within(apply(gt, src), tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,8 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
         if len(frames) < 2:
             continue
         bounds = [_world_bound(f) for f in frames]
+        # one index per frame, shared by every source that tests it
+        indexes = [SpatialIndex(f.cloud) for f in frames]
         for si in range(0, len(frames), cfg.k):
             src = frames[si]
             c_src, r_src = bounds[si]
@@ -200,7 +203,7 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
                 # cannot overlap at all
                 if np.linalg.norm(c_src - c_tgt) > r_src + r_tgt + cfg.overlap_tau:
                     continue
-                ov = overlap(src.cloud, tgt.cloud,
+                ov = overlap(src.cloud, indexes[ti],
                              alignment_motion(src.pose, tgt.pose), cfg.overlap_tau)
                 if ov > cfg.min_overlap:
                     qualifying.append((tgt, ov))

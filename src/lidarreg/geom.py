@@ -188,13 +188,16 @@ class SpatialIndex:
     def __len__(self) -> int:
         return len(self._points)
 
+    def _brute(self, idx, q: NDArray[F64]) -> NDArray[F64]:
+        # the distances a brute-force linear scan would compute
+        return np.sqrt(np.sum((self._points[idx] - q) ** 2, axis=-1))
+
     def _exact_row(self, q: NDArray[F64], k: int, d_hi: float) -> tuple[NDArray[F64], NDArray[np.int64]]:
         # resolve a tie at the k-th distance: pull everything within d_hi
         # and re-rank by (distance, index); the pad keeps boundary points in
         # even if the tree's internal arithmetic rounds the other way
-        cand = np.asarray(self._tree.query_ball_point(q, d_hi * (1.0 + 1e-9) + 1e-12),
-                          dtype=np.int64)
-        d = np.sqrt(np.sum((self._points[cand] - q) ** 2, axis=1))
+        cand = np.asarray(self._tree.query_ball_point(q, _pad(d_hi)), dtype=np.int64)
+        d = self._brute(cand, q)
         order = np.lexsort((cand, d))[:k]
         return d[order], cand[order]
 
@@ -215,7 +218,7 @@ class SpatialIndex:
         i = i.reshape(len(queries), probe)
         # recompute distances the same way the brute-force scan would, then
         # re-sort so equal distances come out in index order
-        d = np.sqrt(np.sum((self._points[i] - queries[:, None, :]) ** 2, axis=2))
+        d = self._brute(i, queries[:, None, :])
         order = np.lexsort((i, d), axis=1)
         d = np.take_along_axis(d, order, axis=1)
         i = np.take_along_axis(i, order, axis=1)
@@ -234,9 +237,30 @@ class SpatialIndex:
         d, i = self.knn(np.atleast_2d(_as_f64(queries)), k=1)
         return d[:, 0], i[:, 0]
 
-    def radius(self, query: Points, r: float) -> NDArray[np.int64]:
-        """Indices of all points within distance r (inclusive), ascending."""
-        q = _as_f64(query).reshape(3)
-        idx = np.asarray(self._tree.query_ball_point(q, r), dtype=np.int64)
-        idx.sort()
-        return idx
+    def within(self, queries: Points, r: float) -> NDArray[np.bool_]:
+        """Per query row, whether some point lies within distance r.
+
+        Equal to ``any(sqrt(sum((p - q)**2)) <= r)`` over the points p, as
+        a brute-force scan computes it; a point at exactly r counts.
+        """
+        queries = _as_f64(queries).reshape(-1, 3)
+        pad = _pad(r)
+        # the tree's nearest point inside the pad, if any, is re-measured;
+        # no point of a scan within r can be missing from the padded search
+        _, i = self._tree.query(queries, k=1, distance_upper_bound=pad)
+        rows = np.flatnonzero(i < len(self._points))
+        out = np.zeros(len(queries), dtype=bool)
+        near = self._brute(i[rows], queries[rows]) <= r
+        out[rows[near]] = True
+        # the tree's nearest re-measured above r: another point may still
+        # lie within r, so scan all points inside the pad
+        for row in rows[~near]:
+            cand = self._tree.query_ball_point(queries[row], pad)
+            out[row] = bool((self._brute(cand, queries[row]) <= r).any())
+        return out
+
+
+def _pad(r: float) -> float:
+    # a search radius that keeps every point of distance <= r in even when
+    # the tree's own arithmetic rounds it slightly above r
+    return r * (1.0 + 1e-9) + 1e-12

@@ -120,6 +120,8 @@ def read_cloud_ply(path) -> Points:
                 n_vertex = int(parts[2])
             except ValueError as e:
                 raise FormatError(path, "bad vertex count", i) from e
+            if n_vertex < 0:
+                raise FormatError(path, "bad vertex count", i)
         elif parts[0] == "property":
             if len(parts) != 3 or parts[1] != "float":
                 raise FormatError(path, "only float properties are supported", i)
@@ -141,18 +143,44 @@ def read_cloud_ply(path) -> Points:
         raise FormatError(path, f"truncated: {len(body)} of {n_vertex} vertices")
     if len(body) > n_vertex:
         raise FormatError(path, f"{len(body) - n_vertex} lines after the last vertex")
-    out = np.empty((n_vertex, 3), dtype=np.float32)
-    for row, raw in enumerate(body):
-        tokens = raw.split()
-        if len(tokens) != 3:
-            raise FormatError(path, f"expected 3 coordinates, got {len(tokens)}",
-                              body_at + 1 + row)
-        out[row] = _floats(path, tokens, body_at + 1 + row)
-        if not np.isfinite(out[row]).all():
-            raise FormatError(path, "coordinate exceeds float32 range",
-                              body_at + 1 + row)
+    out = _vertex_body(body)
+    if out is None:
+        # some line is malformed: parse line by line to name the first one
+        out = np.empty((n_vertex, 3), dtype=np.float32)
+        for row, raw in enumerate(body):
+            tokens = raw.split()
+            if len(tokens) != 3:
+                raise FormatError(path, f"expected 3 coordinates, got {len(tokens)}",
+                                  body_at + 1 + row)
+            out[row] = _floats(path, tokens, body_at + 1 + row)
+            if not np.isfinite(out[row]).all():
+                raise FormatError(path, "coordinate exceeds float32 range",
+                                  body_at + 1 + row)
     # the format carries float32 precision; widen only at the boundary
     return out.astype(np.float64)
+
+
+_LINE_END = "|"     # a token that float() rejects
+
+
+def _vertex_body(body: list[str]) -> NDArray[np.float32] | None:
+    """All vertex rows in one parse, or None when any line is malformed."""
+    # a marker token after each line: every line holds exactly three tokens
+    # iff the markers land on every fourth token and parsing the rest
+    # succeeds (a marker written in the file would fail to parse)
+    tokens = f" {_LINE_END} ".join(body + [""]).split()
+    if len(tokens) != 4 * len(body) or tokens[3::4].count(_LINE_END) != len(body):
+        return None
+    del tokens[3::4]
+    try:
+        vals = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return None
+    with np.errstate(over="ignore"):
+        out = vals.astype(np.float32)
+    if not np.isfinite(out).all():
+        return None
+    return out.reshape(-1, 3)
 
 
 def write_cloud_ply(path, points: Points) -> None:

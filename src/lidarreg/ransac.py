@@ -144,16 +144,6 @@ def _residuals(rotation, translation, a: Points, b: Points,
     return np.sqrt(sq, out=sq)
 
 
-def count_inliers(motion: RigidMotion, corrs: Correspondences,
-                  src_points: Points, dst_points: Points,
-                  threshold: float) -> tuple[int, NDArray[np.bool_]]:
-    """Inlier count and mask: residual under ``motion`` within threshold."""
-    a = np.asarray(src_points, dtype=np.float64)[corrs.src]
-    b = np.asarray(dst_points, dtype=np.float64)[corrs.dst]
-    mask = _residuals(motion.rotation, motion.translation, a, b) <= threshold
-    return int(mask.sum()), mask
-
-
 def required_iterations(confidence: float, inlier_fraction: float,
                         sample_size: int = SAMPLE_SIZE,
                         max_iterations: int = 1_000_000) -> int:

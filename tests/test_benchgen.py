@@ -19,10 +19,10 @@ from lidarreg.benchgen import (
     select_balanced,
     split_by_sequence,
 )
-from lidarreg.geom import EulerAngles, RigidMotion, apply, from_euler
+from lidarreg.geom import EulerAngles, RigidMotion, SpatialIndex, apply, from_euler
 from lidarreg.synth import TrajectorySpec, generate_trajectory, random_motion
 
-from test_geom import random_rotation
+from test_geom import _integer_grid, random_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,54 @@ def test_overlap_matches_brute_force():
         tau = float(rng.uniform(0.5, 4.0))
         want = float(np.mean(cdist(a, b).min(axis=1) <= tau))
         assert overlap(a, b, RigidMotion.identity(), tau) == want
+        assert overlap(a, SpatialIndex(b), RigidMotion.identity(), tau) == want
+
+
+def _brute_overlap(src, tgt, gt: RigidMotion, tau: float) -> float:
+    # one linear scan per source point, with the scan's own arithmetic
+    moved = apply(gt, src)
+    hits = [np.any(np.sqrt(np.sum((tgt - p) ** 2, axis=1)) <= tau) for p in moved]
+    return float(np.mean(hits))
+
+
+def test_overlap_counts_neighbors_at_exactly_tau():
+    g = _integer_grid(5)
+    shift = RigidMotion(np.eye(3), np.array([0.5, 0.0, 0.0]))
+    cases = [
+        # integer grid against itself moved one unit: distance exactly 1
+        (g, g + [1.0, 0.0, 0.0], RigidMotion.identity(), 1.0),
+        (g, g + [0.0, 1.0, 1.0], RigidMotion.identity(), np.sqrt(2.0)),
+        (g, g, shift, 0.5),
+        # 3-4-5 offsets: distance exactly 5
+        (g * 7.0, g * 7.0 + [3.0, 4.0, 0.0], RigidMotion.identity(), 5.0),
+        (g * 7.0, g * 7.0 + [0.0, -3.0, -4.0], RigidMotion.identity(), 5.0),
+    ]
+    for src, tgt, gt, tau in cases:
+        for t in (tau, np.nextafter(tau, 0.0), np.nextafter(tau, np.inf)):
+            want = _brute_overlap(src, tgt, gt, t)
+            assert overlap(src, tgt, gt, t) == want
+            assert overlap(src, SpatialIndex(tgt), gt, t) == want
+    assert overlap(g * 7.0, g * 7.0 + [3.0, 4.0, 0.0],
+                   RigidMotion.identity(), 5.0) == 1.0
+    assert overlap(g * 7.0, g * 7.0 + [3.0, 4.0, 0.0],
+                   RigidMotion.identity(), np.nextafter(5.0, 0.0)) < 1.0
+
+
+def test_overlap_straddling_tau_after_a_motion():
+    # target points placed at tau from the moved source land a few ulps
+    # either side of it; overlap must follow the scan's arithmetic
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        src = rng.uniform(-30.0, 30.0, (200, 3))
+        gt = random_motion(rng)
+        u = rng.normal(size=(200, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        tau = float(rng.uniform(0.3, 2.0))
+        tgt = apply(gt, src) + tau * u
+        want = _brute_overlap(src, tgt, gt, tau)
+        assert 0.0 < want < 1.0
+        assert overlap(src, tgt, gt, tau) == want
+        assert overlap(src, SpatialIndex(tgt), gt, tau) == want
 
 
 def test_overlap_validation():
@@ -172,6 +220,52 @@ def test_pool_determinism_and_fields():
         assert c.dt == abs(c.tgt.timestamp - c.src.timestamp)
         assert c.distance == pytest.approx(
             np.linalg.norm(c.motion.as_array()[:3]))
+
+
+def _reference_pool(frames, cfg: SelectorConfig) -> list[CandidatePair]:
+    # the pool as built with a fresh index and a nearest-neighbor query
+    # for every tested pair
+    rng = np.random.default_rng([cfg.seed, 0])
+    world = [apply(f.pose, f.cloud) for f in frames]
+    centers = [w.mean(axis=0) for w in world]
+    radii = [float(np.sqrt(np.max(np.sum((w - c) ** 2, axis=1))))
+             for w, c in zip(world, centers)]
+    pool = []
+    for si in range(0, len(frames), cfg.k):
+        src = frames[si]
+        qualifying = []
+        for ti, tgt in enumerate(frames):
+            if ti == si or np.linalg.norm(centers[si] - centers[ti]) \
+                    > radii[si] + radii[ti] + cfg.overlap_tau:
+                continue
+            gt = alignment_motion(src.pose, tgt.pose)
+            d, _ = SpatialIndex(tgt.cloud).nearest(apply(gt, src.cloud))
+            ov = float(np.mean(d <= cfg.overlap_tau))
+            if ov > cfg.min_overlap:
+                qualifying.append((tgt, ov))
+        if not qualifying:
+            continue
+        tgt, ov = qualifying[int(rng.integers(len(qualifying)))]
+        desc = motion_descriptor(src.pose, tgt.pose)
+        pool.append(CandidatePair(
+            src=src, tgt=tgt, motion=desc, overlap=ov,
+            dt=abs(tgt.timestamp - src.timestamp),
+            distance=float(np.linalg.norm(desc.as_array()[:3]))))
+    return pool
+
+
+@pytest.mark.parametrize("seed, k, tau", [(0, 1, 0.6), (1, 2, 1.0), (2, 3, 0.3)])
+def test_pool_equals_a_nearest_neighbor_reference(seed, k, tau):
+    frames = generate_trajectory(TrajectorySpec.random_drive(
+        n_frames=24, frame_spacing=5.0, sensor_range=20.0, seed=seed))
+    cfg = SelectorConfig(k=k, overlap_tau=tau, min_overlap=0.1, seed=seed)
+    got = build_candidate_pool([frames], cfg)
+    want = _reference_pool(frames, cfg)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.src is b.src and a.tgt is b.tgt
+        assert a.motion == b.motion
+        assert (a.overlap, a.dt, a.distance) == (b.overlap, b.dt, b.distance)
 
 
 def test_pool_rejects_decreasing_timestamps():

@@ -247,9 +247,118 @@ def test_radius_query_matches_brute_force():
     for _ in range(20):
         q = rng.uniform(-2.0, 2.0, size=3)
         r = rng.uniform(0.2, 1.5)
-        got = index.radius(q, r)
+        got = index.within(q, r)
         want = np.nonzero(np.sqrt(np.sum((pts - q) ** 2, axis=1)) <= r)[0]
-        assert np.array_equal(got, want)
+        assert got.tolist() == [want.size > 0]
+
+
+def _brute_within(points: np.ndarray, queries: np.ndarray, r: float) -> list[bool]:
+    # one linear scan per query row, with the scan's own arithmetic
+    return [bool(np.any(np.sqrt(np.sum((points - q) ** 2, axis=1)) <= r))
+            for q in queries]
+
+
+def _integer_grid(n: int) -> np.ndarray:
+    axis = np.arange(n, dtype=np.float64)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+def test_within_counts_points_at_exactly_r_on_an_integer_grid():
+    pts = _integer_grid(4)
+    # grid points, edge midpoints and points one unit outside the grid:
+    # nearest distances of exactly 0, 0.5, 1 and sqrt(2)
+    queries = np.concatenate([pts, pts + [0.5, 0.0, 0.0],
+                              pts + [4.0, 0.0, 0.0], pts + [4.0, 1.0, 0.0]])
+    index = SpatialIndex(pts)
+    for r in (0.0, 0.5, 1.0, np.nextafter(1.0, 0.0), np.sqrt(2.0),
+              np.nextafter(np.sqrt(2.0), 0.0)):
+        assert index.within(queries, r).tolist() == _brute_within(pts, queries, r)
+    assert index.within(pts + [4.0, 0.0, 0.0], 1.0).sum() == 16
+    assert index.within(pts + [4.0, 0.0, 0.0], np.nextafter(1.0, 0.0)).sum() == 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1, 1e3])
+def test_within_counts_3_4_5_offsets_at_exactly_r(scale):
+    rng = np.random.default_rng(12)
+    queries = rng.integers(-50, 50, (40, 3)).astype(np.float64) * scale
+    offsets = np.array([[3.0, 4.0, 0.0], [0.0, -3.0, 4.0], [-4.0, 0.0, -3.0]])
+    pts = queries + offsets[np.arange(40) % 3] * scale
+    index = SpatialIndex(pts)
+    r = 5.0 * scale
+    for rr in (r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)):
+        assert index.within(queries, rr).tolist() == _brute_within(pts, queries, rr)
+    if scale == 1.0:
+        assert index.within(queries, 5.0).all()
+        assert not index.within(queries, np.nextafter(5.0, 0.0)).any()
+
+
+def test_within_at_distances_an_ulp_either_side_of_r():
+    # points placed at r along random directions land a few ulps off r;
+    # the answer must follow the scan's arithmetic, not the placement
+    rng = np.random.default_rng(13)
+    queries = rng.uniform(-100.0, 100.0, (300, 3))
+    u = rng.normal(size=(300, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = 0.7
+    pts = queries + r * u
+    d = np.sqrt(np.sum((pts - queries) ** 2, axis=1))
+    assert (d > r).any() and (d < r).any()
+    index = SpatialIndex(pts)
+    for rr in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0), r * (1 + 1e-12)):
+        assert index.within(queries, rr).tolist() == _brute_within(pts, queries, rr)
+
+
+class _SkewedTree:
+    """A k-d tree stand-in whose distances are off by up to 1e-12 relative,
+    so its nearest point and its inside/outside calls can disagree with the
+    scan's arithmetic."""
+
+    def __init__(self, points: np.ndarray, rng: np.random.Generator):
+        self.points = points
+        self.skew = 1.0 + rng.uniform(-1e-12, 1e-12, len(points))
+
+    def _d(self, q):
+        return np.sqrt(np.sum((self.points - q) ** 2, axis=1)) * self.skew
+
+    def query(self, queries, k, distance_upper_bound):
+        assert k == 1
+        d = np.stack([self._d(q) for q in queries])
+        i = d.argmin(axis=1)
+        best = d[np.arange(len(d)), i]
+        i[best >= distance_upper_bound] = len(self.points)
+        return np.where(best < distance_upper_bound, best, np.inf), i
+
+    def query_ball_point(self, q, r):
+        return np.flatnonzero(self._d(q) <= r).tolist()
+
+
+def test_within_when_tree_and_scan_distances_straddle_r():
+    rng = np.random.default_rng(14)
+    r = 2.5
+    # queries 10 apart, each with four points a few hundred ulps from r,
+    # far inside the tree's skew
+    queries = _integer_grid(8)[:400] * 10.0 + rng.uniform(-1.0, 1.0, (400, 3))
+    u = rng.normal(size=(400, 4, 3))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    scale = r * (1.0 + rng.integers(-300, 300, (400, 4, 1)) * 2.0 ** -52)
+    pts = (queries[:, None, :] + scale * u).reshape(-1, 3)
+    index = SpatialIndex(pts)
+    tree = index._tree = _SkewedTree(pts, rng)
+    got = index.within(queries, r)
+    assert got.tolist() == _brute_within(pts, queries, r)
+    best, first = tree.query(queries, 1, np.inf)
+    d_first = np.sqrt(np.sum((pts[first] - queries) ** 2, axis=1))
+    # the tree's nearest re-measures above r, yet another point is within r
+    assert (got & (d_first > r)).sum() > 10
+    # the tree puts its nearest within r, but the scan puts every point out
+    assert (~got & (best <= r)).sum() > 0
+
+
+def test_within_on_a_single_point_and_empty_queries():
+    index = SpatialIndex(np.array([[1.0, 2.0, 3.0]]))
+    assert index.within(np.array([1.0, 2.0, 8.0]), 5.0).tolist() == [True]
+    assert index.within(np.zeros((0, 3)), 1.0).shape == (0,)
 
 
 def test_knn_k_capped_at_index_size():

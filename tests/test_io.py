@@ -177,6 +177,120 @@ def test_ply_non_finite_rejected(tmp_path):
         read_cloud_ply(p)
 
 
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              "end_header\n")
+PLY_BODY_LINE = 8       # first body line under PLY_HEADER
+
+
+def _per_line_ply(path) -> np.ndarray:
+    """Body of a PLY file under PLY_HEADER, read one line at a time."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    n = int(lines[2].split()[2])
+    body = lines[PLY_BODY_LINE - 1:]
+    while body and not body[-1].strip():
+        body.pop()
+    assert len(body) == n
+    out = np.empty((n, 3), dtype=np.float32)
+    for row, raw in enumerate(body):
+        line = PLY_BODY_LINE + row
+        tokens = raw.split()
+        if len(tokens) != 3:
+            raise FormatError(path, f"expected 3 coordinates, got {len(tokens)}", line)
+        try:
+            vals = [float(t) for t in tokens]
+        except ValueError as e:
+            raise FormatError(path, f"not a number: {e}", line) from e
+        if not np.all(np.isfinite(vals)):
+            raise FormatError(path, "non-finite value", line)
+        with np.errstate(over="ignore"):
+            out[row] = vals
+        if not np.isfinite(out[row]).all():
+            raise FormatError(path, "coordinate exceeds float32 range", line)
+    return out.astype(np.float64)
+
+
+def _ply(tmp_path, body: str, n: int):
+    p = tmp_path / "body.ply"
+    p.write_text(PLY_HEADER.format(n=n) + body)
+    return p
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-3, 1.0, 1e3, 1e30])
+def test_ply_bulk_read_equals_the_per_line_read(tmp_path, scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 40)
+    pts = rng.normal(size=(500, 3)) * scale
+    pts[:6] = [[0.0, -0.0, 1e-45], [3.4028235e38, -3.4028235e38, 1.17549435e-38],
+               [1e-40, -1e-40, 7.0], [0.1, 0.2, 0.3], [1.0, 2.0, 3.0],
+               [np.float32(np.pi), -np.float32(np.e), 65504.0]]
+    p = tmp_path / "cloud.ply"
+    write_cloud_ply(p, pts)
+    got = read_cloud_ply(p)
+    assert got.tobytes() == _per_line_ply(p).tobytes()
+    assert np.array_equal(got, pts.astype(np.float32).astype(np.float64))
+
+
+def test_ply_accepts_every_token_python_float_accepts(tmp_path):
+    # underscores, signs, exponents, leading zeros, a unit separator
+    # (whitespace to str.split) and trailing blank lines
+    body = "1_0 +2.5 -.5\n1E3 5e-1 00\n\t7\x1f8  9 \n-0 1. 1_000.5\n\n  \n"
+    p = _ply(tmp_path, body, n=4)
+    got = read_cloud_ply(p)
+    assert got.tolist() == [[10.0, 2.5, -0.5], [1000.0, 0.5, 0.0],
+                            [7.0, 8.0, 9.0], [0.0, 1.0, 1000.5]]
+    assert got.tobytes() == _per_line_ply(p).tobytes()
+
+
+@pytest.mark.parametrize("body, line, message", [
+    # two tokens next to four: 3n tokens in all, still a bad line
+    ("0 0 0\n1 1\n2 2 2 2\n", 9, "expected 3 coordinates, got 2"),
+    ("0 0 0\n1 1 1 1\n2 2\n", 9, "expected 3 coordinates, got 4"),
+    ("0 0 0\n\n1 1 1\n", 9, "expected 3 coordinates, got 0"),
+    ("0 0 0\n1 1e39 1\n", 9, "coordinate exceeds float32 range"),
+    ("0 0 0\n1 1 -1e39\n", 9, "coordinate exceeds float32 range"),
+    ("0 0 0\nnan 1 1\n", 9, "non-finite value"),
+    ("0 0 0\n1 -inf 1\n", 9, "non-finite value"),
+    ("0 0 0\n1 1e309 1\n", 9, "non-finite value"),
+    ("0 0 0\n1 zero 1\n", 9,
+     "not a number: could not convert string to float: 'zero'"),
+    ("0 0 0\n1 2 |\n", 9, "not a number: could not convert string to float: '|'"),
+    ("0 0 |\n1 2 3 |\n", 8, "not a number: could not convert string to float: '|'"),
+    ("0 0 0 |\n1 2 3\n", 8, "expected 3 coordinates, got 4"),
+    ("0 0 0\n1 zero 1\n2 2 2 2\n", 9,
+     "not a number: could not convert string to float: 'zero'"),
+    ("1 2\n0 0 nan\n1 1 1e39 1\n", 8, "expected 3 coordinates, got 2"),
+])
+def test_ply_errors_name_the_first_bad_line(tmp_path, body, line, message):
+    p = _ply(tmp_path, body, n=len(body.rstrip("\n").split("\n")))
+    with pytest.raises(FormatError) as got:
+        read_cloud_ply(p)
+    assert got.value.line == line
+    assert str(got.value) == f"{p}:{line}: {message}"
+    with pytest.raises(FormatError) as want:
+        _per_line_ply(p)
+    assert str(got.value) == str(want.value)
+
+
+def test_ply_trailing_blank_lines_are_ignored(tmp_path):
+    p = _ply(tmp_path, "1 2 3\n4 5 6\n\n   \n\t\n", n=2)
+    assert read_cloud_ply(p).tolist() == [[1, 2, 3], [4, 5, 6]]
+    p = _ply(tmp_path, "1 2 3\n\n\n", n=2)
+    with pytest.raises(FormatError, match=r"truncated: 1 of 2 vertices$"):
+        read_cloud_ply(p)
+    p = _ply(tmp_path, "1 2 3\n4 5 6\n7 8 9\n\n", n=2)
+    with pytest.raises(FormatError, match=r"1 lines after the last vertex$"):
+        read_cloud_ply(p)
+
+
+@pytest.mark.parametrize("count", ["-1", "-7", "2.0", "two"])
+def test_ply_bad_vertex_count_names_the_header_line(tmp_path, count):
+    p = tmp_path / "x.ply"
+    p.write_text(PLY_HEADER.replace("{n}", count))
+    with pytest.raises(FormatError) as err:
+        read_cloud_ply(p)
+    assert str(err.value) == f"{p}:3: bad vertex count"
+
+
 def test_bin_length_not_multiple_of_16(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"\x00" * 37)

@@ -28,7 +28,7 @@ from lidarreg.ransac import (
     _gated_fit,
     _lo_step,
     _moment_table,
-    count_inliers,
+    _residuals,
     elc_check,
     kabsch,
     ransac_register,
@@ -243,6 +243,12 @@ def make_planted(rng, n=400, frac=0.5, extent=25.0, sigma=0.0, offset=2.0):
         is_mnn=labels.copy(),
     )
     return src, dst, corrs, labels, truth
+
+
+def count_inliers(motion, corrs, src, dst, threshold):
+    mask = _residuals(motion.rotation, motion.translation,
+                      src[corrs.src], dst[corrs.dst]) <= threshold
+    return int(mask.sum()), mask
 
 
 def test_count_inliers_exact_on_planted_set():

@@ -11,7 +11,7 @@ import pytest
 from lidarreg.benchgen import SelectorConfig, build_candidate_pool, overlap
 from lidarreg.geom import RigidMotion, apply, compose, inverse
 from lidarreg.match import match_features, mnn_filter
-from lidarreg.ransac import count_inliers, kabsch
+from lidarreg.ransac import _residuals, kabsch
 from lidarreg.synth import (
     Scene,
     SceneSpec,
@@ -84,10 +84,11 @@ def test_inlier_residuals_capped_and_outliers_floored():
 def test_three_sigma_gate_recovers_planted_labels_exactly():
     spec = SceneSpec(n_points=2000, inlier_fraction=0.25, noise_sigma=0.05, seed=13)
     scene = generate_scene(spec)
-    count, mask = count_inliers(scene.true_motion, scene.corrs,
-                                scene.src, scene.dst,
-                                threshold=3.0 * spec.noise_sigma + 1e-9)
-    assert count == spec.n_inliers
+    motion = scene.true_motion
+    mask = _residuals(motion.rotation, motion.translation,
+                      scene.src[scene.corrs.src], scene.dst[scene.corrs.dst]
+                      ) <= 3.0 * spec.noise_sigma + 1e-9
+    assert mask.sum() == spec.n_inliers
     assert np.array_equal(mask, scene.inlier_labels)
 
 
