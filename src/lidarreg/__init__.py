@@ -54,7 +54,7 @@ from .io import (
     write_pair_list,
     write_poses,
 )
-from .match import Correspondences, feature_distance, match_features, mnn_filter
+from .match import Correspondences, match_features, mnn_filter
 from .metrics import (
     DEFAULT_BIN_EDGES,
     EvalRecord,
@@ -104,7 +104,7 @@ __all__ = [
     "SelectionResult", "SelectorConfig", "SpatialIndex", "TrajectorySpec",
     "alignment_motion", "apply", "build_candidate_pool", "compose",
     "elc_check", "evaluate", "failure_histogram",
-    "feature_distance", "frame_descriptors", "from_euler", "generate_scene",
+    "frame_descriptors", "from_euler", "generate_scene",
     "generate_trajectory", "gpf", "grid_assign", "histogram", "icp_refine",
     "inverse", "is_success", "kabsch", "match_features", "mnn_filter",
     "motion_descriptor", "normalize_motions", "overlap", "priority_order",

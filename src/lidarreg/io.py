@@ -152,7 +152,9 @@ def read_cloud_ply(path) -> Points:
             if len(tokens) != 3:
                 raise FormatError(path, f"expected 3 coordinates, got {len(tokens)}",
                                   body_at + 1 + row)
-            out[row] = _floats(path, tokens, body_at + 1 + row)
+            vals = _floats(path, tokens, body_at + 1 + row)
+            with np.errstate(over="ignore"):
+                out[row] = vals
             if not np.isfinite(out[row]).all():
                 raise FormatError(path, "coordinate exceeds float32 range",
                                   body_at + 1 + row)

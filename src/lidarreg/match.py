@@ -12,16 +12,25 @@ the downstream filtering and sampling stages:
 Distance ties are broken toward the lowest row index, which keeps the
 output reproducible.
 
-The search is an exact brute force done as blocked matrix products.  Both
-sets are shifted by one common vector, and each block of query rows gets
-an estimate of every squared distance (up to a per-query constant) from
-one GEMM.  Entries within a proven rounding-error window of a query's best
-estimate (second-best when the ratio needs it) are re-measured with the
-arithmetic of a plain scan, ``sqrt(sum((r - q)**2))``, and ranked by
-(distance, row index).  The window always holds the scan's nearest and
-second-nearest rows, so the output equals the scan's bit for bit; the
-bound is derived in ``_nearest``.  Working memory is bounded by the block
-size, not by N x M.
+The search is an exact brute force done as one blocked matrix product
+that serves both directions.  Both sets are shifted by one common vector,
+and each block of source rows gets a float32 estimate of every squared
+distance, |q|^2 + |r|^2 - 2 q.r, from one GEMM.  From each block come the
+forward candidates, entries within a proven rounding-error window of
+their source row's second-best estimate, and the reverse candidates,
+entries within a window of their target row's running minimum.  The
+running minimum only falls, so one pass finds every reverse candidate.
+All candidates are re-measured with the arithmetic of a plain scan,
+``sqrt(sum((r - q)**2))``, and ranked by (distance, row index).  The
+windows always hold the scan's nearest and second-nearest rows, so the
+output equals the scan's bit for bit; the bound is derived in
+``_nearest``.
+
+Two cases use float64 estimates, whose windows are 2**29 times narrower:
+the whole search, when the centered values would overflow or underflow
+float32, and any block whose float32 windows keep more candidates than
+a fixed budget.  Working memory is bounded by the block size and the
+row counts, not by N x M.
 """
 
 from __future__ import annotations
@@ -56,106 +65,195 @@ class Correspondences:
                                self.ratio[idx], self.is_mnn[idx])
 
 
-def feature_distance(p_row: NDArray[np.float64], q_row: NDArray[np.float64]) -> float:
-    """L2 distance between two descriptor rows."""
-    p = np.asarray(p_row, dtype=np.float64)
-    q = np.asarray(q_row, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"descriptor shapes differ: {p.shape} vs {q.shape}")
-    return float(np.sqrt(np.sum((p - q) ** 2)))
-
-
 # Query rows per block are sized so one block's estimate matrix holds about
-# this many float64 entries (2 MB; the passes over it run faster than over
-# 8 MB blocks); the selection mask and the candidate re-measure of a block
-# scale with it.
+# this many entries (1 MB in float32; the passes over a block run faster
+# than over smaller or larger blocks); the selection masks scale with it.
 _BLOCK_ENTRIES = 1 << 18
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+# A float32 block that keeps more candidates than this is estimated again
+# in float64, whose windows are 2**29 times narrower, so that near-ties at
+# float32 resolution are not all re-measured.  The first block keeps at
+# least one candidate per row, so the budget sits above common row counts.
+_BLOCK_CANDIDATES = 1 << 15
+# Float32 estimates are used while the largest squared centered norms,
+# summed over both sets, lie in this range; outside it they could overflow,
+# or underflow by more than the windows cover, so the search runs in float64.
+_FLOAT32_SCALES = (2.0 ** -60, 2.0 ** 100)
 
 
-def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64], second: bool):
-    """(d1, i1, d2) per query, ties resolved toward the lowest row index.
+def _augmented(queries, rows, center, q_norm, r_norm, dtype):
+    """Centered rows whose products are the squared distances, in ``dtype``.
 
-    d1 and i1 are the nearest row's distance and index; d2 is the
-    second-smallest distance (it may equal d1), or None unless ``second``.
-    Distances are computed as ``sqrt(sum((r - q)**2))``, the arithmetic of
-    a brute-force scan, so the output equals that scan's bit for bit.
+    [-2q, |q|^2, 1] . [r, 1, |r|^2] = |q|^2 + |r|^2 - 2 q.r = |r - q|^2.
+    """
+    n, m, dim = len(queries), len(rows), rows.shape[1]
+    q_aug = np.empty((n, dim + 2), dtype=dtype)
+    np.subtract(queries, center, out=q_aug[:, :dim], casting="same_kind")
+    q_aug[:, :dim] *= -2.0
+    q_aug[:, dim] = q_norm
+    q_aug[:, dim + 1] = 1.0
+    r_aug = np.empty((m, dim + 2), dtype=dtype)
+    np.subtract(rows, center, out=r_aug[:, :dim], casting="same_kind")
+    r_aug[:, dim] = 1.0
+    r_aug[:, dim + 1] = r_norm
+    return q_aug, r_aug
+
+
+def _errors(q_norm, r_norm, dim, dtype, pad):
+    """Bounds on |estimate - squared distance| per query and per row (see ``_nearest``)."""
+    k = 4.0 * (dim + 4) * np.finfo(dtype).eps / 2.0
+    tiny = np.finfo(dtype).tiny
+    return k * (q_norm + r_norm.max() + pad) + tiny, k * (q_norm.max() + r_norm + pad) + tiny
+
+
+def _candidates(est, q_window, r_err, r_reach, r_upper, masks):
+    """One block's candidates: (query, row, lower bound, is forward, is reverse).
+
+    Query indices are local to the block.  Forward candidates lie within
+    ``q_window`` of their query's second-best estimate.  ``r_upper`` bounds
+    each row's nearest squared distance over the queries seen, and is first
+    lowered by this block's estimates plus ``r_err``; reverse candidates
+    lie within ``r_reach`` of it.  Their lower bound is the estimate minus
+    ``r_err``.
+    """
+    at = (np.arange(len(est)), est.argmin(axis=1))
+    best = est[at]
+    est[at] = np.inf
+    q_limit = est.min(axis=1) + q_window
+    est[at] = best
+    np.minimum(r_upper, est.min(axis=0) + r_err, out=r_upper)
+    r_limit = (r_upper + r_reach).astype(est.dtype)
+    keep, rev = masks[0][:len(est)], masks[1][:len(est)]
+    np.less_equal(est, q_limit[:, None], out=keep)
+    keep |= np.less_equal(est, r_limit, out=rev)
+    # flat indices and divmod: 2-D np.nonzero is several times slower here
+    flat = np.flatnonzero(keep)
+    e = est.ravel()[flat]
+    qi, rj = np.divmod(flat, est.shape[1])
+    return qi, rj, e - r_err[rj], e <= q_limit[qi], e <= r_limit[rj]
+
+
+def _distances(rows, queries, rj, qi):
+    """The scan's ``sqrt(sum((r - q)**2))`` for each pair (rows[rj], queries[qi])."""
+    d = np.empty(len(rj))
+    step = max(1, (_BLOCK_ENTRIES >> 3) // rows.shape[1])     # 256 KB temporaries
+    for lo in range(0, len(rj), step):
+        diff = rows[rj[lo:lo + step]] - queries[qi[lo:lo + step]]
+        d[lo:lo + step] = np.sqrt(np.sum(diff ** 2, axis=1))
+    return d
+
+
+def _pruned(parts, bound):
+    """Joined reverse candidates, less those whose lower bound exceeds their row's bound."""
+    qi, rj, lower = (np.concatenate(part) for part in zip(*parts))
+    keep = lower <= bound[rj]
+    return qi[keep], rj[keep], lower[keep]
+
+
+def _ranked(key, d, other, size):
+    """Order by (key, d, other), and each key's first position in that order.
+
+    Every key in range(size) must occur.
+    """
+    order = np.lexsort((other, d, key))
+    counts = np.bincount(key, minlength=size)
+    return order, np.cumsum(counts) - counts
+
+
+def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
+    """(d1, i1, d2, j1): nearest neighbors in both directions.
+
+    Per query, d1 and i1 are the nearest row's distance and index and d2
+    the second-smallest distance (it may equal d1); per row, j1 is the
+    index of its nearest query.  Ties go to the lowest index.  Distances
+    are computed as ``sqrt(sum((r - q)**2))``, the arithmetic of a
+    brute-force scan, so the output equals that scan's bit for bit.
     """
     n, m, dim = len(queries), len(rows), rows.shape[1]
     center = (rows.mean(axis=0) + queries.mean(axis=0)) / 2.0
-    r = rows - center
-    q = queries - center
-    # [-2q, 1] . [r, |r|^2] = |r|^2 - 2 q.r = |r - q|^2 - |q|^2, one GEMM per
-    # block; |q|^2 is constant along a query row, so it is left out.
-    r_aug = np.empty((m, dim + 1))
-    r_aug[:, :dim] = r
-    r_aug[:, dim] = np.einsum("ij,ij->i", r, r)
-    q_aug = np.empty((n, dim + 1))
-    q_aug[:, :dim] = -2.0 * q
-    q_aug[:, dim] = 1.0
-    # Candidate window.  Let u be the unit roundoff and, all centered,
-    # err = (D+3)u(|q|^2 + 3 max|r|^2).  Each estimate is within err of the
-    # exact |r - q|^2 - |q|^2: the GEMM's dot product of length D+1 errs by
-    # at most gamma_{D+1}(2|q||r| + |r|^2) <= (D+1)u(|q|^2 + 2|r|^2) in any
-    # summation order, the rounded |r|^2 adds Du|r|^2, and rounding the
-    # centered rows adds 2u(|q|^2 + 2|r|^2).  A re-measured square differs
-    # from the exact one by a relative (D+4)u, so a row the scan ranks at
-    # or before another has an exact square at most 4(D+4)u(|q|^2 + |r|^2)
-    # above it.  The scan's nearest row therefore estimates within
-    # 2 err + 4(D+4)u(...) <= 10(D+3)u(|q|^2 + 3 max|r|^2) of the best
-    # estimate, and its second nearest within as much of the second-best
-    # estimate (of any two distinct rows, one is at least as far as the
-    # second nearest).  The window is 16(D+3)u(...), which also covers the
-    # second-order terms and its own rounding; the added tiny covers
-    # products that underflow.
-    q_norm = np.einsum("ij,ij->i", q, q)
-    r_max = r_aug[:, dim].max()
+    q_norm, r_norm = (np.einsum("ij,ij->i", c, c) for c in (x - center for x in (queries, rows)))
+    scale = q_norm.max() + r_norm.max()
     # Every squared distance, centered or as the scan computes it, is at
-    # most 2(|q|^2 + |r|^2) up to rounding, and the window and estimates
+    # most 2(|q|^2 + |r|^2) up to rounding, and the windows and estimates
     # are smaller still.  Past float64's range they overflow, the window
     # argument fails and the scan's own distances turn infinite.
-    if not np.isfinite(4.0 * (q_norm.max() + r_max)):
+    if not np.isfinite(4.0 * scale):
         raise ValueError("descriptor values too large: squared distances "
                          "overflow float64")
-    window = (16.0 * (dim + 3) * _UNIT_ROUNDOFF * (q_norm + 3.0 * r_max)
-              + np.finfo(np.float64).tiny)
-
-    d1 = np.empty(n)
-    i1 = np.empty(n, dtype=np.int64)
-    d2 = np.empty(n) if second else None
+    # Error bounds.  Let u be the unit roundoff of the estimates' dtype,
+    # v <= u that of float64, S = |q|^2 + |r|^2 (centered) and X the exact
+    # |r - q|^2.  An estimate is within (3D+11)uS of X: the dot product of
+    # length D+2 errs by at most gamma_{D+2}(2|q||r| + S) <= 2(D+2)uS in any
+    # summation order (Higham, ch. 3), rounding the centered rows to the
+    # dtype moves 2q.r by 2uS, the rounded norms add (D+1)uS and centering
+    # in float64 adds 4vS.  Rounding a limit to the dtype costs 2uS more,
+    # so err = 4(D+4)u(|q|^2 + max|r|^2) per query, and its mirror per row,
+    # covers both with room for second-order terms.  The scan's square errs
+    # by a relative (D+2)v and its sqrt merges squares 4v apart, so a row
+    # the scan ranks at or before another has an X at most 4(D+4)v(...)
+    # above it; the slack, twice the float64 err, covers that and the
+    # float64 rounding of the limits.  In float32, scale >= 2**-60 bounds
+    # what underflow can lose by (3D+5)2**-90 scale, which the pad covers;
+    # in float64 the added tiny covers products that underflow.
+    #
+    # Forward: the scan's nearest row estimates within 2 err + slack of the
+    # best estimate, and its second nearest within as much of the second
+    # best (of any two distinct rows, one is at least as far as the second
+    # nearest).  Reverse: est + err over the queries seen bounds a row's
+    # nearest X from above, and an entry whose est - err lies more than the
+    # slack above that bound ranks after a query already seen.  The bound
+    # only falls, so every entry that the final bound keeps was kept when
+    # its block was processed.  Both hold whatever dtype each estimate has,
+    # so a block estimated again in float64 mixes freely with float32 ones.
+    low, high = _FLOAT32_SCALES
+    first = np.float32 if low <= scale <= high else np.float64
+    pad = 2.0 ** -40 * scale
+    q_slack, r_slack = (2.0 * err for err in _errors(q_norm, r_norm, dim, np.float64, pad))
     step = max(1, _BLOCK_ENTRIES // m)
-    # one estimate and one mask buffer serve every block: fresh block-sized
-    # arrays cost a page fault per 4 KB, which doubled the time of a
-    # 700 x 700 match
-    est_buf = np.empty((min(step, n), m))
-    keep_buf = np.empty(est_buf.shape, dtype=bool)
+    schemes = {}
+
+    def scheme(dtype):
+        """Augmented rows, windows and a block buffer for estimates in ``dtype``."""
+        if dtype not in schemes:
+            q_err, r_err = _errors(q_norm, r_norm, dim, dtype, pad)
+            schemes[dtype] = (*_augmented(queries, rows, center, q_norm, r_norm, dtype),
+                              (2.0 * q_err + q_slack).astype(dtype), r_err,
+                              r_err + r_slack, np.empty((min(step, n), m), dtype=dtype))
+        return schemes[dtype]
+
+    r_upper = np.full(m, np.inf)
+    # two masks serve every block, like the estimate buffers: fresh
+    # block-sized arrays cost a page fault per 4 KB, which doubled the time
+    # of a 700 x 700 match
+    masks = (np.empty((min(step, n), m), dtype=bool), np.empty((min(step, n), m), dtype=bool))
+    forward, reverse = [], []
+    # reverse candidates are pruned by the falling bound whenever they pass
+    # twice what the last pruning kept (and 2m), which keeps memory linear in m
+    stored, prune_at = 0, 2 * m
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        est = np.matmul(q_aug[lo:hi], r_aug.T, out=est_buf[:hi - lo])
-        if second:
-            # the second-best estimate is the row minimum with the best hidden
-            at = (np.arange(hi - lo), est.argmin(axis=1))
-            best = est[at]
-            est[at] = np.inf
-            ref = est.min(axis=1)
-            est[at] = best
-        else:
-            ref = est.min(axis=1)
-        # flat indices and divmod: 2-D np.nonzero is several times slower here
-        keep = np.less_equal(est, (ref + window[lo:hi])[:, None], out=keep_buf[:hi - lo])
-        qi, rj = np.divmod(np.flatnonzero(keep), m)
+        for dtype in (first, np.float64):
+            q_aug, r_aug, q_window, r_err, r_reach, buf = scheme(dtype)
+            est = np.matmul(q_aug[lo:hi], r_aug.T, out=buf[:hi - lo])
+            found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, masks)
+            if dtype is np.float64 or len(found[0]) <= _BLOCK_CANDIDATES:
+                break
+        qi, rj, lower, fwd, rev = found
         qi += lo
-        d = np.sqrt(np.sum((rows[rj] - queries[qi]) ** 2, axis=1))
-        order = np.lexsort((rj, d, qi))
-        # every query keeps at least one candidate (two with ``second``);
-        # its sorted candidates start after those of the queries before it
-        counts = np.bincount(qi - lo, minlength=hi - lo)
-        first = np.cumsum(counts) - counts
-        d1[lo:hi] = d[order[first]]
-        i1[lo:hi] = rj[order[first]]
-        if second:
-            d2[lo:hi] = d[order[first + 1]]
-    return d1, i1, d2
+        forward.append((qi[fwd], rj[fwd]))
+        reverse.append((qi[rev], rj[rev], lower[rev]))
+        stored += len(reverse[-1][0])
+        if stored > prune_at:
+            reverse = [_pruned(reverse, r_upper + r_slack)]
+            stored = len(reverse[0][0])
+            prune_at = max(prune_at, 2 * stored)
+
+    qi, rj = (np.concatenate(part) for part in zip(*forward))
+    d = _distances(rows, queries, rj, qi)
+    order, start = _ranked(qi, d, rj, n)         # at least two per query
+    d1, i1, d2 = d[order[start]], rj[order[start]], d[order[start + 1]]
+    qi, rj, _ = _pruned(reverse, r_upper + r_slack)      # by the final bound
+    order, start = _ranked(rj, _distances(rows, queries, rj, qi), qi, m)
+    return d1, i1, d2, qi[order[start]]
 
 
 def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64]) -> Correspondences:
@@ -189,13 +287,12 @@ def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64])
     if not (np.isfinite(src_desc).all() and np.isfinite(dst_desc).all()):
         raise ValueError("descriptors must be finite")
 
-    d1, nearest_dst, d2 = _nearest(dst_desc, src_desc, second=True)
+    d1, nearest_dst, d2, nearest_src = _nearest(dst_desc, src_desc)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d2 / d1
     ratio[(d1 == 0.0) & (d2 == 0.0)] = 1.0   # identical rows: no preference signal
 
-    _, nearest_src, _ = _nearest(src_desc, dst_desc, second=False)
     is_mnn = nearest_src[nearest_dst] == np.arange(len(src_desc))
 
     return Correspondences(

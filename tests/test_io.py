@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,16 @@ def test_ply_errors_name_the_first_bad_line(tmp_path, body, line, message):
     with pytest.raises(FormatError) as want:
         _per_line_ply(p)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("value", ["1e39", "-1e39"])
+def test_ply_float32_overflow_raises_format_error_without_a_warning(tmp_path, value):
+    # the per-line path used to let numpy warn about the float32 cast first
+    p = _ply(tmp_path, f"0 0 0\n1 {value} 1\n", n=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="coordinate exceeds float32 range$"):
+            read_cloud_ply(p)
 
 
 def test_ply_trailing_blank_lines_are_ignored(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lidarreg import match
-from lidarreg.match import Correspondences, feature_distance, match_features, mnn_filter
+from lidarreg.match import Correspondences, match_features, mnn_filter
 
 
 def _brute_match(src: np.ndarray, dst: np.ndarray):
@@ -136,12 +136,6 @@ def test_take_preserves_alignment():
     sub = c.take([5, 2, 9])
     assert list(sub.src) == [5, 2, 9]
     assert np.array_equal(sub.ratio, c.ratio[[5, 2, 9]])
-
-
-def test_feature_distance_plain_norm():
-    assert feature_distance(np.array([1.0, 2.0]), np.array([4.0, 6.0])) == 5.0
-    with pytest.raises(ValueError):
-        feature_distance(np.zeros(3), np.zeros(4))
 
 
 def test_match_rejects_dim_mismatch_and_tiny_sets():
@@ -298,3 +292,88 @@ def test_fine_structure_inside_far_apart_clusters():
     src = far + rng.integers(-2, 3, (80, 4)) * 1e-5
     dst = far + rng.integers(-2, 3, (80, 4)) * 1e-5
     _assert_equals_oracle(src, dst)
+
+
+# ---------------------------------------------------------------------------
+# float32 estimates and their two float64 fallbacks
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def estimate_dtypes(monkeypatch):
+    """The dtype of every block of estimates the matcher scans, in order."""
+    seen = []
+    scan = match._candidates
+
+    def spy(est, *args):
+        seen.append(est.dtype)
+        return scan(est, *args)
+
+    monkeypatch.setattr(match, "_candidates", spy)
+    return seen
+
+
+@pytest.mark.parametrize("scale, dtype", [
+    (1.0, np.float32),
+    (1e18, np.float64), (1e25, np.float64), (1e40, np.float64),
+    (1e-20, np.float64), (1e-38, np.float64), (1e-45, np.float64),
+])
+def test_estimates_are_float64_outside_float32_range(estimate_dtypes, scale, dtype):
+    # squared norms past float32's range overflow; below it they underflow
+    # to subnormals or zero, where its relative error bound fails
+    rng = np.random.default_rng(14)
+    _assert_equals_oracle(rng.normal(size=(50, 5)) * scale,
+                          rng.normal(size=(40, 5)) * scale)
+    _assert_equals_oracle(rng.integers(-2, 3, (50, 5)) * scale,
+                          rng.integers(-2, 3, (40, 5)) * scale)
+    assert set(estimate_dtypes) == {np.dtype(dtype)}
+
+
+def test_blocks_over_the_candidate_budget_are_estimated_again_in_float64(
+        monkeypatch, estimate_dtypes):
+    monkeypatch.setattr(match, "_BLOCK_CANDIDATES", 1)
+    monkeypatch.setattr(match, "_BLOCK_ENTRIES", 600)
+    rng = np.random.default_rng(15)
+    src = rng.integers(-2, 3, (60, 12)) * 1e-3 + 1000.0
+    dst = rng.integers(-2, 3, (50, 12)) * 1e-3 + 1000.0
+    _assert_equals_oracle(src, dst)
+    # 600 // 50 = 12 queries per block: 5 blocks, each scanned twice
+    assert estimate_dtypes == [np.dtype(np.float32), np.dtype(np.float64)] * 5
+
+
+def _late_nearest_scene():
+    """2000 source rows over 300 targets whose nearest sources sit in late blocks.
+
+    Target j has a planted source at the same dyadic offset norm in the first
+    block (row j), the second (row 873 + j) and, for j < 254, the last (row
+    1746 + j), each a different signed permutation of the offset.  Exact
+    ties go to the first block's row, but their float32 estimates differ,
+    so the running column minimum often falls late.  Every third last-block
+    row is nearer by one part in 2**22, below float32 resolution, and every
+    third is farther by as much.
+    """
+    rng = np.random.default_rng(16)
+    dst = rng.permutation(np.stack(np.meshgrid(*[np.arange(-4.0, 4.0)] * 4,
+                                               indexing="ij"), -1).reshape(-1, 4))[:300]
+    src = rng.integers(-4, 4, (2000, 4)) + 0.5       # fillers off the grid
+    offset = np.array([3.0, 2.0, 1.0, 0.0]) / 16.0
+    for lo, count in ((0, 300), (873, 300), (1746, 254)):
+        for j in range(count):
+            step = rng.permutation(offset) * rng.choice([-1.0, 1.0], 4)
+            if lo == 1746 and j % 3:
+                k = np.flatnonzero(step)[0]
+                step[k] *= 1.0 - 2.0 ** -22 if j % 3 == 1 else 1.0 + 2.0 ** -22
+            src[lo + j] = dst[j] + step
+    return src, dst
+
+
+@pytest.mark.parametrize("budget", [1 << 14, 1])
+def test_nearest_source_in_the_last_block_after_near_ties(monkeypatch, budget):
+    monkeypatch.setattr(match, "_BLOCK_CANDIDATES", budget)
+    src, dst = _late_nearest_scene()
+    assert match._BLOCK_ENTRIES // len(dst) == 873     # blocks start at 0, 873, 1746
+    d = np.sqrt(np.sum((src[:, None, :] - dst[None, :, :]) ** 2, axis=2))
+    nearest_src = np.argmin(d, axis=0)                 # first index among ties
+    assert np.sum(nearest_src >= 1746) > 50
+    assert np.sum(nearest_src < 300) > 150
+    _assert_equals_oracle(src, dst)
+    _assert_equals_oracle(dst, src)
