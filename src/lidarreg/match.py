@@ -21,15 +21,18 @@ their source row's second-best estimate, and the reverse candidates,
 entries within a window of their target row's running minimum.  The
 running minimum only falls, so one pass finds every reverse candidate.
 All candidates are re-measured with the arithmetic of a plain scan,
-``sqrt(sum((r - q)**2))``, and ranked by (distance, row index).  The
+``sqrt(sum((r - q)**2))``, and ranked by (distance, row index); each
+target row keeps its best source row over the blocks seen.  The
 windows always hold the scan's nearest and second-nearest rows, so the
 output equals the scan's bit for bit; the bound is derived in
 ``_nearest``.
 
 Two cases use float64 estimates, whose windows are 2**29 times narrower:
 the whole search, when the centered values would overflow or underflow
-float32, and any block whose float32 windows keep more candidates than
-a fixed budget.  Working memory is bounded by the block size and the
+float32, and, from the first block whose float32 windows keep more than
+four candidates per query row and target row, the rest of it.  Candidates
+are re-measured and ranked in batches of whole blocks, about a block's
+entries each, so working memory is bounded by the block size and the
 row counts, not by N x M.
 """
 
@@ -69,11 +72,15 @@ class Correspondences:
 # this many entries (1 MB in float32; the passes over a block run faster
 # than over smaller or larger blocks); the selection masks scale with it.
 _BLOCK_ENTRIES = 1 << 18
-# A float32 block that keeps more candidates than this is estimated again
-# in float64, whose windows are 2**29 times narrower, so that near-ties at
-# float32 resolution are not all re-measured.  The first block keeps at
-# least one candidate per row, so the budget sits above common row counts.
-_BLOCK_CANDIDATES = 1 << 15
+# A float32 block that keeps more than this many candidates per query row
+# and per target row is estimated again in float64, whose windows are 2**29
+# times narrower, and so is every block after it, since the windows scale
+# with the largest norms.  Blocks keep about two per query row and, in the
+# first block, one per target row.  At the budget, re-measuring costs about
+# as much as a float64 block (2.5 against 1.5 ms at 5k x 5k rows).  One far
+# row widens every float32 window; a 5k x 5k search then took 0.11-0.14 s
+# with the fallback and 5-12 s without.
+_CANDIDATES_PER_ROW = 4
 # Float32 estimates are used while the largest squared centered norms,
 # summed over both sets, lie in this range; outside it they could overflow,
 # or underflow by more than the windows cover, so the search runs in float64.
@@ -105,15 +112,15 @@ def _errors(q_norm, r_norm, dim, dtype, pad):
     return k * (q_norm + r_norm.max() + pad) + tiny, k * (q_norm.max() + r_norm + pad) + tiny
 
 
-def _candidates(est, q_window, r_err, r_reach, r_upper, masks):
-    """One block's candidates: (query, row, lower bound, is forward, is reverse).
+def _candidates(est, q_window, r_err, r_reach, r_upper, masks, budget):
+    """One block's candidates: (query, row, is forward, is reverse).
 
     Query indices are local to the block.  Forward candidates lie within
     ``q_window`` of their query's second-best estimate.  ``r_upper`` bounds
     each row's nearest squared distance over the queries seen, and is first
     lowered by this block's estimates plus ``r_err``; reverse candidates
-    lie within ``r_reach`` of it.  Their lower bound is the estimate minus
-    ``r_err``.
+    lie within ``r_reach`` of it.  Returns None if there are more than
+    ``budget`` candidates.
     """
     at = (np.arange(len(est)), est.argmin(axis=1))
     best = est[at]
@@ -127,9 +134,11 @@ def _candidates(est, q_window, r_err, r_reach, r_upper, masks):
     keep |= np.less_equal(est, r_limit, out=rev)
     # flat indices and divmod: 2-D np.nonzero is several times slower here
     flat = np.flatnonzero(keep)
+    if len(flat) > budget:
+        return None
     e = est.ravel()[flat]
     qi, rj = np.divmod(flat, est.shape[1])
-    return qi, rj, e - r_err[rj], e <= q_limit[qi], e <= r_limit[rj]
+    return qi, rj, e <= q_limit[qi], e <= r_limit[rj]
 
 
 def _distances(rows, queries, rj, qi):
@@ -140,23 +149,6 @@ def _distances(rows, queries, rj, qi):
         diff = rows[rj[lo:lo + step]] - queries[qi[lo:lo + step]]
         d[lo:lo + step] = np.sqrt(np.sum(diff ** 2, axis=1))
     return d
-
-
-def _pruned(parts, bound):
-    """Joined reverse candidates, less those whose lower bound exceeds their row's bound."""
-    qi, rj, lower = (np.concatenate(part) for part in zip(*parts))
-    keep = lower <= bound[rj]
-    return qi[keep], rj[keep], lower[keep]
-
-
-def _ranked(key, d, other, size):
-    """Order by (key, d, other), and each key's first position in that order.
-
-    Every key in range(size) must occur.
-    """
-    order = np.lexsort((other, d, key))
-    counts = np.bincount(key, minlength=size)
-    return order, np.cumsum(counts) - counts
 
 
 def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
@@ -198,14 +190,16 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     # Forward: the scan's nearest row estimates within 2 err + slack of the
     # best estimate, and its second nearest within as much of the second
     # best (of any two distinct rows, one is at least as far as the second
-    # nearest).  Reverse: est + err over the queries seen bounds a row's
-    # nearest X from above, and an entry whose est - err lies more than the
-    # slack above that bound ranks after a query already seen.  The bound
-    # only falls, so every entry that the final bound keeps was kept when
-    # its block was processed.  Both hold whatever dtype each estimate has,
-    # so a block estimated again in float64 mixes freely with float32 ones.
+    # nearest).  Each query's candidates all come from its own block, so
+    # settling whole blocks ranks them.  Reverse: est + err over the
+    # queries seen bounds a row's nearest X from above, and an entry whose
+    # est - err lies more than the slack above that bound ranks after a
+    # query already seen.  The bound only falls, so the scan's nearest
+    # query is kept when its block is processed, and the best re-measured
+    # candidate over all blocks is that query.  Both hold whatever dtype
+    # each estimate has, so float32 and float64 blocks mix freely.
     low, high = _FLOAT32_SCALES
-    first = np.float32 if low <= scale <= high else np.float64
+    dtype = np.float32 if low <= scale <= high else np.float64
     pad = 2.0 ** -40 * scale
     q_slack, r_slack = (2.0 * err for err in _errors(q_norm, r_norm, dim, np.float64, pad))
     step = max(1, _BLOCK_ENTRIES // m)
@@ -225,35 +219,55 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     # block-sized arrays cost a page fault per 4 KB, which doubled the time
     # of a 700 x 700 match
     masks = (np.empty((min(step, n), m), dtype=bool), np.empty((min(step, n), m), dtype=bool))
-    forward, reverse = [], []
-    # reverse candidates are pruned by the falling bound whenever they pass
-    # twice what the last pruning kept (and 2m), which keeps memory linear in m
-    stored, prune_at = 0, 2 * m
+    # per query, the nearest and second-nearest distance and the nearest
+    # row; per row, the distance to its nearest query over the batches
+    # settled, and that query
+    d1, d2, i1 = np.full(n, np.inf), np.full(n, np.inf), np.full(n, m)
+    j_dist, j1 = np.full(m, np.inf), np.full(m, n)
+
+    def settle(qi, rj, fwd, rev):
+        """Re-measure whole blocks' candidates and take the least into the outputs.
+
+        Ties go to the lowest index: np.minimum.at over the indices of the
+        entries at the least distance.
+        """
+        d = _distances(rows, queries, rj, qi)
+        qi_f, rj_f, d_f = qi[fwd], rj[fwd], d[fwd]     # all of each query's
+        np.minimum.at(d1, qi_f, d_f)
+        least = d_f == d1[qi_f]
+        np.minimum.at(i1, qi_f[least], rj_f[least])
+        rest = ~least | (rj_f != i1[qi_f])      # all but the nearest entry
+        np.minimum.at(d2, qi_f[rest], d_f[rest])
+        qi_r, rj_r, d_r = qi[rev], rj[rev], d[rev]
+        before = j_dist[rj_r]
+        np.minimum.at(j_dist, rj_r, d_r)
+        # earlier batches hold lower query indices, so they keep exact ties
+        won = (d_r == j_dist[rj_r]) & (d_r < before)
+        j1[rj_r[won]] = n
+        np.minimum.at(j1, rj_r[won], qi_r[won])
+
+    # blocks are settled in batches of about a block's entries, which
+    # bounds memory and spreads the per-call costs over several blocks
+    pending, held = [], 0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        for dtype in (first, np.float64):
+        # a block over budget is estimated again in float64; the loop
+        # variable keeps float64 for every later block
+        for dtype in (dtype, np.float64):
             q_aug, r_aug, q_window, r_err, r_reach, buf = scheme(dtype)
             est = np.matmul(q_aug[lo:hi], r_aug.T, out=buf[:hi - lo])
-            found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, masks)
-            if dtype is np.float64 or len(found[0]) <= _BLOCK_CANDIDATES:
+            budget = _CANDIDATES_PER_ROW * (hi - lo + m) if dtype is np.float32 else np.inf
+            found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, masks, budget)
+            if found is not None:
                 break
-        qi, rj, lower, fwd, rev = found
-        qi += lo
-        forward.append((qi[fwd], rj[fwd]))
-        reverse.append((qi[rev], rj[rev], lower[rev]))
-        stored += len(reverse[-1][0])
-        if stored > prune_at:
-            reverse = [_pruned(reverse, r_upper + r_slack)]
-            stored = len(reverse[0][0])
-            prune_at = max(prune_at, 2 * stored)
-
-    qi, rj = (np.concatenate(part) for part in zip(*forward))
-    d = _distances(rows, queries, rj, qi)
-    order, start = _ranked(qi, d, rj, n)         # at least two per query
-    d1, i1, d2 = d[order[start]], rj[order[start]], d[order[start + 1]]
-    qi, rj, _ = _pruned(reverse, r_upper + r_slack)      # by the final bound
-    order, start = _ranked(rj, _distances(rows, queries, rj, qi), qi, m)
-    return d1, i1, d2, qi[order[start]]
+        qi, rj, fwd, rev = found
+        pending.append((qi + lo, rj, fwd, rev))
+        held += len(qi)
+        if held >= _BLOCK_ENTRIES or hi == n:
+            batch = [np.concatenate(part) for part in zip(*pending)]
+            pending, held = [], 0       # freed before the re-measure
+            settle(*batch)
+    return d1, i1, d2, j1
 
 
 def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64]) -> Correspondences:

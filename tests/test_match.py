@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,14 +332,44 @@ def test_estimates_are_float64_outside_float32_range(estimate_dtypes, scale, dty
 
 def test_blocks_over_the_candidate_budget_are_estimated_again_in_float64(
         monkeypatch, estimate_dtypes):
-    monkeypatch.setattr(match, "_BLOCK_CANDIDATES", 1)
+    monkeypatch.setattr(match, "_CANDIDATES_PER_ROW", 0)
     monkeypatch.setattr(match, "_BLOCK_ENTRIES", 600)
     rng = np.random.default_rng(15)
     src = rng.integers(-2, 3, (60, 12)) * 1e-3 + 1000.0
     dst = rng.integers(-2, 3, (50, 12)) * 1e-3 + 1000.0
     _assert_equals_oracle(src, dst)
-    # 600 // 50 = 12 queries per block: 5 blocks, each scanned twice
-    assert estimate_dtypes == [np.dtype(np.float32), np.dtype(np.float64)] * 5
+    # 600 // 50 = 12 queries per block: 5 blocks, the first scanned twice
+    # and the rest in float64 only
+    assert estimate_dtypes == [np.dtype(np.float32)] + [np.dtype(np.float64)] * 5
+
+
+def test_one_far_row_sends_the_search_to_float64(estimate_dtypes):
+    # one far target widens every float32 window to the whole block
+    rng = np.random.default_rng(17)
+    src = rng.normal(size=(400, 8))
+    dst = rng.normal(size=(700, 8))
+    dst[3] *= 1e3
+    _assert_equals_oracle(src, dst)
+    assert estimate_dtypes[0] == np.float32
+    assert set(estimate_dtypes[1:]) == {np.dtype(np.float64)}
+    assert len(estimate_dtypes) == 1 + -(-400 // (match._BLOCK_ENTRIES // 700))
+
+
+def test_duplicate_rows_keep_memory_within_a_block(monkeypatch):
+    # every pair of the 600 duplicate rows on each side ties: 360k
+    # candidates per direction, of which one block holds at most 4096
+    monkeypatch.setattr(match, "_BLOCK_ENTRIES", 1 << 12)
+    rng = np.random.default_rng(18)
+    src, dst = rng.normal(size=(800, 16)), rng.normal(size=(800, 16))
+    src[200:] = dst[200:] = src[0]
+    tracemalloc.start()
+    try:
+        match_features(src, dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    _assert_equals_oracle(src, dst)
 
 
 def _late_nearest_scene():
@@ -366,9 +398,9 @@ def _late_nearest_scene():
     return src, dst
 
 
-@pytest.mark.parametrize("budget", [1 << 14, 1])
-def test_nearest_source_in_the_last_block_after_near_ties(monkeypatch, budget):
-    monkeypatch.setattr(match, "_BLOCK_CANDIDATES", budget)
+@pytest.mark.parametrize("per_row", [4, 0])
+def test_nearest_source_in_the_last_block_after_near_ties(monkeypatch, per_row):
+    monkeypatch.setattr(match, "_CANDIDATES_PER_ROW", per_row)
     src, dst = _late_nearest_scene()
     assert match._BLOCK_ENTRIES // len(dst) == 873     # blocks start at 0, 873, 1746
     d = np.sqrt(np.sum((src[:, None, :] - dst[None, :, :]) ** 2, axis=2))
