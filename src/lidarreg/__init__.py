@@ -20,7 +20,6 @@ from .benchgen import (
     normalize_motions,
     overlap,
     select_balanced,
-    split_by_sequence,
 )
 from .geom import (
     EulerAngles,
@@ -57,11 +56,9 @@ from .io import (
 from .match import Correspondences, match_features, mnn_filter
 from .metrics import (
     DEFAULT_BIN_EDGES,
-    EvalRecord,
     FailureHistogram,
     Histogram,
     PairRecord,
-    evaluate,
     failure_histogram,
     histogram,
     is_success,
@@ -96,14 +93,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidatePair", "Correspondences", "DEFAULT_BIN_EDGES",
-    "DegenerateSampleError", "EulerAngles", "EvalRecord", "FailureHistogram",
+    "DegenerateSampleError", "EulerAngles", "FailureHistogram",
     "FormatError", "GimbalLockError", "GpfConfig", "Histogram", "IcpConfig",
     "IcpResult", "MotionDescriptor6", "NoMnnPairsError", "PairRecord",
     "PairResult", "PipelineConfig", "PosedFrame", "ProsacSampler",
     "RansacConfig", "RegistrationResult", "RigidMotion", "Scene", "SceneSpec",
     "SelectionResult", "SelectorConfig", "SpatialIndex", "TrajectorySpec",
     "alignment_motion", "apply", "build_candidate_pool", "compose",
-    "elc_check", "evaluate", "failure_histogram",
+    "elc_check", "failure_histogram",
     "frame_descriptors", "from_euler", "generate_scene",
     "generate_trajectory", "gpf", "grid_assign", "histogram", "icp_refine",
     "inverse", "is_success", "kabsch", "match_features", "mnn_filter",
@@ -113,7 +110,7 @@ __all__ = [
     "read_jsonl", "read_pair_list", "read_poses", "recall",
     "register_pair", "required_iterations", "rotation_error",
     "rotation_is_valid", "run_pipeline", "select_balanced",
-    "set_distribution_report", "split_by_sequence", "to_euler",
+    "set_distribution_report", "to_euler",
     "translation_error", "voxel_downsample", "write_cloud_bin",
     "write_cloud_ply", "write_descriptors", "write_histogram_csv",
     "write_jsonl", "write_pair_list", "write_poses",

@@ -38,7 +38,6 @@ __all__ = [
     "build_candidate_pool",
     "normalize_motions",
     "select_balanced",
-    "split_by_sequence",
 ]
 
 
@@ -297,30 +296,3 @@ def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:
     draw_arr = np.stack(draws) if draws else np.zeros((0, 6), dtype=np.float64)
     return SelectionResult(records=tuple(records), draws=draw_arr,
                            attempts=attempts, exhausted=exhausted)
-
-
-def split_by_sequence(records, ratios, seed: int = 0) -> tuple[list[PairRecord], ...]:
-    """Partition records into splits by whole-sequence assignment.
-
-    Sequences are shuffled, then greedily assigned to whichever split is
-    furthest below its requested share of records.  No sequence appears in
-    two splits.
-    """
-    records = list(records)
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.ndim != 1 or len(ratios) == 0 or np.any(ratios < 0) or ratios.sum() <= 0:
-        raise ValueError("ratios must be nonnegative with a positive sum")
-    shares = ratios / ratios.sum()
-
-    by_seq: dict[str, list[PairRecord]] = {}
-    for r in records:
-        by_seq.setdefault(r.sequence_id, []).append(r)
-    names = sorted(by_seq)
-    np.random.default_rng(seed).shuffle(names)
-
-    total = max(len(records), 1)
-    splits: tuple[list[PairRecord], ...] = tuple([] for _ in shares)
-    for name in names:
-        deficit = [shares[i] - len(splits[i]) / total for i in range(len(shares))]
-        splits[int(np.argmax(deficit))].extend(by_seq[name])
-    return splits

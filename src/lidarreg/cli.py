@@ -8,7 +8,8 @@ builds a balanced registration set from pose and cloud directories.
 so the whole chain can run from files alone.
 
 Option precedence for ``register`` is flags over config file over
-defaults; the config file holds flat ``key=value`` lines named after the
+defaults, which are the field defaults of ``PipelineConfig`` and its
+sections; the config file holds flat ``key=value`` lines named after the
 long flags.  With a fixed ``--seed`` and ``--threads 1`` (plus
 ``--timing off``, since wall clocks are measurements, not outputs) every
 emitted byte is reproducible.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -31,8 +33,6 @@ import numpy as np
 
 from .benchgen import SelectorConfig, build_candidate_pool, select_balanced
 from .geom import GimbalLockError, RigidMotion, voxel_downsample
-from .gpf import GpfConfig
-from .icp import IcpConfig
 from .io import (
     FormatError,
     read_cloud_bin,
@@ -53,51 +53,62 @@ from .metrics import (
     DEFAULT_BIN_EDGES,
     FailureHistogram,
     PairRecord,
-    histogram,
+    failure_histogram,
     is_success,
+    recall,
     rotation_error,
     set_distribution_report,
     translation_error,
 )
-from .pipeline import PipelineConfig, register_pair
-from .ransac import RansacConfig
+from .pipeline import FILTERS, REFINERS, PipelineConfig, register_pair
+from .ransac import REJECTIONS
 from .synth import SceneSpec, TrajectorySpec, frame_descriptors, generate_scene, generate_trajectory
 
 DEFAULT_CLOUD_PATTERN = "{seq}/{frame:06d}.ply"
 DEFAULT_DESC_PATTERN = "{seq}/{frame:06d}.fdsc"
 
-_REGISTER_DEFAULTS: dict[str, object] = {
-    "max_iters": 1_000_000,
-    "confidence": 0.999,
-    "inlier_thresh": 0.6,
-    "sampler": "prosac",
-    "reject": "elc",
-    "lo": "on",
-    "seed": 0,
-    "filter": "gpf",
-    "gpf": 2.0,
-    "grid_m": 10,
-    "refine": "icp",
-    "icp_thresh": 0.6,
-    "elc_tol": 0.6,
-    "threads": 1,
-    "timing": "wall",
+# register's estimator options by flag dest: (PipelineConfig section, field),
+# section None for PipelineConfig's own fields.  Their defaults are the
+# dataclass field defaults.
+_PIPELINE_FIELDS: dict[str, tuple[str | None, str]] = {
+    "max_iters": ("ransac", "max_iterations"),
+    "confidence": ("ransac", "confidence"),
+    "inlier_thresh": ("ransac", "inlier_threshold"),
+    "sampler": ("ransac", "use_prosac"),
+    "reject": ("ransac", "rejection"),
+    "lo": ("ransac", "use_lo"),
+    "seed": ("ransac", "seed"),
+    "filter": (None, "correspondence_filter"),
+    "gpf": ("gpf", "phi"),
+    "grid_m": ("gpf", "grid_m"),
+    "refine": (None, "refine"),
+    "icp_thresh": ("icp", "threshold"),
+    "elc_tol": ("ransac", "elc_tolerance"),
 }
 
-_REGISTER_TYPES: dict[str, type] = {
-    "max_iters": int, "confidence": float, "inlier_thresh": float,
-    "sampler": str, "reject": str, "lo": str, "seed": int, "filter": str,
-    "gpf": float, "grid_m": int, "refine": str, "icp_thresh": float,
-    "elc_tol": float, "threads": int, "timing": str,
+# the words for the two bool fields, (False, True)
+_BOOL_WORDS: dict[str, tuple[str, str]] = {
+    "sampler": ("uniform", "prosac"),
+    "lo": ("off", "on"),
 }
 
 _REGISTER_CHOICES: dict[str, tuple[str, ...]] = {
-    "sampler": ("uniform", "prosac"),
-    "reject": ("none", "elc"),
-    "lo": ("on", "off"),
-    "filter": ("none", "mnn", "gpf"),
-    "refine": ("none", "icp"),
-    "timing": ("wall", "off"),
+    **_BOOL_WORDS, "reject": REJECTIONS, "filter": FILTERS,
+    "refine": REFINERS, "timing": ("wall", "off"),
+}
+
+
+def _field_word(cfg: PipelineConfig, dest: str) -> object:
+    section, name = _PIPELINE_FIELDS[dest]
+    value = getattr(cfg if section is None else getattr(cfg, section), name)
+    return _BOOL_WORDS[dest][value] if dest in _BOOL_WORDS else value
+
+
+# every register option's default; a config file value takes its type
+_REGISTER_DEFAULTS: dict[str, object] = {
+    **{dest: _field_word(PipelineConfig(), dest) for dest in _PIPELINE_FIELDS},
+    "threads": 1,
+    "timing": "wall",
 }
 
 
@@ -131,7 +142,7 @@ def _merge_register_options(args: argparse.Namespace) -> dict[str, object]:
             if dest not in _REGISTER_DEFAULTS:
                 raise FormatError(args.config, f"unknown option {key!r}")
             try:
-                merged[dest] = _REGISTER_TYPES[dest](value)
+                merged[dest] = type(_REGISTER_DEFAULTS[dest])(value)
             except ValueError as e:
                 raise FormatError(args.config,
                                   f"bad value for {key!r}: {value!r}") from e
@@ -143,24 +154,28 @@ def _merge_register_options(args: argparse.Namespace) -> dict[str, object]:
         if merged[dest] not in allowed:
             raise ValueError(f"{dest.replace('_', '-')} must be one of "
                              f"{', '.join(allowed)}")
+    if merged["threads"] < 1:
+        raise ValueError("threads must be >= 1")
     return merged
 
 
-def _pipeline_config(opt: dict[str, object], seed: int) -> PipelineConfig:
-    return PipelineConfig(
-        correspondence_filter=str(opt["filter"]),
-        refine=str(opt["refine"]),
-        gpf=GpfConfig(grid_m=int(opt["grid_m"]), phi=float(opt["gpf"])),
-        ransac=RansacConfig(
-            max_iterations=int(opt["max_iters"]),
-            confidence=float(opt["confidence"]),
-            inlier_threshold=float(opt["inlier_thresh"]),
-            use_prosac=opt["sampler"] == "prosac",
-            rejection=str(opt["reject"]),
-            use_lo=opt["lo"] == "on",
-            elc_tolerance=float(opt["elc_tol"]),
-            seed=seed),
-        icp=IcpConfig(threshold=float(opt["icp_thresh"])))
+def _pipeline_config(opt: dict[str, object]) -> PipelineConfig:
+    """The merged options as a config; a value the config rejects raises
+    ``ValueError`` naming its option."""
+    cfg = PipelineConfig()
+    for dest, (section, name) in _PIPELINE_FIELDS.items():
+        value = opt[dest]
+        if dest in _BOOL_WORDS:
+            value = value == _BOOL_WORDS[dest][True]
+        try:
+            if section is None:
+                cfg = replace(cfg, **{name: value})
+            else:
+                cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                                       **{name: value})})
+        except ValueError as e:
+            raise ValueError(f"{dest.replace('_', '-')}: {e}") from e
+    return cfg
 
 
 def _stage_dict(est: RigidMotion, gt: RigidMotion | None,
@@ -175,7 +190,7 @@ def _stage_dict(est: RigidMotion, gt: RigidMotion | None,
 
 def _register_job(job: tuple) -> dict:
     (meta, src_path, dst_path, sdesc_path, ddesc_path,
-     gt_reals, opt, seed) = job
+     gt_reals, cfg, timing) = job
     src = _read_cloud(src_path)
     dst = _read_cloud(dst_path)
     src_desc = read_descriptors(sdesc_path)
@@ -187,10 +202,8 @@ def _register_job(job: tuple) -> dict:
         raise FormatError(ddesc_path, f"{len(dst_desc)} descriptors for a "
                                       f"{len(dst)}-point cloud")
 
-    result = register_pair(src, dst, src_desc, dst_desc,
-                           _pipeline_config(opt, seed))
+    result = register_pair(src, dst, src_desc, dst_desc, cfg)
     gt = _motion_from_list(gt_reals) if gt_reals is not None else None
-    timing = str(opt["timing"])
 
     row = dict(meta)
     row.update(
@@ -241,6 +254,8 @@ def _pair_meta(record: PairRecord) -> dict:
 
 def _cmd_register(args: argparse.Namespace) -> int:
     opt = _merge_register_options(args)
+    cfg = _pipeline_config(opt)
+    timing = str(opt["timing"])
     single = args.src is not None
     listed = args.pairs is not None
     if single == listed:
@@ -264,7 +279,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
             gt_reals = _motion_reals(poses[0])
         meta = {"sequence_id": "pair", "src": 0, "tgt": 1}
         jobs.append((meta, args.src, args.dst, args.src_desc, args.dst_desc,
-                     gt_reals, opt, int(opt["seed"])))
+                     gt_reals, cfg, timing))
     else:
         if args.cloud_dir is None or args.desc_dir is None:
             print("error: --cloud-dir and --desc-dir are required with --pairs",
@@ -278,9 +293,11 @@ def _cmd_register(args: argparse.Namespace) -> int:
                      cloud / args.cloud_pattern.format(seq=rec.sequence_id, frame=rec.tgt),
                      desc / args.desc_pattern.format(seq=rec.sequence_id, frame=rec.src),
                      desc / args.desc_pattern.format(seq=rec.sequence_id, frame=rec.tgt)]
+            seed = _pair_seed(cfg.ransac.seed, i)
             jobs.append((_pair_meta(rec), *map(str, paths),
-                         _motion_reals(rec.motion), opt,
-                         _pair_seed(int(opt["seed"]), i)))
+                         _motion_reals(rec.motion),
+                         replace(cfg, ransac=replace(cfg.ransac, seed=seed)),
+                         timing))
 
     threads = int(opt["threads"])
     if threads > 1 and len(jobs) > 1:
@@ -369,9 +386,6 @@ def _cmd_benchgen(args: argparse.Namespace) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-_FAILURE_PARAMETERS = ("distance", "overlap", "yaw", "pitch", "roll", "dt")
-
-
 def _final_stage(row: dict, path) -> dict:
     stage = row.get("refined", row.get("coarse"))
     if not isinstance(stage, dict):
@@ -400,24 +414,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     stages = [_final_stage(row, args.records) for row in rows]
     success = np.array([bool(s["success"]) for s in stages])
     walls = np.array([float(s.get("wall_time", 0.0)) for s in stages])
-    print(f"recall={success.mean():.4f}")
+    print(f"recall={recall(success):.4f}")
     print(f"mean_wall_time_s={walls.mean():.4f}")
 
     if args.out_dir is not None:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name in _FAILURE_PARAMETERS:
+        for name in DEFAULT_BIN_EDGES:
             if not all(name in row for row in rows):
                 print(f"warning: some records lack {name!r}; histogram "
                       "omitted", file=sys.stderr)
                 continue
-            values = np.array([float(row[name]) for row in rows])
-            edges = DEFAULT_BIN_EDGES[name]
-            fh = FailureHistogram(
-                parameter=name, edges=edges,
-                success_counts=histogram(values[success], edges).counts,
-                failure_counts=histogram(values[~success], edges).counts)
-            _write_failure_csv(out / f"failure_{name}.csv", fh)
+            values = [float(row[name]) for row in rows]
+            _write_failure_csv(out / f"failure_{name}.csv",
+                               failure_histogram(name, values, success))
     return 0
 
 
@@ -505,21 +515,13 @@ def _build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--desc-pattern", default=DEFAULT_DESC_PATTERN)
     reg.add_argument("--config", help="key=value option file")
     reg.add_argument("--out", help="output JSONL path (default: stdout)")
-    reg.add_argument("--max-iters", type=int, dest="max_iters")
-    reg.add_argument("--confidence", type=float)
-    reg.add_argument("--inlier-thresh", type=float, dest="inlier_thresh")
-    reg.add_argument("--sampler", choices=_REGISTER_CHOICES["sampler"])
-    reg.add_argument("--reject", choices=_REGISTER_CHOICES["reject"])
-    reg.add_argument("--lo", choices=_REGISTER_CHOICES["lo"])
-    reg.add_argument("--seed", type=int)
-    reg.add_argument("--filter", choices=_REGISTER_CHOICES["filter"])
-    reg.add_argument("--gpf", type=float, help="budget factor for the grid filter")
-    reg.add_argument("--grid-m", type=int, dest="grid_m")
-    reg.add_argument("--refine", choices=_REGISTER_CHOICES["refine"])
-    reg.add_argument("--icp-thresh", type=float, dest="icp_thresh")
-    reg.add_argument("--elc-tol", type=float, dest="elc_tol")
-    reg.add_argument("--threads", type=int)
-    reg.add_argument("--timing", choices=_REGISTER_CHOICES["timing"])
+    for dest, default in _REGISTER_DEFAULTS.items():
+        field = ".".join(filter(None, _PIPELINE_FIELDS.get(dest, ())))
+        reg.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                         type=type(default),
+                         choices=_REGISTER_CHOICES.get(dest),
+                         help=f"{field} (default: {default})" if field
+                         else f"default: {default}")
     reg.set_defaults(func=_cmd_register)
 
     bg = sub.add_parser("benchgen", help="build a balanced registration set")

@@ -27,7 +27,7 @@ class IcpConfig:
     transform_delta_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.threshold <= 0.0:
+        if not self.threshold > 0.0:
             raise ValueError("threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")

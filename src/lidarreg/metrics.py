@@ -100,31 +100,12 @@ class PairRecord:
         raise KeyError(f"unknown pair parameter {name!r}")
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """Evaluation of one registration attempt at one pipeline stage."""
-
-    pair: PairRecord
-    re_deg: float
-    te_m: float
-    success: bool
-    wall_time: float
-    stage: str = "coarse"            # coarse | refined
-
-
-def evaluate(est: RigidMotion, pair: PairRecord, wall_time: float,
-             stage: str = "coarse") -> EvalRecord:
-    re = rotation_error(est.rotation, pair.motion.rotation)
-    te = translation_error(est.translation, pair.motion.translation)
-    return EvalRecord(pair, re, te, is_success(re, te), wall_time, stage)
-
-
-def recall(records) -> float:
-    """Fraction of successful records; empty input is an error."""
-    records = list(records)
-    if not records:
+def recall(success) -> float:
+    """Fraction of true success flags; empty input is an error."""
+    success = np.asarray(success, dtype=bool)
+    if success.size == 0:
         raise ValueError("recall over zero records is undefined")
-    return sum(1 for r in records if r.success) / len(records)
+    return float(success.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +150,15 @@ class FailureHistogram:
         return out
 
 
-def failure_histogram(records, parameter: str, edges=None) -> FailureHistogram:
-    """Bin evaluation records by a pair parameter and split by success."""
-    records = list(records)
+def failure_histogram(parameter: str, values, success,
+                      edges=None) -> FailureHistogram:
+    """Bin one pair parameter's values and split the counts by success."""
     if edges is None:
         edges = DEFAULT_BIN_EDGES[parameter]
     edges = np.asarray(edges, dtype=np.float64)
-    values = np.array([r.pair.parameter(parameter) for r in records])
-    ok = np.array([r.success for r in records], dtype=bool)
+    ok = np.asarray(success, dtype=bool)
+    bins = _bin_of(np.asarray(values, dtype=np.float64), edges)
     n_bins = len(edges) - 1
-    if len(records) == 0:
-        zero = np.zeros(n_bins, dtype=np.int64)
-        return FailureHistogram(parameter, edges, zero, zero.copy())
-    bins = _bin_of(values, edges)
     succ = np.bincount(bins[ok], minlength=n_bins)
     fail = np.bincount(bins[~ok], minlength=n_bins)
     return FailureHistogram(parameter, edges, succ.astype(np.int64),

@@ -46,6 +46,7 @@ from .gpf import priority_order
 from .match import Correspondences
 
 SAMPLE_SIZE = 3
+REJECTIONS = ("none", "elc")
 
 
 class DegenerateSampleError(ValueError):
@@ -374,7 +375,7 @@ class RansacConfig:
     confidence: float = 0.999
     inlier_threshold: float = 0.6
     use_prosac: bool = True
-    rejection: str = "elc"            # none | elc
+    rejection: str = "elc"            # one of REJECTIONS
     use_lo: bool = True
     elc_tolerance: float = 0.6
     lo_inner_iters: int = 50
@@ -387,11 +388,11 @@ class RansacConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
-        if self.inlier_threshold <= 0.0:
+        if not self.inlier_threshold > 0.0:
             raise ValueError("inlier_threshold must be positive")
-        if self.rejection not in ("none", "elc"):
+        if self.rejection not in REJECTIONS:
             raise ValueError(f"unknown rejection kind {self.rejection!r}")
-        if self.elc_tolerance <= 0.0:
+        if not self.elc_tolerance > 0.0:
             raise ValueError("elc_tolerance must be positive")
         if self.lo_inner_iters < 1 or self.lo_max_rounds < 0:
             raise ValueError("bad local-optimization limits")

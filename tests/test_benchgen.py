@@ -17,7 +17,6 @@ from lidarreg.benchgen import (
     normalize_motions,
     overlap,
     select_balanced,
-    split_by_sequence,
 )
 from lidarreg.geom import EulerAngles, RigidMotion, SpatialIndex, apply, from_euler
 from lidarreg.synth import TrajectorySpec, generate_trajectory, random_motion
@@ -448,38 +447,3 @@ def test_selection_marginals_are_roughly_uniform():
 def test_selection_requires_nonempty_pool():
     with pytest.raises(ValueError):
         select_balanced([], SelectorConfig())
-
-
-# ---------------------------------------------------------------------------
-# splits
-# ---------------------------------------------------------------------------
-
-def _records(seq_sizes: dict[str, int]):
-    out = []
-    for seq, n in seq_sizes.items():
-        pool = _pool_from_descriptors(
-            np.random.default_rng(len(out)).uniform(0, 1, (n, 6)),
-            seq_ids=[seq] * n)
-        res = select_balanced(pool, SelectorConfig(target_count=n, r=1.0, seed=0))
-        out.extend(res.records)
-    return out
-
-
-def test_split_by_sequence_is_disjoint_and_complete():
-    records = _records({"a": 30, "b": 30, "c": 20, "d": 20})
-    train, test = split_by_sequence(records, [0.6, 0.4], seed=1)
-    assert len(train) + len(test) == 100
-    assert {r.sequence_id for r in train}.isdisjoint(
-        {r.sequence_id for r in test})
-    assert 30 <= len(train) <= 80
-
-
-def test_split_determinism_and_validation():
-    records = _records({"a": 10, "b": 10, "c": 10})
-    a = split_by_sequence(records, [0.5, 0.5], seed=2)
-    b = split_by_sequence(records, [0.5, 0.5], seed=2)
-    assert [len(s) for s in a] == [len(s) for s in b]
-    with pytest.raises(ValueError):
-        split_by_sequence(records, [], seed=0)
-    with pytest.raises(ValueError):
-        split_by_sequence(records, [-1.0, 2.0], seed=0)

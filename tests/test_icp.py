@@ -107,3 +107,8 @@ def test_config_validation():
         IcpConfig(max_iterations=0)
     with pytest.raises(ValueError):
         icp_refine(np.zeros((0, 3)), np.zeros((5, 3)), RigidMotion.identity())
+
+
+def test_config_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="threshold"):
+        IcpConfig(threshold=float("nan"))

@@ -8,9 +8,7 @@ import pytest
 from lidarreg.geom import EulerAngles, RigidMotion, from_euler, inverse
 from lidarreg.metrics import (
     DEFAULT_BIN_EDGES,
-    EvalRecord,
     PairRecord,
-    evaluate,
     failure_histogram,
     histogram,
     is_success,
@@ -110,31 +108,13 @@ def make_pair(seq="s", src=0, tgt=1, motion=None, overlap=0.5, dt=1.0):
     return PairRecord(seq, src, tgt, motion, overlap, dt)
 
 
-def make_record(success, overlap=0.5, dt=1.0, motion=None):
-    pair = make_pair(motion=motion, overlap=overlap, dt=dt)
-    re, te = (1.0, 0.1) if success else (30.0, 3.0)
-    return EvalRecord(pair, re, te, success, 0.01, "coarse")
-
-
 def test_recall_counts_successes():
-    records = [make_record(True)] * 3 + [make_record(False)] * 1
-    assert recall(records) == 0.75
+    assert recall([True] * 3 + [False]) == 0.75
 
 
 def test_recall_empty_is_error():
     with pytest.raises(ValueError):
         recall([])
-
-
-def test_evaluate_against_ground_truth():
-    rng = np.random.default_rng(3)
-    truth = random_motion(rng)
-    pair = make_pair(motion=truth)
-    exact = evaluate(truth, pair, wall_time=0.02)
-    assert exact.success and exact.re_deg < 1e-5 and exact.te_m < 1e-9
-    off = RigidMotion(truth.rotation, truth.translation + np.array([1.0, 0.0, 0.0]))
-    miss = evaluate(off, pair, wall_time=0.02)
-    assert not miss.success and np.isclose(miss.te_m, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +166,8 @@ def test_histogram_bin_convention():
 
 
 def test_failure_histogram_counts_and_ratio():
-    records = [make_record(True, overlap=0.22), make_record(False, overlap=0.22),
-               make_record(False, overlap=0.23), make_record(True, overlap=0.97)]
-    fh = failure_histogram(records, "overlap")
+    fh = failure_histogram("overlap", [0.22, 0.22, 0.23, 0.97],
+                           [True, False, False, True])
     assert fh.success_counts.sum() + fh.failure_counts.sum() == 4
     assert fh.failure_counts[0] == 2 and fh.success_counts[0] == 1
     assert np.isclose(fh.failure_ratio[0], 2 / 3)
@@ -198,15 +177,23 @@ def test_failure_histogram_counts_and_ratio():
 
 def test_failure_histogram_all_parameters_available():
     rng = np.random.default_rng(5)
-    records = []
-    for _ in range(30):
-        m = random_motion(rng, t_scale=20.0)
-        records.append(EvalRecord(make_pair(motion=m, overlap=rng.uniform(0.2, 1.0),
-                                            dt=rng.uniform(0.0, 60.0)),
-                                  1.0, 0.1, True, 0.0, "coarse"))
+    pairs = [make_pair(motion=random_motion(rng, t_scale=20.0),
+                       overlap=rng.uniform(0.2, 1.0), dt=rng.uniform(0.0, 60.0))
+             for _ in range(30)]
+    success = rng.uniform(size=30) < 0.5
     for name in DEFAULT_BIN_EDGES:
-        fh = failure_histogram(records, name)
-        assert fh.success_counts.sum() + fh.failure_counts.sum() == 30, name
+        fh = failure_histogram(name, [p.parameter(name) for p in pairs],
+                               success)
+        assert fh.success_counts.sum() == success.sum(), name
+        assert fh.failure_counts.sum() == (~success).sum(), name
+
+
+def test_failure_histogram_of_no_records_is_all_zero():
+    fh = failure_histogram("dt", [], [])
+    n_bins = len(DEFAULT_BIN_EDGES["dt"]) - 1
+    assert fh.success_counts.tolist() == [0] * n_bins
+    assert fh.failure_counts.tolist() == [0] * n_bins
+    assert fh.success_counts.dtype == fh.failure_counts.dtype == np.int64
 
 
 def test_set_distribution_report_covers_six_parameters():

@@ -751,3 +751,9 @@ def test_config_validation():
         RansacConfig(confidence=1.0)
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
+
+
+@pytest.mark.parametrize("name", ["inlier_threshold", "elc_tolerance"])
+def test_config_rejects_nan_thresholds(name):
+    with pytest.raises(ValueError, match=name):
+        RansacConfig(**{name: float("nan")})
