@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geom import F64, Points, RigidMotion, SpatialIndex, apply, compose, inverse, to_euler
+from .geom import F64, Points, RigidMotion, SpatialIndex, _pad, apply, compose, inverse, to_euler
 from .metrics import PairRecord
 
 __all__ = [
@@ -164,12 +164,54 @@ def overlap(src: Points, tgt: Points | SpatialIndex, gt: RigidMotion,
 # candidate pool
 # ---------------------------------------------------------------------------
 
-def _world_bound(frame: PosedFrame) -> tuple[NDArray[F64], float]:
-    # centroid and enclosing radius of the cloud in world coordinates
-    pts = apply(frame.pose, frame.cloud)
-    center = pts.mean(axis=0)
-    radius = float(np.sqrt(np.max(np.sum((pts - center) ** 2, axis=1))))
+def _sphere(points: Points) -> tuple[NDArray[F64], float]:
+    # centroid and enclosing radius of a cloud
+    center = points.mean(axis=0)
+    radius = float(np.sqrt(np.max(np.sum((points - center) ** 2, axis=1))))
     return center, radius
+
+
+def _near_sources(centers: NDArray[F64], radii: NDArray[F64],
+                  sources: NDArray[np.int64], ti: int, tau: float) -> NDArray[np.int64]:
+    # the sources whose world-frame bounding sphere comes within tau of
+    # target ti's: clouds whose spheres clear tau apart cannot overlap at all
+    limit = radii[sources] + radii[ti] + tau
+    dist = np.sqrt(np.sum((centers[sources] - centers[ti]) ** 2, axis=1))
+    keep = dist <= limit
+    # this sum may round apart from the dot product inside np.linalg.norm,
+    # so near-boundary pairs are decided by the scalar test itself
+    for j in np.flatnonzero(np.abs(dist - limit) <= 1e-9 * limit):
+        si = sources[j]
+        keep[j] = not np.linalg.norm(centers[si] - centers[ti]) \
+            > radii[si] + radii[ti] + tau
+    return sources[keep & (sources != ti)]
+
+
+def _overlaps(srcs: list[PosedFrame], tgt: PosedFrame, tau: float, min_overlap: float) -> NDArray[F64]:
+    """``overlap`` of every source frame with tgt, from one within-tau query.
+
+    A source whose share of points inside the target cloud's sphere,
+    widened by tau, is at most min_overlap gets 0.0 without a query: its
+    overlap cannot exceed that share, so it could never qualify.
+    """
+    center, radius = _sphere(tgt.cloud)
+    reach = _pad(radius + tau)
+    out = np.zeros(len(srcs))
+    kept, parts = [], []
+    for j, src in enumerate(srcs):
+        pts = apply(alignment_motion(src.pose, tgt.pose), src.cloud)
+        pts = pts[np.sum((pts - center) ** 2, axis=1) <= reach * reach]
+        if len(pts) / len(src.cloud) > min_overlap:
+            kept.append(j)
+            parts.append(pts)
+    if not kept:
+        return out
+    hits = SpatialIndex(tgt.cloud).within(np.concatenate(parts), tau)
+    owner = np.repeat(np.arange(len(kept)), [len(p) for p in parts])
+    counts = np.bincount(owner[hits], minlength=len(kept))
+    # the same float as np.mean over the source's hit vector
+    out[kept] = counts / np.array([len(srcs[j].cloud) for j in kept])
+    return out
 
 
 def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
@@ -177,6 +219,9 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
     becomes a source, and a target is drawn uniformly at random among the
     frames of the same sequence whose overlap with it exceeds min_overlap.
     Sources with no qualifying target are skipped.
+
+    Overlaps are computed one target at a time, batching every source
+    whose bounding sphere can reach it into a single within-tau query.
     """
     rng = np.random.default_rng([cfg.seed, 0])
     pool: list[CandidatePair] = []
@@ -187,28 +232,23 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
             raise ValueError("timestamps must be nondecreasing within a sequence")
         if len(frames) < 2:
             continue
-        bounds = [_world_bound(f) for f in frames]
-        # one index per frame, shared by every source that tests it
-        indexes = [SpatialIndex(f.cloud) for f in frames]
-        for si in range(0, len(frames), cfg.k):
-            src = frames[si]
-            c_src, r_src = bounds[si]
-            qualifying: list[tuple[PosedFrame, float]] = []
-            for ti, tgt in enumerate(frames):
-                if ti == si:
-                    continue
-                c_tgt, r_tgt = bounds[ti]
-                # clouds whose world-frame bounding spheres clear tau apart
-                # cannot overlap at all
-                if np.linalg.norm(c_src - c_tgt) > r_src + r_tgt + cfg.overlap_tau:
-                    continue
-                ov = overlap(src.cloud, indexes[ti],
-                             alignment_motion(src.pose, tgt.pose), cfg.overlap_tau)
+        bounds = [_sphere(apply(f.pose, f.cloud)) for f in frames]
+        centers = np.stack([c for c, _ in bounds])
+        radii = np.array([r for _, r in bounds])
+        sources = np.arange(0, len(frames), cfg.k)
+        # per source, its qualifying targets in frame order
+        qualifying: list[list[tuple[PosedFrame, float]]] = [[] for _ in sources]
+        for ti, tgt in enumerate(frames):
+            near = _near_sources(centers, radii, sources, ti, cfg.overlap_tau)
+            ovs = _overlaps([frames[si] for si in near], tgt,
+                            cfg.overlap_tau, cfg.min_overlap)
+            for si, ov in zip(near, ovs):
                 if ov > cfg.min_overlap:
-                    qualifying.append((tgt, ov))
-            if not qualifying:
+                    qualifying[si // cfg.k].append((tgt, float(ov)))
+        for src, cands in zip(frames[::cfg.k], qualifying):
+            if not cands:
                 continue
-            tgt, ov = qualifying[int(rng.integers(len(qualifying)))]
+            tgt, ov = cands[int(rng.integers(len(cands)))]
             desc = motion_descriptor(src.pose, tgt.pose)
             pool.append(CandidatePair(
                 src=src, tgt=tgt, motion=desc, overlap=ov,

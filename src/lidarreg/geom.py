@@ -208,34 +208,49 @@ class SpatialIndex:
         k is capped at the index size.
         """
         queries = _as_f64(queries)
-        single = queries.ndim == 1
-        queries = queries.reshape(-1, 3)
+        d, i = self._search(queries.reshape(-1, 3), k, np.inf)
+        return (d[0], i[0]) if queries.ndim == 1 else (d, i)
+
+    def nearest(self, queries: Points, r: float = np.inf) -> tuple[NDArray[F64], NDArray[np.int64]]:
+        """Distance and index of the single nearest point per query row.
+
+        The search stops at r: a row with no point within distance r gets
+        distance inf and index -1, and every other row the same answer as
+        an unbounded search.
+        """
+        d, i = self._search(np.atleast_2d(_as_f64(queries)), 1, r)
+        return d[:, 0], i[:, 0]
+
+    def _search(self, queries: NDArray[F64], k: int, r: float) -> tuple[NDArray[F64], NDArray[np.int64]]:
+        # the k nearest points within r, as (M, k) arrays sorted by
+        # (distance, index); slots with no point within r hold inf and -1
         n = len(self._points)
         k = min(k, n)
         probe = min(k + 1, n)
-        d, i = self._tree.query(queries, k=probe)
-        d = d.reshape(len(queries), probe)
+        out_d = np.full((len(queries), k), np.inf)
+        out_i = np.full((len(queries), k), -1, dtype=np.int64)
+        _, i = self._tree.query(queries, k=probe, distance_upper_bound=_pad(r))
         i = i.reshape(len(queries), probe)
+        # only rows whose padded search found a point are re-measured
+        rows = np.flatnonzero(i[:, 0] < n)
+        i, q = i[rows], queries[rows]
+        found = i < n
         # recompute distances the same way the brute-force scan would, then
         # re-sort so equal distances come out in index order
-        d = self._brute(i, queries[:, None, :])
+        d = np.where(found, self._brute(np.where(found, i, 0), q[:, None, :]), np.inf)
         order = np.lexsort((i, d), axis=1)
         d = np.take_along_axis(d, order, axis=1)
         i = np.take_along_axis(i, order, axis=1)
-        out_d, out_i = d[:, :k].copy(), i[:, :k].copy()
+        sub_d, sub_i = d[:, :k].copy(), i[:, :k].copy()
         if probe > k:
             # a tie straddling the k boundary needs the full candidate set
-            tied = d[:, k - 1] >= d[:, k]
+            tied = (d[:, k - 1] >= d[:, k]) & (d[:, k - 1] <= r)
             for row in np.nonzero(tied)[0]:
-                out_d[row], out_i[row] = self._exact_row(queries[row], k, d[row, k - 1])
-        if single:
-            return out_d[0], out_i[0]
+                sub_d[row], sub_i[row] = self._exact_row(q[row], k, d[row, k - 1])
+        far = sub_d > r
+        sub_d[far], sub_i[far] = np.inf, -1
+        out_d[rows], out_i[rows] = sub_d, sub_i
         return out_d, out_i
-
-    def nearest(self, queries: Points) -> tuple[NDArray[F64], NDArray[np.int64]]:
-        """Distance and index of the single nearest point per query row."""
-        d, i = self.knn(np.atleast_2d(_as_f64(queries)), k=1)
-        return d[:, 0], i[:, 0]
 
     def within(self, queries: Points, r: float) -> NDArray[np.bool_]:
         """Per query row, whether some point lies within distance r.
@@ -245,11 +260,13 @@ class SpatialIndex:
         """
         queries = _as_f64(queries).reshape(-1, 3)
         pad = _pad(r)
-        # the tree's nearest point inside the pad, if any, is re-measured;
-        # no point of a scan within r can be missing from the padded search
-        _, i = self._tree.query(queries, k=1, distance_upper_bound=pad)
-        rows = np.flatnonzero(i < len(self._points))
-        out = np.zeros(len(queries), dtype=bool)
+        d, i = self._tree.query(queries, k=1, distance_upper_bound=pad)
+        # a tree distance this far inside r is within r however either side
+        # rounds; the tree's nearest point between there and the pad is
+        # re-measured, and no point of a scan within r is missing from the
+        # padded search
+        out = d <= _shrink(r)
+        rows = np.flatnonzero(~out & (i < len(self._points)))
         near = self._brute(i[rows], queries[rows]) <= r
         out[rows[near]] = True
         # the tree's nearest re-measured above r: another point may still
@@ -264,3 +281,9 @@ def _pad(r: float) -> float:
     # a search radius that keeps every point of distance <= r in even when
     # the tree's own arithmetic rounds it slightly above r
     return r * (1.0 + 1e-9) + 1e-12
+
+
+def _shrink(r: float) -> float:
+    # the mirror of _pad: a distance at most this is within r even when the
+    # tree's own arithmetic rounds it slightly below the scan's
+    return r * (1.0 - 1e-9) - 1e-12

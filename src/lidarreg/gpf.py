@@ -37,8 +37,8 @@ class GpfConfig:
         if self.grid_m < 1:
             raise ValueError(f"grid_m must be >= 1, got {self.grid_m}")
         if self.r_abs is None:
-            if not self.phi > 0.0:
-                raise ValueError(f"phi must be positive, got {self.phi}")
+            if not 0.0 < self.phi < np.inf:
+                raise ValueError(f"phi must be positive and finite, got {self.phi}")
         elif self.r_abs < 1:
             raise ValueError(f"r_abs must be >= 1, got {self.r_abs}")
 

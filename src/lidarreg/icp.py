@@ -65,7 +65,7 @@ def icp_refine(src_points: Points, dst_points: Points, init: RigidMotion,
     index = SpatialIndex(dst)
 
     cur = init
-    d, nn = index.nearest(apply(cur, src))
+    d, nn = index.nearest(apply(cur, src), cfg.threshold)
     gate = d <= cfg.threshold
     if not gate.any():
         return IcpResult(init, math.inf, 0, False, True, ())
@@ -82,7 +82,7 @@ def icp_refine(src_points: Points, dst_points: Points, init: RigidMotion,
             new = kabsch(src[gate], dst[nn[gate]])
         except DegenerateSampleError:
             break
-        d, nn = index.nearest(apply(new, src))
+        d, nn = index.nearest(apply(new, src), cfg.threshold)
         new_gate = d <= cfg.threshold
         if not new_gate.any():
             break

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -259,6 +261,33 @@ def test_pool_equals_a_nearest_neighbor_reference(seed, k, tau):
         n_frames=24, frame_spacing=5.0, sensor_range=20.0, seed=seed))
     cfg = SelectorConfig(k=k, overlap_tau=tau, min_overlap=0.1, seed=seed)
     got = build_candidate_pool([frames], cfg)
+    want = _reference_pool(frames, cfg)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.src is b.src and a.tgt is b.tgt
+        assert a.motion == b.motion
+        assert (a.overlap, a.dt, a.distance) == (b.overlap, b.dt, b.distance)
+
+
+def test_pool_equals_a_nearest_neighbor_reference_above_the_skip_share(monkeypatch):
+    # at min_overlap 0.6 some pairs are skipped without a query, because
+    # too few of their points fall inside the target's widened sphere
+    frames = generate_trajectory(TrajectorySpec.random_drive(
+        n_frames=24, frame_spacing=5.0, sensor_range=20.0, seed=3))
+    queried = []
+    within = SpatialIndex.within
+
+    def spy(self, queries, r):
+        queried.append(len(queries))
+        return within(self, queries, r)
+
+    monkeypatch.setattr(SpatialIndex, "within", spy)
+    cfg = SelectorConfig(k=10, overlap_tau=0.6, min_overlap=0.6, seed=3)
+    got = build_candidate_pool([frames], cfg)
+    skipping = sum(queried)
+    queried.clear()
+    build_candidate_pool([frames], replace(cfg, min_overlap=1e-9))
+    assert skipping < sum(queried)
     want = _reference_pool(frames, cfg)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):

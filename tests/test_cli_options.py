@@ -112,3 +112,10 @@ def test_threads_below_one_exit_2(scene_dir, tmp_path, capsys, configs,
                      "--threads", threads) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
     assert configs == []
+
+
+def test_infinite_gpf_budget_exits_2_naming_the_flag(scene_dir, tmp_path,
+                                                     capsys, configs):
+    assert _register(scene_dir, tmp_path / "out.jsonl", "--gpf", "inf") == 2
+    assert "gpf: phi must be positive and finite" in capsys.readouterr().err
+    assert configs == []

@@ -361,6 +361,58 @@ def test_within_on_a_single_point_and_empty_queries():
     assert index.within(np.zeros((0, 3)), 1.0).shape == (0,)
 
 
+def _brute_nearest(points: np.ndarray, queries: np.ndarray, r: float):
+    # per row the scan's nearest point (lowest index among ties) if it lies
+    # within r, else inf and -1
+    d = np.sqrt(np.sum((points[None, :, :] - queries[:, None, :]) ** 2, axis=2))
+    i = d.argmin(axis=1)
+    best = d[np.arange(len(queries)), i]
+    return np.where(best <= r, best, np.inf), np.where(best <= r, i, -1)
+
+
+def test_nearest_within_r_matches_brute_force_random():
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(-4.0, 4.0, size=(300, 3))
+    queries = rng.uniform(-6.0, 6.0, size=(400, 3))
+    index = SpatialIndex(pts)
+    for r in (0.0, 0.3, 0.8, 2.0, np.inf):
+        d, i = index.nearest(queries, r)
+        bd, bi = _brute_nearest(pts, queries, r)
+        assert np.array_equal(d, bd) and np.array_equal(i, bi), r
+    # both kinds of rows occur
+    assert 0 < (index.nearest(queries, 0.8)[1] == -1).sum() < len(queries)
+
+
+def test_nearest_within_r_at_exactly_r_on_an_integer_grid():
+    pts = _integer_grid(4)
+    # nearest distances of exactly 0, 0.5, 1 and sqrt(2), with exact ties
+    queries = np.concatenate([pts, pts + [0.5, 0.0, 0.0],
+                              pts + [4.0, 0.0, 0.0], pts + [4.0, 1.0, 0.0]])
+    index = SpatialIndex(pts)
+    for r in (0.0, 0.5, np.nextafter(0.5, 0.0), 1.0, np.nextafter(1.0, 0.0),
+              np.sqrt(2.0), np.nextafter(np.sqrt(2.0), 0.0)):
+        d, i = index.nearest(queries, r)
+        bd, bi = _brute_nearest(pts, queries, r)
+        assert np.array_equal(d, bd) and np.array_equal(i, bi), r
+    _, i = index.nearest(pts + [4.0, 0.0, 0.0], 1.0)
+    assert (i >= 0).sum() == 16
+    _, i = index.nearest(pts + [4.0, 0.0, 0.0], np.nextafter(1.0, 0.0))
+    assert (i == -1).all()
+
+
+def test_nearest_within_r_duplicate_points_lowest_index_wins():
+    pts = np.array([[3.0, 0.0, 0.0]] * 2 + [[1.0, 1.0, 1.0]] * 5
+                   + [[2.0, 2.0, 2.0]] * 3)
+    index = SpatialIndex(pts)
+    queries = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.5], [1.5, 1.5, 1.5],
+                        [9.0, 9.0, 9.0]])
+    d, i = index.nearest(queries, 1.0)
+    assert i.tolist() == [2, 7, 2, -1]
+    assert d[0] == 0.0 and d[1] == 0.5 and d[3] == np.inf
+    bd, bi = _brute_nearest(pts, queries, 1.0)
+    assert np.array_equal(d, bd) and np.array_equal(i, bi)
+
+
 def test_knn_k_capped_at_index_size():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     index = SpatialIndex(pts)

@@ -112,6 +112,12 @@ def test_config_validation():
         GpfConfig(r_abs=0)
 
 
+@pytest.mark.parametrize("phi", [np.inf, np.nan])
+def test_config_rejects_non_finite_phi(phi):
+    with pytest.raises(ValueError, match="phi must be positive and finite"):
+        GpfConfig(phi=phi)
+
+
 # ---------------------------------------------------------------------------
 # grid assignment
 # ---------------------------------------------------------------------------

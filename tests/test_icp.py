@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lidarreg.geom import RigidMotion, apply, compose
+from lidarreg.geom import RigidMotion, SpatialIndex, apply, compose
 from lidarreg.icp import IcpConfig, IcpResult, icp_refine
 from lidarreg.metrics import rotation_error, translation_error
 
@@ -112,3 +112,32 @@ def test_config_validation():
 def test_config_rejects_nan_threshold():
     with pytest.raises(ValueError, match="threshold"):
         IcpConfig(threshold=float("nan"))
+
+
+def test_gated_search_gives_the_unbounded_result(monkeypatch):
+    # two partly overlapping clouds: most source points have no target
+    # point within the gate, which the gated search answers with inf
+    rng = np.random.default_rng(9)
+    cloud = dense_cloud(rng, n=3000)
+    truth = random_motion(rng, t_scale=3.0)
+    dst = apply(truth, cloud[cloud[:, 0] > 5.0])
+    init = perturbed(truth, trans=0.3, deg=3.0)
+    cfg = IcpConfig(threshold=0.5)
+    radii = []
+    unbounded = SpatialIndex.nearest
+
+    def spy(self, queries, r=math.inf):
+        radii.append(r)
+        return unbounded(self, queries, r)
+
+    monkeypatch.setattr(SpatialIndex, "nearest", spy)
+    got = icp_refine(cloud, dst, init, cfg)
+    assert set(radii) == {0.5} and got.iterations > 1
+    monkeypatch.setattr(SpatialIndex, "nearest",
+                        lambda self, queries, r=math.inf: unbounded(self, queries))
+    want = icp_refine(cloud, dst, init, cfg)
+    assert np.array_equal(got.motion.rotation, want.motion.rotation)
+    assert np.array_equal(got.motion.translation, want.motion.translation)
+    assert (got.rmse, got.iterations, got.converged, got.no_overlap,
+            got.rmse_history) == (want.rmse, want.iterations, want.converged,
+                                  want.no_overlap, want.rmse_history)
