@@ -67,7 +67,7 @@ from .metrics import (
     set_distribution_report,
     translation_error,
 )
-from .pipeline import PairResult, PipelineConfig, register_pair, run_pipeline
+from .pipeline import PairResult, PipelineConfig, register_pair
 from .ransac import (
     DegenerateSampleError,
     ProsacSampler,
@@ -109,7 +109,7 @@ __all__ = [
     "read_cloud_bin", "read_cloud_ply", "read_config", "read_descriptors",
     "read_jsonl", "read_pair_list", "read_poses", "recall",
     "register_pair", "required_iterations", "rotation_error",
-    "rotation_is_valid", "run_pipeline", "select_balanced",
+    "rotation_is_valid", "select_balanced",
     "set_distribution_report", "to_euler",
     "translation_error", "voxel_downsample", "write_cloud_bin",
     "write_cloud_ply", "write_descriptors", "write_histogram_csv",

@@ -40,6 +40,9 @@ __all__ = [
     "select_balanced",
 ]
 
+# select_balanced gives up after this many draws per requested pair
+_ATTEMPT_FACTOR = 1000
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -92,7 +95,6 @@ class SelectorConfig:
     target_count: int = 1000
     overlap_tau: float = 0.6
     seed: int = 0
-    attempt_factor: int = 1000
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -105,8 +107,6 @@ class SelectorConfig:
             raise ValueError("target_count must be at least 1")
         if self.overlap_tau <= 0.0:
             raise ValueError("overlap_tau must be positive")
-        if self.attempt_factor < 1:
-            raise ValueError("attempt_factor must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:
 
     records: list[PairRecord] = []
     draws: list[NDArray[F64]] = []
-    budget = cfg.attempt_factor * cfg.target_count
+    budget = _ATTEMPT_FACTOR * cfg.target_count
     attempts = 0
     while len(records) < cfg.target_count and attempts < budget and remaining.any():
         attempts += 1

@@ -192,25 +192,6 @@ class SpatialIndex:
         # the distances a brute-force linear scan would compute
         return np.sqrt(np.sum((self._points[idx] - q) ** 2, axis=-1))
 
-    def _exact_row(self, q: NDArray[F64], k: int, d_hi: float) -> tuple[NDArray[F64], NDArray[np.int64]]:
-        # resolve a tie at the k-th distance: pull everything within d_hi
-        # and re-rank by (distance, index); the pad keeps boundary points in
-        # even if the tree's internal arithmetic rounds the other way
-        cand = np.asarray(self._tree.query_ball_point(q, _pad(d_hi)), dtype=np.int64)
-        d = self._brute(cand, q)
-        order = np.lexsort((cand, d))[:k]
-        return d[order], cand[order]
-
-    def knn(self, queries: Points, k: int = 1) -> tuple[NDArray[F64], NDArray[np.int64]]:
-        """Distances and indices of the k nearest points for each query row.
-
-        Returns arrays of shape (M, k), rows sorted by (distance, index).
-        k is capped at the index size.
-        """
-        queries = _as_f64(queries)
-        d, i = self._search(queries.reshape(-1, 3), k, np.inf)
-        return (d[0], i[0]) if queries.ndim == 1 else (d, i)
-
     def nearest(self, queries: Points, r: float = np.inf) -> tuple[NDArray[F64], NDArray[np.int64]]:
         """Distance and index of the single nearest point per query row.
 
@@ -218,17 +199,11 @@ class SpatialIndex:
         distance inf and index -1, and every other row the same answer as
         an unbounded search.
         """
-        d, i = self._search(np.atleast_2d(_as_f64(queries)), 1, r)
-        return d[:, 0], i[:, 0]
-
-    def _search(self, queries: NDArray[F64], k: int, r: float) -> tuple[NDArray[F64], NDArray[np.int64]]:
-        # the k nearest points within r, as (M, k) arrays sorted by
-        # (distance, index); slots with no point within r hold inf and -1
+        queries = np.atleast_2d(_as_f64(queries))
         n = len(self._points)
-        k = min(k, n)
-        probe = min(k + 1, n)
-        out_d = np.full((len(queries), k), np.inf)
-        out_i = np.full((len(queries), k), -1, dtype=np.int64)
+        probe = min(2, n)
+        out_d = np.full(len(queries), np.inf)
+        out_i = np.full(len(queries), -1, dtype=np.int64)
         _, i = self._tree.query(queries, k=probe, distance_upper_bound=_pad(r))
         i = i.reshape(len(queries), probe)
         # only rows whose padded search found a point are re-measured
@@ -241,15 +216,20 @@ class SpatialIndex:
         order = np.lexsort((i, d), axis=1)
         d = np.take_along_axis(d, order, axis=1)
         i = np.take_along_axis(i, order, axis=1)
-        sub_d, sub_i = d[:, :k].copy(), i[:, :k].copy()
-        if probe > k:
-            # a tie straddling the k boundary needs the full candidate set
-            tied = (d[:, k - 1] >= d[:, k]) & (d[:, k - 1] <= r)
-            for row in np.nonzero(tied)[0]:
-                sub_d[row], sub_i[row] = self._exact_row(q[row], k, d[row, k - 1])
-        far = sub_d > r
-        sub_d[far], sub_i[far] = np.inf, -1
-        out_d[rows], out_i[rows] = sub_d, sub_i
+        best_d, best_i = d[:, 0].copy(), i[:, 0].copy()
+        if probe > 1:
+            # a tie with the runner-up: pull everything within that distance
+            # and re-rank by (distance, index); the pad keeps boundary points
+            # in even if the tree's internal arithmetic rounds the other way
+            for row in np.flatnonzero((d[:, 0] >= d[:, 1]) & (d[:, 0] <= r)):
+                cand = np.asarray(self._tree.query_ball_point(q[row], _pad(d[row, 0])),
+                                  dtype=np.int64)
+                cd = self._brute(cand, q[row])
+                j = np.lexsort((cand, cd))[0]
+                best_d[row], best_i[row] = cd[j], cand[j]
+        far = best_d > r
+        best_d[far], best_i[far] = np.inf, -1
+        out_d[rows], out_i[rows] = best_d, best_i
         return out_d, out_i
 
     def within(self, queries: Points, r: float) -> NDArray[np.bool_]:

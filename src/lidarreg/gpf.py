@@ -25,26 +25,21 @@ from .match import Correspondences
 class GpfConfig:
     """Knobs for grid-prioritized filtering.
 
-    phi scales the mutual-pair count into the match budget; r_abs, when
-    set, overrides that budget with a fixed number of matches.
+    phi scales the mutual-pair count into the match budget.
     """
 
     grid_m: int = 10
     phi: float = 2.0
-    r_abs: int | None = None
 
     def __post_init__(self):
         if self.grid_m < 1:
             raise ValueError(f"grid_m must be >= 1, got {self.grid_m}")
-        if self.r_abs is None:
-            if not 0.0 < self.phi < np.inf:
-                raise ValueError(f"phi must be positive and finite, got {self.phi}")
-        elif self.r_abs < 1:
-            raise ValueError(f"r_abs must be >= 1, got {self.r_abs}")
+        if not 0.0 < self.phi < np.inf:
+            raise ValueError(f"phi must be positive and finite, got {self.phi}")
 
 
 class NoMnnPairsError(ValueError):
-    """Budget is undefined: no mutual pairs and no absolute budget given."""
+    """Budget is undefined: the correspondences hold no mutual pair."""
 
 
 def priority_order(corrs: Correspondences) -> NDArray[np.int64]:
@@ -58,15 +53,19 @@ def priority_order(corrs: Correspondences) -> NDArray[np.int64]:
 
 
 def target_count(corrs: Correspondences, cfg: GpfConfig) -> int:
-    """Match budget R for this correspondence set (never below 1)."""
-    if cfg.r_abs is not None:
-        return cfg.r_abs
+    """Match budget R for this correspondence set (never below 1).
+
+    A budget too large for a float is ``len(corrs)``, which keeps every
+    match.
+    """
     n_mnn = int(np.count_nonzero(corrs.is_mnn))
     if n_mnn == 0:
-        raise NoMnnPairsError(
-            "no mutual pairs to scale the budget from; set r_abs instead")
+        raise NoMnnPairsError("no mutual pairs to scale the budget from")
+    budget = cfg.phi * n_mnn
+    if budget == np.inf:
+        return len(corrs)
     # round half away from zero, then clamp to at least one match
-    return max(1, int(np.floor(cfg.phi * n_mnn + 0.5)))
+    return max(1, int(np.floor(budget + 0.5)))
 
 
 def grid_assign(src_points: Points, corrs: Correspondences, grid_m: int) -> NDArray[np.int64]:

@@ -18,19 +18,18 @@ import numpy as np
 from .geom import Points, RigidMotion, SpatialIndex, apply
 from .ransac import SAMPLE_SIZE, DegenerateSampleError, kabsch
 
+_MAX_ITERATIONS = 30
+_RMSE_DELTA_TOL = 1e-6
+_TRANSFORM_DELTA_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class IcpConfig:
     threshold: float = 0.6            # pairing gate, meters
-    max_iterations: int = 30
-    rmse_delta_tol: float = 1e-6
-    transform_delta_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.threshold > 0.0:
             raise ValueError("threshold must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ def icp_refine(src_points: Points, dst_points: Points, init: RigidMotion,
     """Refine ``init`` so the source cloud lines up with the target cloud.
 
     Stops on the iteration cap, on convergence (RMSE change below
-    rmse_delta_tol and Frobenius change of the update below
-    transform_delta_tol), or as soon as an update stops helping.
+    ``_RMSE_DELTA_TOL`` and Frobenius change of the update below
+    ``_TRANSFORM_DELTA_TOL``), or as soon as an update stops helping.
     """
     src = np.asarray(src_points, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(dst_points, dtype=np.float64).reshape(-1, 3)
@@ -74,7 +73,7 @@ def icp_refine(src_points: Points, dst_points: Points, init: RigidMotion,
     converged = False
     iterations = 0
 
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if int(gate.sum()) < SAMPLE_SIZE:
             break
         iterations += 1
@@ -89,8 +88,8 @@ def icp_refine(src_points: Points, dst_points: Points, init: RigidMotion,
         new_rmse = _gated_rmse(d, new_gate)
         change = math.sqrt(np.sum((new.rotation - cur.rotation) ** 2)
                            + np.sum((new.translation - cur.translation) ** 2))
-        within_tol = abs(new_rmse - rmse) < cfg.rmse_delta_tol \
-            and change < cfg.transform_delta_tol
+        within_tol = abs(new_rmse - rmse) < _RMSE_DELTA_TOL \
+            and change < _TRANSFORM_DELTA_TOL
         if new_rmse > rmse:
             # an update that stops helping ends the loop; if it moved less
             # than the tolerances we were already at the fixed point

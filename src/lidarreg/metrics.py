@@ -48,10 +48,9 @@ def translation_error(est_translation, gt_translation) -> float:
     return float(np.linalg.norm(est - gt))
 
 
-def is_success(re_deg: float, te_m: float,
-               re_max: float = RE_MAX_DEG, te_max: float = TE_MAX_M) -> bool:
+def is_success(re_deg: float, te_m: float) -> bool:
     """Strict thresholds on both errors."""
-    return bool(re_deg < re_max and te_m < te_max)
+    return bool(re_deg < RE_MAX_DEG and te_m < TE_MAX_M)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +149,10 @@ class FailureHistogram:
         return out
 
 
-def failure_histogram(parameter: str, values, success,
-                      edges=None) -> FailureHistogram:
-    """Bin one pair parameter's values and split the counts by success."""
-    if edges is None:
-        edges = DEFAULT_BIN_EDGES[parameter]
-    edges = np.asarray(edges, dtype=np.float64)
+def failure_histogram(parameter: str, values, success) -> FailureHistogram:
+    """Bin one pair parameter's values over its ``DEFAULT_BIN_EDGES`` and
+    split the counts by success."""
+    edges = DEFAULT_BIN_EDGES[parameter]
     ok = np.asarray(success, dtype=bool)
     bins = _bin_of(np.asarray(values, dtype=np.float64), edges)
     n_bins = len(edges) - 1

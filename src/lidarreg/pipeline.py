@@ -3,23 +3,22 @@
 This is the shared orchestration used by the command-line tool and the
 demo scripts.  Timing covers the registration work itself -- matching,
 filtering, robust estimation, and refinement -- and never file loading,
-which callers do beforehand.  ``refined_time`` is cumulative, so it can be
-compared directly against ``coarse_time``.
+which callers do beforehand.  Both times run from the start of matching,
+so ``refined_time`` can be compared directly against ``coarse_time``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 
 from .geom import Points, RigidMotion
-from .gpf import GpfConfig, NoMnnPairsError, gpf
+from .gpf import GpfConfig, gpf
 from .icp import IcpConfig, IcpResult, icp_refine
-from .match import Correspondences, match_features, mnn_filter
+from .match import match_features, mnn_filter
 from .ransac import RansacConfig, RegistrationResult, ransac_register
 
-__all__ = ["PipelineConfig", "PairResult", "register_pair", "run_pipeline"]
+__all__ = ["PipelineConfig", "PairResult", "register_pair"]
 
 FILTERS = ("none", "mnn", "gpf")
 REFINERS = ("none", "icp")
@@ -58,55 +57,28 @@ class PairResult:
         return self.refined if self.refined is not None else self.coarse
 
 
-def _filtered(src_points: Points, corrs: Correspondences,
-              cfg: PipelineConfig) -> Correspondences:
-    if cfg.correspondence_filter == "mnn":
-        return mnn_filter(corrs)
-    if cfg.correspondence_filter == "gpf":
-        try:
-            return gpf(src_points, corrs, cfg.gpf)
-        except NoMnnPairsError:
-            warnings.warn("no mutual matches to size the filter budget; "
-                          "keeping all correspondences", RuntimeWarning,
-                          stacklevel=3)
-            return corrs
-    return corrs
-
-
-def run_pipeline(src_points: Points, dst_points: Points,
-                 corrs: Correspondences, cfg: PipelineConfig) -> PairResult:
-    """Register already-matched correspondences (filter, estimate, refine)."""
-    t0 = perf_counter()
-    kept = _filtered(src_points, corrs, cfg)
-    est = ransac_register(src_points, dst_points, kept, cfg.ransac)
-    coarse_time = perf_counter() - t0
-
-    refined = None
-    icp_result = None
-    refined_time = None
-    if cfg.refine == "icp":
-        t1 = perf_counter()
-        icp_result = icp_refine(src_points, dst_points, est.motion, cfg.icp)
-        refined = icp_result.motion
-        refined_time = coarse_time + (perf_counter() - t1)
-
-    return PairResult(coarse=est.motion, refined=refined, ransac=est,
-                      icp=icp_result, corrs_total=len(corrs),
-                      corrs_kept=len(kept), coarse_time=coarse_time,
-                      refined_time=refined_time)
-
-
 def register_pair(src_points: Points, dst_points: Points,
                   src_desc, dst_desc, cfg: PipelineConfig) -> PairResult:
     """Full pipeline from descriptors: feature matching included in timing."""
     t0 = perf_counter()
     corrs = match_features(src_desc, dst_desc)
-    match_time = perf_counter() - t0
-    out = run_pipeline(src_points, dst_points, corrs, cfg)
-    refined_time = None if out.refined_time is None \
-        else out.refined_time + match_time
-    return PairResult(coarse=out.coarse, refined=out.refined,
-                      ransac=out.ransac, icp=out.icp,
-                      corrs_total=out.corrs_total, corrs_kept=out.corrs_kept,
-                      coarse_time=out.coarse_time + match_time,
+    # match_features always marks a mutual pair, so the GPF budget is defined
+    if cfg.correspondence_filter == "gpf":
+        kept = gpf(src_points, corrs, cfg.gpf)
+    elif cfg.correspondence_filter == "mnn":
+        kept = mnn_filter(corrs)
+    else:
+        kept = corrs
+    est = ransac_register(src_points, dst_points, kept, cfg.ransac)
+    coarse_time = perf_counter() - t0
+
+    refined = icp_result = refined_time = None
+    if cfg.refine == "icp":
+        icp_result = icp_refine(src_points, dst_points, est.motion, cfg.icp)
+        refined = icp_result.motion
+        refined_time = perf_counter() - t0
+
+    return PairResult(coarse=est.motion, refined=refined, ransac=est,
+                      icp=icp_result, corrs_total=len(corrs),
+                      corrs_kept=len(kept), coarse_time=coarse_time,
                       refined_time=refined_time)

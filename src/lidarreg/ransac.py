@@ -57,10 +57,10 @@ class DegenerateSampleError(ValueError):
 # least-squares rigid fit
 # ---------------------------------------------------------------------------
 
-def kabsch(src_pts: Points, dst_pts: Points, weights=None) -> RigidMotion:
+def kabsch(src_pts: Points, dst_pts: Points) -> RigidMotion:
     """Least-squares rigid motion mapping src_pts onto dst_pts.
 
-    Minimizes sum_i w_i ||R p_i + t - q_i||^2 via the SVD of the weighted
+    Minimizes sum_i ||R p_i + t - q_i||^2 via the SVD of the
     cross-covariance, with the reflection case corrected so the result is
     always a proper rotation.
 
@@ -76,14 +76,7 @@ def kabsch(src_pts: Points, dst_pts: Points, weights=None) -> RigidMotion:
         raise ValueError(f"point counts differ: {len(p)} vs {len(q)}")
     if len(p) < SAMPLE_SIZE:
         raise ValueError(f"need at least {SAMPLE_SIZE} point pairs, got {len(p)}")
-    if weights is None:
-        w = np.full(len(p), 1.0 / len(p))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(p),) or np.any(w < 0.0) or w.sum() <= 0.0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        w = w / w.sum()
-
+    w = np.full(len(p), 1.0 / len(p))
     rot, trans, ok = _fit_rigid(p[None], q[None], w[None])
     if not ok[0]:
         raise DegenerateSampleError("sample covariance has rank < 2")
@@ -146,11 +139,11 @@ def _residuals(rotation, translation, a: Points, b: Points,
 
 
 def required_iterations(confidence: float, inlier_fraction: float,
-                        sample_size: int = SAMPLE_SIZE,
                         max_iterations: int = 1_000_000) -> int:
     """Iterations needed to hit an all-inlier sample with given confidence.
 
-    ceil(log(1 - confidence) / log(1 - w^m)), clamped to [1, max_iterations].
+    ceil(log(1 - confidence) / log(1 - w^m)) with m = SAMPLE_SIZE, clamped
+    to [1, max_iterations].
     The boundary fractions behave sensibly: w=1 gives 1, w=0 gives the cap.
     """
     if not 0.0 < confidence < 1.0:
@@ -159,7 +152,7 @@ def required_iterations(confidence: float, inlier_fraction: float,
         raise ValueError(f"inlier fraction must be in [0, 1], got {inlier_fraction}")
     if inlier_fraction >= 1.0:
         return 1
-    p_good = inlier_fraction ** sample_size
+    p_good = inlier_fraction ** SAMPLE_SIZE
     if p_good <= 0.0:
         return max_iterations
     denom = math.log1p(-p_good)
@@ -283,9 +276,8 @@ class Hypothesis:
 _LO_ANNEAL = np.linspace(2.0, 1.0, 4)
 _LO_MAX_SAMPLE = 14
 _LO_MIN_SAMPLE = 4
-# inner samples fitted and scored together; LO's working memory is a few
-# (_LO_CHUNK, n) arrays whatever the number of inner iterations
-_LO_CHUNK = 64
+_LO_INNER_ITERS = 50  # inner samples per round, fitted and scored together
+_LO_MAX_ROUNDS = 10   # rounds per run, one per new best model
 
 
 def _moment_table(a: Points, b: Points):
@@ -328,11 +320,11 @@ def _lo_subsets(rng: np.random.Generator, pool: NDArray[np.int64], rows: int,
 
 
 def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
-             inner_iters: int, rng: np.random.Generator) -> Hypothesis:
+             rng: np.random.Generator) -> Hypothesis:
     """Polish a hypothesis by non-minimal re-fitting with annealed gating.
 
-    Every inner sample is drawn from the inliers of ``best``, so the inner
-    iterations are independent: ``_LO_CHUNK`` of them at a time are fitted,
+    Every inner sample is drawn from the inliers of ``best``, so the
+    ``_LO_INNER_ITERS`` inner iterations are independent: they are fitted,
     re-fitted under each annealed gate and scored together.  The first
     sample with the highest count wins if it beats ``best``.
     """
@@ -341,23 +333,21 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
         return best
     size = min(_LO_MAX_SAMPLE, max(_LO_MIN_SAMPLE, len(inliers) // 2))
     table, ma, mb = _moment_table(a, b)
-    cur = best
-    for done in range(0, inner_iters, _LO_CHUNK):
-        pick = _lo_subsets(rng, inliers, min(_LO_CHUNK, inner_iters - done), size)
-        rot, trans, ok = _fit_rigid(a[pick], b[pick], np.full(size, 1.0 / size))
-        res = None
-        for mult in _LO_ANNEAL:
-            # one buffer holds each pass's residuals, then its 0/1 gate
-            res = _residuals(rot, trans, a, b, out=res)
-            np.less_equal(res, mult * threshold, out=res)
-            rot, trans, gated_ok = _gated_fit(res, table, ma, mb)
-            ok &= gated_ok
-        masks = _residuals(rot, trans, a, b, out=res) <= threshold
-        counts = np.where(ok, masks.sum(axis=1), -1)
-        k = int(counts.argmax())
-        if counts[k] > cur.inlier_count:
-            cur = Hypothesis(RigidMotion(rot[k], trans[k]), int(counts[k]), masks[k])
-    return cur
+    pick = _lo_subsets(rng, inliers, _LO_INNER_ITERS, size)
+    rot, trans, ok = _fit_rigid(a[pick], b[pick], np.full(size, 1.0 / size))
+    res = None
+    for mult in _LO_ANNEAL:
+        # one buffer holds each pass's residuals, then its 0/1 gate
+        res = _residuals(rot, trans, a, b, out=res)
+        np.less_equal(res, mult * threshold, out=res)
+        rot, trans, gated_ok = _gated_fit(res, table, ma, mb)
+        ok &= gated_ok
+    masks = _residuals(rot, trans, a, b, out=res) <= threshold
+    counts = np.where(ok, masks.sum(axis=1), -1)
+    k = int(counts.argmax())
+    if counts[k] > best.inlier_count:
+        return Hypothesis(RigidMotion(rot[k], trans[k]), int(counts[k]), masks[k])
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +368,6 @@ class RansacConfig:
     rejection: str = "elc"            # one of REJECTIONS
     use_lo: bool = True
     elc_tolerance: float = 0.6
-    lo_inner_iters: int = 50
-    lo_max_rounds: int = 10
-    prosac_t_total: int = 200_000
     seed: int = 0
 
     def __post_init__(self):
@@ -394,10 +381,6 @@ class RansacConfig:
             raise ValueError(f"unknown rejection kind {self.rejection!r}")
         if not self.elc_tolerance > 0.0:
             raise ValueError("elc_tolerance must be positive")
-        if self.lo_inner_iters < 1 or self.lo_max_rounds < 0:
-            raise ValueError("bad local-optimization limits")
-        if self.prosac_t_total < 1:
-            raise ValueError("prosac_t_total must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -443,7 +426,7 @@ def ransac_register(src_points: Points, dst_points: Points,
 
     root = np.random.default_rng(cfg.seed)
     sample_rng, lo_rng = root.spawn(2)
-    sampler = ProsacSampler(n, SAMPLE_SIZE, cfg.prosac_t_total) if cfg.use_prosac else None
+    sampler = ProsacSampler(n) if cfg.use_prosac else None
 
     best = Hypothesis(RigidMotion.identity(), 0, np.zeros(n, dtype=bool))
     history: list[tuple[int, int, RigidMotion]] = []
@@ -477,13 +460,12 @@ def ransac_register(src_points: Points, dst_points: Points,
                 if count <= best.inlier_count:
                     continue
                 best = Hypothesis(RigidMotion(rot[c + k], trans[c + k]), count, masks[k])
-                if cfg.use_lo and lo_rounds < cfg.lo_max_rounds:
+                if cfg.use_lo and lo_rounds < _LO_MAX_ROUNDS:
                     lo_rounds += 1
-                    best = _lo_step(best, a, b, cfg.inlier_threshold,
-                                    cfg.lo_inner_iters, lo_rng)
+                    best = _lo_step(best, a, b, cfg.inlier_threshold, lo_rng)
                 history.append((it, best.inlier_count, best.motion))
                 required = required_iterations(cfg.confidence, best.inlier_count / n,
-                                               SAMPLE_SIZE, cfg.max_iterations)
+                                               cfg.max_iterations)
                 last_gain = it
 
         # the one-at-a-time loop stops once t >= required

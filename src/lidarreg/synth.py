@@ -3,7 +3,7 @@
 Two generators live here.  ``generate_scene`` plants a correspondence set
 with a chosen inlier fraction: inlier targets are the true motion applied
 to the source plus bounded Gaussian noise, outlier targets are resampled
-box points forced at least ``outlier_min_offset`` away from where the true
+box points forced at least ``OUTLIER_MIN_OFFSET`` away from where the true
 motion would put them.  Because the noise norm is capped at three sigma,
 a 3-sigma gate on residuals under the true motion recovers the planted
 labels exactly, which is what makes the generator usable as an oracle.
@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 NOISE_CAP_SIGMA = 3.0
+OUTLIER_MIN_OFFSET = 2.0        # meters off where the true motion maps the source
+POINT_SPACING = 2.0             # pitch of the trajectory world grid, meters
+Z_JITTER = 2.0                  # vertical jitter of that grid, meters
+FRAME_DT = 1.0                  # seconds between trajectory frames
+DESCRIPTOR_NOISE_SIGMA = 0.05   # per-frame noise of frame_descriptors
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:
@@ -80,7 +85,6 @@ class SceneSpec:
     true_motion: RigidMotion | None = None
     inlier_fraction: float = 0.3
     noise_sigma: float = 0.05
-    outlier_min_offset: float = 2.0
     descriptor_dim: int = 16
     quality_correlation: float = 0.7
     seed: int = 0
@@ -96,11 +100,11 @@ class SceneSpec:
             raise ValueError("the spec must plant at least 3 inliers")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be nonnegative")
-        if self.outlier_min_offset <= 2.0 * self.noise_sigma:
-            raise ValueError("outlier_min_offset must exceed twice noise_sigma")
-        if self.outlier_min_offset >= math.sqrt(3.0) * self.extent:
+        if OUTLIER_MIN_OFFSET <= 2.0 * self.noise_sigma:
+            raise ValueError("noise_sigma must be below half OUTLIER_MIN_OFFSET")
+        if OUTLIER_MIN_OFFSET >= math.sqrt(3.0) * self.extent:
             # every source point must have a reachable outlier target in the box
-            raise ValueError("outlier_min_offset is infeasible for this extent")
+            raise ValueError("extent is too small for OUTLIER_MIN_OFFSET")
         if self.descriptor_dim < 1:
             raise ValueError("descriptor_dim must be at least 1")
         if not 0.0 <= self.quality_correlation <= 1.0:
@@ -172,7 +176,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
         rng, int(labels.sum()), spec.noise_sigma)
     if outliers.any():
         dst[outliers] = apply(motion, _offset_targets(
-            rng, src[outliers], spec.extent, spec.outlier_min_offset))
+            rng, src[outliers], spec.extent, OUTLIER_MIN_OFFSET))
 
     src_desc = rng.standard_normal((n, spec.descriptor_dim))
     dst_desc = rng.standard_normal((n, spec.descriptor_dim))
@@ -203,20 +207,16 @@ class TrajectorySpec:
 
     ``yaw_step_deg`` is the heading change applied after each frame, either
     one value for all steps or a tuple of length n_frames - 1.  The world
-    is a jittered ground grid with pitch ``point_spacing`` and vertical
-    jitter ``z_jitter``; the jitter never exceeds a quarter pitch per axis,
-    so distinct world points stay at least half a pitch apart.
+    is a jittered ground grid with pitch ``POINT_SPACING`` and vertical
+    jitter ``Z_JITTER``; the jitter never exceeds a quarter pitch per axis,
+    so distinct world points stay at least half a pitch apart.  Frames are
+    ``FRAME_DT`` seconds apart.
     """
 
     n_frames: int = 10
     frame_spacing: float = 10.0
     yaw_step_deg: float | tuple[float, ...] = 0.0
-    frame_dt: float = 1.0
     sensor_range: float = 50.0
-    point_spacing: float = 2.0
-    z_jitter: float = 2.0
-    pitch_jitter_deg: float = 0.0
-    roll_jitter_deg: float = 0.0
     seed: int = 0
     sequence_id: str = "seq0"
 
@@ -225,14 +225,8 @@ class TrajectorySpec:
             raise ValueError("n_frames must be at least 2")
         if self.frame_spacing < 0.0:
             raise ValueError("frame_spacing must be nonnegative")
-        if self.frame_dt <= 0.0:
-            raise ValueError("frame_dt must be positive")
         if self.sensor_range <= 0.0:
             raise ValueError("sensor_range must be positive")
-        if self.point_spacing <= 0.0:
-            raise ValueError("point_spacing must be positive")
-        if self.z_jitter < 0.0 or self.pitch_jitter_deg < 0.0 or self.roll_jitter_deg < 0.0:
-            raise ValueError("jitter amplitudes must be nonnegative")
         steps = self.yaw_steps()
         if len(steps) != self.n_frames - 1:
             raise ValueError("yaw_step_deg tuple must have n_frames - 1 entries")
@@ -244,8 +238,7 @@ class TrajectorySpec:
 
     @classmethod
     def stationary(cls, n_frames: int = 5, **kw) -> "TrajectorySpec":
-        return cls(n_frames=n_frames, frame_spacing=0.0, yaw_step_deg=0.0,
-                   pitch_jitter_deg=0.0, roll_jitter_deg=0.0, **kw)
+        return cls(n_frames=n_frames, frame_spacing=0.0, yaw_step_deg=0.0, **kw)
 
     @classmethod
     def straight(cls, n_frames: int = 10, frame_spacing: float = 10.0,
@@ -255,8 +248,8 @@ class TrajectorySpec:
 
     @classmethod
     def uturn(cls, n_frames: int = 7, frame_spacing: float = 3.0,
-              turn_deg: float = 180.0, **kw) -> "TrajectorySpec":
-        step = turn_deg / (n_frames - 1)
+              **kw) -> "TrajectorySpec":
+        step = 180.0 / (n_frames - 1)
         return cls(n_frames=n_frames, frame_spacing=frame_spacing,
                    yaw_step_deg=step, **kw)
 
@@ -272,7 +265,7 @@ class TrajectorySpec:
 
 def _world_points(rng: np.random.Generator, positions: Points,
                   spec: TrajectorySpec) -> Points:
-    g = spec.point_spacing
+    g = POINT_SPACING
     margin = spec.sensor_range + g
     x_lo = positions[:, 0].min() - margin
     x_hi = positions[:, 0].max() + margin
@@ -285,7 +278,7 @@ def _world_points(rng: np.random.Generator, positions: Points,
     pts = np.empty((n, 3), dtype=np.float64)
     pts[:, 0] = gx.ravel() + rng.uniform(-g / 4.0, g / 4.0, n)
     pts[:, 1] = gy.ravel() + rng.uniform(-g / 4.0, g / 4.0, n)
-    pts[:, 2] = rng.uniform(-spec.z_jitter, spec.z_jitter, n) if spec.z_jitter > 0 else 0.0
+    pts[:, 2] = rng.uniform(-Z_JITTER, Z_JITTER, n)
     return pts
 
 
@@ -293,11 +286,10 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PosedFrame]:
     """Posed frames along a planar drive, clouds in sensor coordinates.
 
     Heading integrates the yaw steps; each frame advances along the current
-    heading before turning.  Pitch and roll jitter (when enabled) perturb
-    the pose only, keeping the trajectory near planar.
+    heading before turning; poses have zero pitch and roll.
     """
-    rng = np.random.default_rng(spec.seed)
-    world_rng, jitter_rng = rng.spawn(2)
+    # spawn's first child: a seed keeps the frames it has always given
+    world_rng = np.random.default_rng(spec.seed).spawn(1)[0]
 
     steps = spec.yaw_steps()
     yaw = np.zeros(spec.n_frames)
@@ -308,37 +300,32 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PosedFrame]:
         positions[i] = positions[i - 1] + spec.frame_spacing * np.array(
             [math.cos(h), math.sin(h), 0.0])
 
-    pitch = jitter_rng.uniform(-spec.pitch_jitter_deg, spec.pitch_jitter_deg,
-                               spec.n_frames) if spec.pitch_jitter_deg > 0 else np.zeros(spec.n_frames)
-    roll = jitter_rng.uniform(-spec.roll_jitter_deg, spec.roll_jitter_deg,
-                              spec.n_frames) if spec.roll_jitter_deg > 0 else np.zeros(spec.n_frames)
-
     world = _world_points(world_rng, positions, spec)
 
     frames: list[PosedFrame] = []
     for i in range(spec.n_frames):
         pose = RigidMotion(
-            rotation=from_euler(EulerAngles(roll=float(roll[i]),
-                                            pitch=float(pitch[i]),
+            rotation=from_euler(EulerAngles(roll=0.0, pitch=0.0,
                                             yaw=float(yaw[i]))),
             translation=positions[i])
         planar = np.linalg.norm(world[:, :2] - positions[i, :2], axis=1)
         visible = world[planar <= spec.sensor_range]
         frames.append(PosedFrame(sequence_id=spec.sequence_id,
                                  frame_index=i,
-                                 timestamp=i * spec.frame_dt,
+                                 timestamp=i * FRAME_DT,
                                  pose=pose,
                                  cloud=apply(inverse(pose), visible)))
     return frames
 
 
-def frame_descriptors(frames, dim: int = 16, noise_sigma: float = 0.05,
+def frame_descriptors(frames, dim: int = 16,
                       seed: int = 0) -> list[NDArray[F64]]:
     """Per-frame descriptors consistent across frames.
 
     A point's descriptor is a fixed affine image of its world coordinates
-    plus per-frame noise, so the same world point seen from two frames
-    yields nearby rows and feature matching can recover shared points.
+    plus per-frame noise of sigma ``DESCRIPTOR_NOISE_SIGMA``, so the same
+    world point seen from two frames yields nearby rows and feature
+    matching can recover shared points.
     """
     frames = list(frames)
     rng = np.random.default_rng(seed)
@@ -347,6 +334,6 @@ def frame_descriptors(frames, dim: int = 16, noise_sigma: float = 0.05,
     out: list[NDArray[F64]] = []
     for frame, child in zip(frames, rng.spawn(len(frames))):
         world = apply(frame.pose, frame.cloud)
-        out.append(world @ a.T + b + noise_sigma * child.standard_normal(
+        out.append(world @ a.T + b + DESCRIPTOR_NOISE_SIGMA * child.standard_normal(
             (len(world), dim)))
     return out

@@ -9,6 +9,7 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.stats import chisquare
 
+import lidarreg.benchgen as benchgen_module
 from lidarreg.benchgen import (
     CandidatePair,
     PosedFrame,
@@ -405,14 +406,14 @@ def test_every_record_lies_within_radius_of_its_draw():
         assert np.linalg.norm(c - draw) <= cfg.r + 1e-12
 
 
-def test_low_overlap_candidates_never_selected():
+def test_low_overlap_candidates_never_selected(monkeypatch):
+    monkeypatch.setattr(benchgen_module, "_ATTEMPT_FACTOR", 50)
     pool = _uniform_pool(np.random.default_rng(11), 60)
     starved = [CandidatePair(src=c.src, tgt=c.tgt, motion=c.motion,
                              overlap=0.1, dt=c.dt, distance=c.distance)
                for c in pool[:30]]
     res = select_balanced(starved + pool[30:],
-                          SelectorConfig(target_count=30, r=0.5, seed=4,
-                                         attempt_factor=50))
+                          SelectorConfig(target_count=30, r=0.5, seed=4))
     good = {(c.src.sequence_id, c.src.frame_index) for c in pool[30:]}
     assert all((r.sequence_id, r.src) in good for r in res.records)
 
@@ -441,11 +442,11 @@ def test_identical_sequences_end_balanced():
     assert abs(counts["a"] - counts["b"]) <= 1
 
 
-def test_exhaustion_warns_and_flags():
+def test_exhaustion_warns_and_flags(monkeypatch):
+    monkeypatch.setattr(benchgen_module, "_ATTEMPT_FACTOR", 5)
     pool = _pool_from_descriptors(np.tile([1.0, 0, 0, 0, 0, 0], (3, 1)))
     with pytest.warns(RuntimeWarning):
-        res = select_balanced(pool, SelectorConfig(target_count=10, r=1.0,
-                                                   seed=7, attempt_factor=5))
+        res = select_balanced(pool, SelectorConfig(target_count=10, r=1.0, seed=7))
     assert res.exhausted
     assert len(res.records) == 3
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from lidarreg import cli
@@ -119,3 +121,10 @@ def test_infinite_gpf_budget_exits_2_naming_the_flag(scene_dir, tmp_path,
     assert _register(scene_dir, tmp_path / "out.jsonl", "--gpf", "inf") == 2
     assert "gpf: phi must be positive and finite" in capsys.readouterr().err
     assert configs == []
+
+
+def test_gpf_budget_past_the_float_range_keeps_every_match(scene_dir, tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert _register(scene_dir, out, "--gpf", "1e308", "--refine", "none") == 0
+    row = json.loads(out.read_text())
+    assert row["n_filtered"] == row["n_corrs"] == 300

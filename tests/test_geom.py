@@ -199,47 +199,6 @@ def test_voxel_rejects_bad_size():
 # spatial index vs. brute force
 # ---------------------------------------------------------------------------
 
-def _brute_knn(points: np.ndarray, q: np.ndarray, k: int):
-    d = np.sqrt(np.sum((points - q) ** 2, axis=1))
-    order = np.lexsort((np.arange(len(points)), d))[:k]
-    return d[order], order
-
-
-def test_knn_matches_brute_force_random():
-    rng = np.random.default_rng(10)
-    pts = rng.uniform(-4.0, 4.0, size=(300, 3))
-    index = SpatialIndex(pts)
-    queries = rng.uniform(-4.0, 4.0, size=(50, 3))
-    for k in (1, 3, 7):
-        d, i = index.knn(queries, k=k)
-        for row, q in enumerate(queries):
-            bd, bi = _brute_knn(pts, q, k)
-            assert np.array_equal(i[row], bi)
-            assert np.array_equal(d[row], bd)
-
-
-def test_knn_tie_break_by_lowest_index_on_grid():
-    # integer grid makes distance ties exact
-    g = np.arange(4)
-    pts = np.array([[x, y, z] for x in g for y in g for z in g], dtype=float)
-    index = SpatialIndex(pts)
-    queries = pts[[0, 7, 21, 33, 63]] + 0.5  # centers between 8 grid points
-    for k in (1, 2, 4, 8):
-        d, i = index.knn(queries, k=k)
-        for row, q in enumerate(queries):
-            bd, bi = _brute_knn(pts, q, k)
-            assert np.array_equal(i[row], bi), (k, row)
-            assert np.array_equal(d[row], bd)
-
-
-def test_knn_duplicate_points_tie_break():
-    pts = np.array([[1.0, 1.0, 1.0]] * 5 + [[2.0, 2.0, 2.0]] * 3)
-    index = SpatialIndex(pts)
-    d, i = index.knn(np.array([[1.0, 1.0, 1.0]]), k=6)
-    assert list(i[0][:5]) == [0, 1, 2, 3, 4]
-    assert i[0][5] == 5
-
-
 def test_radius_query_matches_brute_force():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2.0, 2.0, size=(200, 3))
@@ -413,9 +372,21 @@ def test_nearest_within_r_duplicate_points_lowest_index_wins():
     assert np.array_equal(d, bd) and np.array_equal(i, bi)
 
 
-def test_knn_k_capped_at_index_size():
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def test_nearest_tie_break_by_lowest_index_on_grid():
+    # integer grid makes distance ties exact
+    g = np.arange(4)
+    pts = np.array([[x, y, z] for x in g for y in g for z in g], dtype=float)
     index = SpatialIndex(pts)
-    d, i = index.knn(np.array([[0.2, 0.0, 0.0]]), k=10)
-    assert i.shape == (1, 2)
-    assert list(i[0]) == [0, 1]
+    queries = pts[[0, 7, 21, 33, 63]] + 0.5  # centers between 8 grid points
+    d, i = index.nearest(queries)
+    bd, bi = _brute_nearest(pts, queries, np.inf)
+    assert np.array_equal(i, bi) and np.array_equal(d, bd)
+
+
+def test_nearest_on_a_one_point_index():
+    index = SpatialIndex(np.array([[1.0, 0.0, 0.0]]))
+    d, i = index.nearest(np.array([[0.2, 0.0, 0.0], [4.0, 0.0, 0.0]]), 1.0)
+    assert i.tolist() == [0, -1]
+    assert d[0] == 0.8 and d[1] == np.inf
+    d, i = index.nearest(np.array([1.0, 0.0, 3.0]))
+    assert i.tolist() == [0] and d.tolist() == [3.0]

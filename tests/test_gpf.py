@@ -92,9 +92,12 @@ def test_target_count_floor_of_one():
     assert target_count(c, GpfConfig(phi=0.2)) == 1
 
 
-def test_target_count_absolute_override():
-    c = make_corrs(50, is_mnn=np.zeros(50, dtype=bool))
-    assert target_count(c, GpfConfig(phi=2.0, r_abs=2000)) == 2000
+def test_target_count_that_overflows_keeps_every_match():
+    c = make_corrs(1000, is_mnn=np.arange(1000) < 800)
+    assert target_count(c, GpfConfig(phi=1e308)) == 1000
+    assert len(gpf(np.zeros((1000, 3)), c, GpfConfig(phi=1e308))) == 1000
+    # a finite product is still rounded, however far past len(corrs)
+    assert target_count(c, GpfConfig(phi=1e300)) == int(np.floor(800e300 + 0.5))
 
 
 def test_target_count_no_mnn_is_an_error():
@@ -108,8 +111,6 @@ def test_config_validation():
         GpfConfig(grid_m=0)
     with pytest.raises(ValueError):
         GpfConfig(phi=0.0)
-    with pytest.raises(ValueError):
-        GpfConfig(r_abs=0)
 
 
 @pytest.mark.parametrize("phi", [np.inf, np.nan])

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lidarreg.gpf import GpfConfig
 from lidarreg.icp import IcpConfig
-from lidarreg.match import Correspondences, mnn_filter
+from lidarreg.match import match_features, mnn_filter
 from lidarreg.metrics import rotation_error, translation_error
-from lidarreg.pipeline import PipelineConfig, register_pair, run_pipeline
+from lidarreg.pipeline import PipelineConfig, register_pair
 from lidarreg.ransac import RansacConfig
 from lidarreg.synth import SceneSpec, generate_scene
 
@@ -22,10 +24,15 @@ def _scene(seed: int = 0, **kw):
     return generate_scene(SceneSpec(**defaults))
 
 
-def test_run_pipeline_recovers_planted_motion():
+def _register(scene, cfg):
+    return register_pair(scene.src, scene.dst, scene.src_desc,
+                         scene.dst_desc, cfg)
+
+
+def test_register_pair_recovers_planted_motion():
     scene = _scene(seed=11)
     cfg = PipelineConfig(ransac=_FAST_RANSAC)
-    result = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
+    result = _register(scene, cfg)
     gt = scene.true_motion
     assert rotation_error(result.final.rotation, gt.rotation) < 0.5
     assert translation_error(result.final.translation, gt.translation) < 0.1
@@ -34,7 +41,7 @@ def test_run_pipeline_recovers_planted_motion():
 def test_refine_none_leaves_refined_fields_empty():
     scene = _scene(seed=1)
     cfg = PipelineConfig(refine="none", ransac=_FAST_RANSAC)
-    result = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
+    result = _register(scene, cfg)
     assert result.refined is None
     assert result.icp is None
     assert result.refined_time is None
@@ -44,7 +51,7 @@ def test_refine_none_leaves_refined_fields_empty():
 def test_final_prefers_refined_when_present():
     scene = _scene(seed=2)
     cfg = PipelineConfig(ransac=_FAST_RANSAC)
-    result = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
+    result = _register(scene, cfg)
     assert result.refined is not None
     assert result.final is result.refined
     assert result.refined_time is not None and result.refined_time > 0.0
@@ -54,8 +61,8 @@ def test_filter_none_keeps_every_correspondence():
     scene = _scene(seed=3)
     cfg = PipelineConfig(correspondence_filter="none", refine="none",
                          ransac=_FAST_RANSAC)
-    result = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
-    assert result.corrs_total == len(scene.corrs.src)
+    result = _register(scene, cfg)
+    assert result.corrs_total == len(scene.src)
     assert result.corrs_kept == result.corrs_total
 
 
@@ -63,8 +70,9 @@ def test_filter_mnn_keeps_exactly_the_mutual_matches():
     scene = _scene(seed=4)
     cfg = PipelineConfig(correspondence_filter="mnn", refine="none",
                          ransac=_FAST_RANSAC)
-    result = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
-    assert result.corrs_kept == len(mnn_filter(scene.corrs).src)
+    result = _register(scene, cfg)
+    corrs = match_features(scene.src_desc, scene.dst_desc)
+    assert result.corrs_kept == len(mnn_filter(corrs).src)
     assert result.corrs_kept < result.corrs_total
 
 
@@ -72,20 +80,48 @@ def test_gpf_filter_trims_the_set():
     scene = _scene(seed=5)
     cfg = PipelineConfig(correspondence_filter="gpf", refine="none",
                          gpf=GpfConfig(phi=0.5), ransac=_FAST_RANSAC)
-    result = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
+    result = _register(scene, cfg)
     assert 0 < result.corrs_kept < result.corrs_total
 
 
-def test_gpf_without_mutual_pairs_warns_and_keeps_all():
-    scene = _scene(seed=6)
-    c = scene.corrs
-    corrs = Correspondences(src=c.src, dst=c.dst, feat_dist=c.feat_dist,
-                            ratio=c.ratio,
-                            is_mnn=np.zeros(len(c.src), dtype=bool))
-    cfg = PipelineConfig(refine="none", ransac=_FAST_RANSAC)
-    with pytest.warns(RuntimeWarning, match="no mutual matches"):
-        result = run_pipeline(scene.src, scene.dst, corrs, cfg)
-    assert result.corrs_kept == result.corrs_total
+def _mixed_scales(rng):
+    a = rng.normal(size=(60, 4))
+    a[::3] *= 1e30
+    a[1::3] *= 1e-30
+    return a
+
+
+def _grid_near_1000(rng):
+    g = 1000.0 + 1e-3 * np.stack(np.meshgrid(*[np.arange(5)] * 3), -1).reshape(-1, 3)
+    return g[rng.permutation(len(g))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.normal(size=(80, 8)),
+    lambda rng: np.zeros((40, 6)),
+    _grid_near_1000,
+    lambda rng: np.repeat(rng.normal(size=(3, 5)), [7, 11, 5], axis=0),
+    _mixed_scales,
+], ids=["random", "all-zero", "grid-near-1000", "repeated-rows", "mixed-scales"])
+def test_matching_always_gives_a_mutual_pair(make):
+    # the least distance's lowest (source, target) row pair is mutual, so
+    # the GPF budget, which scales the mutual count, is always defined
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a, b = make(rng), make(rng)
+        assert match_features(a, b).is_mnn.any()
+        assert match_features(a, a[rng.permutation(len(a))]).is_mnn.any()
+
+
+def test_gpf_on_all_zero_descriptors_runs_without_warnings():
+    scene = _scene(seed=6, n_points=200)
+    zeros = np.zeros_like(scene.src_desc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = register_pair(scene.src, scene.dst, zeros, zeros,
+                               PipelineConfig(refine="none", ransac=RansacConfig(
+                                   max_iterations=1000, seed=0)))
+    assert 0 < result.corrs_kept < result.corrs_total
 
 
 def test_register_pair_matches_descriptors_itself():
@@ -102,8 +138,7 @@ def test_register_pair_matches_descriptors_itself():
 def test_pipeline_is_deterministic_for_a_fixed_seed():
     scene = _scene(seed=8)
     cfg = PipelineConfig(ransac=RansacConfig(seed=21))
-    a = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
-    b = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
+    a, b = _register(scene, cfg), _register(scene, cfg)
     assert np.array_equal(a.final.rotation, b.final.rotation)
     assert np.array_equal(a.final.translation, b.final.translation)
     assert a.ransac.iterations_run == b.ransac.iterations_run
@@ -115,7 +150,7 @@ def test_icp_stage_tightens_the_coarse_estimate():
         scene = _scene(seed=100 + seed)
         cfg = PipelineConfig(ransac=_FAST_RANSAC,
                              icp=IcpConfig(threshold=0.6))
-        result = run_pipeline(scene.src, scene.dst, scene.corrs, cfg)
+        result = _register(scene, cfg)
         gt = scene.true_motion
         te_coarse = translation_error(result.coarse.translation, gt.translation)
         te_refined = translation_error(result.refined.translation, gt.translation)

@@ -110,18 +110,6 @@ def test_kabsch_agrees_with_quaternion_method_noisy():
         assert np.allclose(got.translation, t_o, atol=1e-8)
 
 
-def test_kabsch_weighted_equals_repeated_points():
-    rng = np.random.default_rng(3)
-    p = rng.normal(size=(5, 3)) * 4.0
-    q = apply(random_motion(rng), p) + rng.normal(scale=0.1, size=(5, 3))
-    w = np.array([3.0, 1.0, 2.0, 1.0, 1.0])
-    weighted = kabsch(p, q, weights=w)
-    reps = np.repeat(np.arange(5), w.astype(int))
-    repeated = kabsch(p[reps], q[reps])
-    assert np.allclose(weighted.rotation, repeated.rotation, atol=1e-12)
-    assert np.allclose(weighted.translation, repeated.translation, atol=1e-12)
-
-
 def test_kabsch_output_is_proper_rotation():
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -146,8 +134,6 @@ def test_kabsch_input_validation():
         kabsch(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         kabsch(np.zeros((3, 3)), np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        kabsch(np.eye(3), np.eye(3), weights=np.array([-1.0, 1.0, 1.0]))
 
 
 def random_triangle_pairs(rng, count):
@@ -388,7 +374,7 @@ def test_lo_never_decreases_inlier_count():
     count, mask = count_inliers(truth, corrs, src, dst, 0.6)
     start = Hypothesis(truth, count, mask)
     for seed in range(5):
-        out = _lo_step(start, src[corrs.src], dst[corrs.dst], 0.6, 10,
+        out = _lo_step(start, src[corrs.src], dst[corrs.dst], 0.6,
                        np.random.default_rng(seed))
         assert out.inlier_count >= start.inlier_count
 
@@ -401,7 +387,7 @@ def test_lo_improves_a_perturbed_hypothesis():
     count, mask = count_inliers(wobble, corrs, src, dst, 0.6)
     assert count > 4
     out = _lo_step(Hypothesis(wobble, count, mask), src[corrs.src], dst[corrs.dst],
-                   0.6, 30, np.random.default_rng(0))
+                   0.6, np.random.default_rng(0))
     best_possible, _ = count_inliers(truth, corrs, src, dst, 0.6)
     assert out.inlier_count >= int(0.95 * best_possible)
     assert out.inlier_count > count
@@ -498,6 +484,7 @@ def two_motion_start(seed):
 
 @pytest.mark.parametrize("inner_iters", [50, 150])
 def test_lo_equals_kabsch_replay_of_its_own_draws(inner_iters, monkeypatch):
+    monkeypatch.setattr(ransac_module, "_LO_INNER_ITERS", inner_iters)
     drawn = []
     subsets = ransac_module._lo_subsets
 
@@ -511,7 +498,7 @@ def test_lo_equals_kabsch_replay_of_its_own_draws(inner_iters, monkeypatch):
     cases = [(lo_start(s), s) for s in range(4)] + [(two_motion_start(1), 2)]
     for (start, a, b), seed in cases:
         drawn.clear()
-        got = _lo_step(start, a, b, 0.6, inner_iters, np.random.default_rng(seed))
+        got = _lo_step(start, a, b, 0.6, np.random.default_rng(seed))
         picks = np.concatenate(drawn)
         assert len(picks) == inner_iters
         assert np.isin(picks, np.flatnonzero(start.inlier_mask)).all()
@@ -522,18 +509,6 @@ def test_lo_equals_kabsch_replay_of_its_own_draws(inner_iters, monkeypatch):
         assert np.abs(got.motion.rotation - want.motion.rotation).max() <= 1e-9
         assert np.abs(got.motion.translation - want.motion.translation).max() <= 1e-9
     assert skipped > 0                # degenerate samples were met and skipped
-
-
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_lo_result_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    cases = [(lo_start(s), s) for s in range(4)] + [(two_motion_start(1), 2)]
-    for (start, a, b), seed in cases:
-        want = _lo_step(start, a, b, 0.6, 50, np.random.default_rng(seed))
-        with monkeypatch.context() as m:
-            m.setattr(ransac_module, "_LO_CHUNK", chunk)
-            got = _lo_step(start, a, b, 0.6, 50, np.random.default_rng(seed))
-        assert got.inlier_count == want.inlier_count, seed
-        assert np.array_equal(got.inlier_mask, want.inlier_mask), seed
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +666,9 @@ def one_at_a_time(src, dst, corrs, cfg, rows):
         mask = d <= cfg.inlier_threshold
         if mask.sum() > best.inlier_count:
             best = Hypothesis(motion, int(mask.sum()), mask)
-            if cfg.use_lo and lo_rounds < cfg.lo_max_rounds:
+            if cfg.use_lo and lo_rounds < ransac_module._LO_MAX_ROUNDS:
                 lo_rounds += 1
-                best = _lo_step(best, a, b, cfg.inlier_threshold,
-                                cfg.lo_inner_iters, lo_rng)
+                best = _lo_step(best, a, b, cfg.inlier_threshold, lo_rng)
             history.append((t, best.inlier_count))
             required = required_iterations(cfg.confidence, best.inlier_count / n,
                                            max_iterations=cfg.max_iterations)
@@ -714,7 +688,10 @@ def test_engine_matches_the_one_at_a_time_loop_on_its_draws(frac, monkeypatch):
 
     monkeypatch.setattr(ProsacSampler, "sample_block",
                         recording(ProsacSampler.sample_block))
-    for seed in range(2):
+    # seed 1 allows one local-optimization round, so the cap binds where
+    # the default would run two
+    for seed, lo_cap in ((0, ransac_module._LO_MAX_ROUNDS), (1, 1)):
+        monkeypatch.setattr(ransac_module, "_LO_MAX_ROUNDS", lo_cap)
         src, dst, corrs, labels, truth = make_planted(
             np.random.default_rng([seed, 22]), n=300, frac=frac, sigma=0.2)
         for max_iterations in (3000, _BLOCK + 1):

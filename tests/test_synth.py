@@ -13,6 +13,7 @@ from lidarreg.geom import RigidMotion, apply, compose, inverse
 from lidarreg.match import match_features, mnn_filter
 from lidarreg.ransac import _residuals, kabsch
 from lidarreg.synth import (
+    OUTLIER_MIN_OFFSET,
     Scene,
     SceneSpec,
     TrajectorySpec,
@@ -73,12 +74,11 @@ def test_fixed_true_motion_is_respected():
 
 
 def test_inlier_residuals_capped_and_outliers_floored():
-    spec = SceneSpec(n_points=1500, inlier_fraction=0.4, noise_sigma=0.1,
-                     outlier_min_offset=2.0, seed=9)
+    spec = SceneSpec(n_points=1500, inlier_fraction=0.4, noise_sigma=0.1, seed=9)
     scene = generate_scene(spec)
     res = np.linalg.norm(apply(scene.true_motion, scene.src) - scene.dst, axis=1)
     assert res[scene.inlier_labels].max() <= 3.0 * spec.noise_sigma + 1e-12
-    assert res[~scene.inlier_labels].min() >= spec.outlier_min_offset - 1e-9
+    assert res[~scene.inlier_labels].min() >= OUTLIER_MIN_OFFSET - 1e-9
 
 
 def test_three_sigma_gate_recovers_planted_labels_exactly():
@@ -157,8 +157,8 @@ def test_quality_correlation_strengthens_rank_signal():
     dict(n_points=10, inlier_fraction=0.1),
     dict(inlier_fraction=1.5),
     dict(noise_sigma=-0.1),
-    dict(noise_sigma=1.5, outlier_min_offset=2.0),
-    dict(extent=1.0, outlier_min_offset=2.0),
+    dict(noise_sigma=1.5),
+    dict(extent=1.0),
     dict(quality_correlation=1.2),
     dict(descriptor_dim=0),
 ])
@@ -247,7 +247,7 @@ def test_trajectory_determinism_and_frame_metadata():
 def test_frame_descriptors_support_feature_matching():
     frames = generate_trajectory(TrajectorySpec.straight(
         n_frames=2, frame_spacing=10.0, seed=12))
-    descs = frame_descriptors(frames, dim=8, noise_sigma=0.05, seed=1)
+    descs = frame_descriptors(frames, dim=8, seed=1)
     corrs = mnn_filter(match_features(descs[0], descs[1]))
     gt = compose(inverse(frames[1].pose), frames[0].pose)
     moved = apply(gt, frames[0].cloud[corrs.src])
@@ -260,8 +260,8 @@ def test_frame_descriptors_support_feature_matching():
 @pytest.mark.parametrize("kw", [
     dict(n_frames=1),
     dict(n_frames=4, yaw_step_deg=(1.0, 2.0)),
-    dict(n_frames=3, frame_dt=0.0),
-    dict(n_frames=3, point_spacing=0.0),
+    dict(n_frames=3, frame_spacing=-1.0),
+    dict(n_frames=3, sensor_range=0.0),
     dict(n_frames=3, sensor_range=-1.0),
 ])
 def test_trajectory_spec_validation(kw):
