@@ -45,6 +45,7 @@ from .io import (
     read_jsonl,
     read_pair_list,
     read_poses,
+    read_times,
     write_cloud_bin,
     write_cloud_ply,
     write_descriptors,
@@ -52,6 +53,7 @@ from .io import (
     write_jsonl,
     write_pair_list,
     write_poses,
+    write_times,
 )
 from .match import Correspondences, match_features, mnn_filter
 from .metrics import (
@@ -70,7 +72,6 @@ from .metrics import (
 from .pipeline import PairResult, PipelineConfig, register_pair
 from .ransac import (
     DegenerateSampleError,
-    ProsacSampler,
     RansacConfig,
     RegistrationResult,
     elc_check,
@@ -96,8 +97,8 @@ __all__ = [
     "DegenerateSampleError", "EulerAngles", "FailureHistogram",
     "FormatError", "GimbalLockError", "GpfConfig", "Histogram", "IcpConfig",
     "IcpResult", "MotionDescriptor6", "NoMnnPairsError", "PairRecord",
-    "PairResult", "PipelineConfig", "PosedFrame", "ProsacSampler",
-    "RansacConfig", "RegistrationResult", "RigidMotion", "Scene", "SceneSpec",
+    "PairResult", "PipelineConfig", "PosedFrame", "RansacConfig",
+    "RegistrationResult", "RigidMotion", "Scene", "SceneSpec",
     "SelectionResult", "SelectorConfig", "SpatialIndex", "TrajectorySpec",
     "alignment_motion", "apply", "build_candidate_pool", "compose",
     "elc_check", "failure_histogram",
@@ -107,11 +108,11 @@ __all__ = [
     "motion_descriptor", "normalize_motions", "overlap", "priority_order",
     "quota_search", "random_motion", "random_rotation", "ransac_register",
     "read_cloud_bin", "read_cloud_ply", "read_config", "read_descriptors",
-    "read_jsonl", "read_pair_list", "read_poses", "recall",
+    "read_jsonl", "read_pair_list", "read_poses", "read_times", "recall",
     "register_pair", "required_iterations", "rotation_error",
     "rotation_is_valid", "select_balanced",
     "set_distribution_report", "to_euler",
     "translation_error", "voxel_downsample", "write_cloud_bin",
     "write_cloud_ply", "write_descriptors", "write_histogram_csv",
-    "write_jsonl", "write_pair_list", "write_poses",
+    "write_jsonl", "write_pair_list", "write_poses", "write_times",
 ]

@@ -144,20 +144,17 @@ def motion_descriptor(pose_src: RigidMotion, pose_tgt: RigidMotion) -> MotionDes
                              roll=e.roll, pitch=e.pitch, yaw=e.yaw)
 
 
-def overlap(src: Points, tgt: Points | SpatialIndex, gt: RigidMotion,
-            tau: float) -> float:
+def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
     """Fraction of source points with a target neighbor within tau after gt.
 
-    Asymmetric by construction (source side only).  ``tgt`` may be a
-    prebuilt index of the target cloud.
+    Asymmetric by construction (source side only).
     """
     src = np.asarray(src, dtype=np.float64)
     if len(src) == 0 or len(tgt) == 0:
         raise ValueError("overlap needs two nonempty clouds")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    index = tgt if isinstance(tgt, SpatialIndex) else SpatialIndex(tgt)
-    return float(np.mean(index.within(apply(gt, src), tau)))
+    return float(np.mean(SpatialIndex(tgt).within(apply(gt, src), tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +171,12 @@ def _sphere(points: Points) -> tuple[NDArray[F64], float]:
 def _near_sources(centers: NDArray[F64], radii: NDArray[F64],
                   sources: NDArray[np.int64], ti: int, tau: float) -> NDArray[np.int64]:
     # the sources whose world-frame bounding sphere comes within tau of
-    # target ti's: clouds whose spheres clear tau apart cannot overlap at all
-    limit = radii[sources] + radii[ti] + tau
+    # target ti's: clouds whose spheres clear tau apart cannot overlap at
+    # all.  The pad keeps a pair that rounding puts just past the limit;
+    # _overlaps then decides every kept pair exactly.
+    limit = _pad(radii[sources] + radii[ti] + tau)
     dist = np.sqrt(np.sum((centers[sources] - centers[ti]) ** 2, axis=1))
-    keep = dist <= limit
-    # this sum may round apart from the dot product inside np.linalg.norm,
-    # so near-boundary pairs are decided by the scalar test itself
-    for j in np.flatnonzero(np.abs(dist - limit) <= 1e-9 * limit):
-        si = sources[j]
-        keep[j] = not np.linalg.norm(centers[si] - centers[ti]) \
-            > radii[si] + radii[ti] + tau
-    return sources[keep & (sources != ti)]
+    return sources[(dist <= limit) & (sources != ti)]
 
 
 def _overlaps(srcs: list[PosedFrame], tgt: PosedFrame, tau: float, min_overlap: float) -> NDArray[F64]:

@@ -42,12 +42,14 @@ from .io import (
     read_jsonl,
     read_pair_list,
     read_poses,
+    read_times,
     write_cloud_ply,
     write_descriptors,
     write_histogram_csv,
     write_jsonl,
     write_pair_list,
     write_poses,
+    write_times,
 )
 from .metrics import (
     DEFAULT_BIN_EDGES,
@@ -130,10 +132,6 @@ def _motion_reals(m: RigidMotion) -> list[float]:
     return [float(v) for v in m.matrix34().ravel()]
 
 
-def _motion_from_list(reals) -> RigidMotion:
-    return RigidMotion.from_matrix34(np.asarray(reals, dtype=np.float64).reshape(3, 4))
-
-
 def _merge_register_options(args: argparse.Namespace) -> dict[str, object]:
     merged = dict(_REGISTER_DEFAULTS)
     if args.config is not None:
@@ -189,8 +187,7 @@ def _stage_dict(est: RigidMotion, gt: RigidMotion | None,
 
 
 def _register_job(job: tuple) -> dict:
-    (meta, src_path, dst_path, sdesc_path, ddesc_path,
-     gt_reals, cfg, timing) = job
+    meta, src_path, dst_path, sdesc_path, ddesc_path, gt, cfg, timing = job
     src = _read_cloud(src_path)
     dst = _read_cloud(dst_path)
     src_desc = read_descriptors(sdesc_path)
@@ -203,7 +200,6 @@ def _register_job(job: tuple) -> dict:
                                       f"{len(dst)}-point cloud")
 
     result = register_pair(src, dst, src_desc, dst_desc, cfg)
-    gt = _motion_from_list(gt_reals) if gt_reals is not None else None
 
     row = dict(meta)
     row.update(
@@ -213,13 +209,13 @@ def _register_job(job: tuple) -> dict:
         rejected_fast=result.ransac.hypotheses_rejected_fast,
         lo_rounds=result.ransac.lo_rounds,
         converged_by=result.ransac.converged_by,
-        est_coarse=_motion_reals(result.coarse),
-        coarse=_stage_dict(result.coarse, gt, result.coarse_time, timing))
+        est_coarse=_motion_reals(result.ransac.motion),
+        coarse=_stage_dict(result.ransac.motion, gt, result.coarse_time, timing))
     if gt is not None:
-        row["gt"] = list(gt_reals)
-    if result.refined is not None:
-        row["est_refined"] = _motion_reals(result.refined)
-        row["refined"] = _stage_dict(result.refined, gt,
+        row["gt"] = _motion_reals(gt)
+    if result.icp is not None:
+        row["est_refined"] = _motion_reals(result.icp.motion)
+        row["refined"] = _stage_dict(result.icp.motion, gt,
                                      result.refined_time, timing)
     return row
 
@@ -242,13 +238,12 @@ def _emit_rows(rows, out_path) -> None:
 
 def _pair_meta(record: PairRecord) -> dict:
     meta = {"sequence_id": record.sequence_id, "src": record.src,
-            "tgt": record.tgt, "overlap": float(record.overlap),
-            "dt": float(record.dt), "distance": float(record.distance)}
-    try:
-        e = record.euler()
-        meta.update(roll=e.roll, pitch=e.pitch, yaw=e.yaw)
-    except GimbalLockError:
-        pass
+            "tgt": record.tgt}
+    for name in DEFAULT_BIN_EDGES:
+        try:
+            meta[name] = float(record.parameter(name))
+        except GimbalLockError:
+            pass    # at gimbal lock no angle is defined
     return meta
 
 
@@ -271,15 +266,15 @@ def _cmd_register(args: argparse.Namespace) -> int:
             print(f"error: --{missing[0].replace('_', '-')} is required "
                   "with --src", file=sys.stderr)
             return 2
-        gt_reals = None
+        gt = None
         if args.gt_pose is not None:
             poses = read_poses(args.gt_pose)
             if not poses:
                 raise FormatError(args.gt_pose, "no pose line")
-            gt_reals = _motion_reals(poses[0])
+            gt = poses[0]
         meta = {"sequence_id": "pair", "src": 0, "tgt": 1}
         jobs.append((meta, args.src, args.dst, args.src_desc, args.dst_desc,
-                     gt_reals, cfg, timing))
+                     gt, cfg, timing))
     else:
         if args.cloud_dir is None or args.desc_dir is None:
             print("error: --cloud-dir and --desc-dir are required with --pairs",
@@ -294,8 +289,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
                      desc / args.desc_pattern.format(seq=rec.sequence_id, frame=rec.src),
                      desc / args.desc_pattern.format(seq=rec.sequence_id, frame=rec.tgt)]
             seed = _pair_seed(cfg.ransac.seed, i)
-            jobs.append((_pair_meta(rec), *map(str, paths),
-                         _motion_reals(rec.motion),
+            jobs.append((_pair_meta(rec), *map(str, paths), rec.motion,
                          replace(cfg, ransac=replace(cfg.ransac, seed=seed)),
                          timing))
 
@@ -314,20 +308,6 @@ def _cmd_register(args: argparse.Namespace) -> int:
 # benchgen
 # ---------------------------------------------------------------------------
 
-def _read_times(path: Path, n: int) -> list[float]:
-    try:
-        tokens = path.read_text(encoding="ascii").split()
-    except OSError as e:
-        raise FormatError(path, f"unreadable: {e.strerror}") from e
-    try:
-        times = [float(t) for t in tokens]
-    except ValueError as e:
-        raise FormatError(path, f"bad timestamp: {e}") from e
-    if len(times) != n:
-        raise FormatError(path, f"{len(times)} timestamps for {n} poses")
-    return times
-
-
 def _load_sequences(args: argparse.Namespace):
     from .benchgen import PosedFrame
 
@@ -340,8 +320,11 @@ def _load_sequences(args: argparse.Namespace):
         seq = pf.stem
         poses = read_poses(pf)
         times_file = pose_dir / f"{seq}.times"
-        times = _read_times(times_file, len(poses)) if times_file.exists() \
+        times = read_times(times_file) if times_file.exists() \
             else [float(i) for i in range(len(poses))]
+        if len(times) != len(poses):
+            raise FormatError(times_file, f"{len(times)} timestamps for "
+                                          f"{len(poses)} poses")
         frames = []
         for i, pose in enumerate(poses):
             cloud_path = Path(args.cloud_dir) / args.cloud_pattern.format(
@@ -485,10 +468,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         write_descriptors(out / DEFAULT_DESC_PATTERN.format(
             seq=spec.sequence_id, frame=frame.frame_index), desc)
     write_poses(out / f"{spec.sequence_id}.poses", [f.pose for f in frames])
-    with open(out / f"{spec.sequence_id}.times", "w", encoding="ascii",
-              newline="\n") as f:
-        for frame in frames:
-            f.write(repr(float(frame.timestamp)) + "\n")
+    write_times(out / f"{spec.sequence_id}.times", [f.timestamp for f in frames])
     return 0
 
 

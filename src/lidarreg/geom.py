@@ -55,11 +55,6 @@ class RigidMotion:
         """Row-major 3x4 [R | t] block."""
         return np.hstack([self.rotation, self.translation.reshape(3, 1)])
 
-    @staticmethod
-    def from_matrix34(m: NDArray[F64]) -> "RigidMotion":
-        m = _as_f64(m).reshape(3, 4)
-        return RigidMotion(m[:, :3].copy(), m[:, 3].copy())
-
 
 def rotation_is_valid(rotation: Mat3, tol: float = ROTATION_TOL) -> bool:
     """True iff ``rotation`` is orthonormal with det +1, both within tol."""
@@ -184,9 +179,6 @@ class SpatialIndex:
         if len(self._points) == 0:
             raise ValueError("SpatialIndex needs at least one point")
         self._tree = cKDTree(self._points)
-
-    def __len__(self) -> int:
-        return len(self._points)
 
     def _brute(self, idx, q: NDArray[F64]) -> NDArray[F64]:
         # the distances a brute-force linear scan would compute

@@ -1,9 +1,10 @@
 """Readers and writers for the on-disk formats.
 
-Five formats: ASCII PLY clouds (float32 x, y, z), raw binary clouds
+Six formats: ASCII PLY clouds (float32 x, y, z), raw binary clouds
 (little-endian float32 x, y, z, intensity quadruples), descriptor files
 (``FDSC`` magic, u32 count, u32 dim, float32 rows), pose files (one 3x4
-row-major matrix of 12 reals per line), and the pair-list CSV.  JSON-lines
+row-major matrix of 12 reals per line), timestamp files (one time in
+seconds per line), and the pair-list CSV.  JSON-lines
 results, histogram CSVs, and a flat key=value config format round out the
 set.
 
@@ -34,6 +35,7 @@ __all__ = [
     "read_cloud_bin", "write_cloud_bin",
     "read_descriptors", "write_descriptors",
     "read_poses", "write_poses",
+    "read_times", "write_times",
     "read_pair_list", "write_pair_list",
     "read_jsonl", "write_jsonl",
     "write_histogram_csv",
@@ -73,7 +75,8 @@ def _read_text(path) -> list[str]:
     except OSError as e:
         raise FormatError(path, f"unreadable: {e.strerror}") from e
     except UnicodeDecodeError as e:
-        raise FormatError(path, "not ASCII text") from e
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise FormatError(path, "not ASCII text", line) from e
 
 
 def _read_bytes(path) -> bytes:
@@ -275,6 +278,21 @@ def write_poses(path, motions) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
         for m in motions:
             f.write(" ".join(repr(float(v)) for v in m.matrix34().ravel()) + "\n")
+
+
+def read_times(path) -> list[float]:
+    """Frame timestamps in seconds, whitespace-separated; ``write_times``
+    puts one per line."""
+    out: list[float] = []
+    for i, raw in enumerate(_read_text(path), start=1):
+        out += _floats(path, raw.split(), i)
+    return out
+
+
+def write_times(path, times) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        for t in times:
+            f.write(repr(float(t)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,6 @@ class PipelineConfig:
 class PairResult:
     """Everything a caller needs to report one registered pair."""
 
-    coarse: RigidMotion
-    refined: RigidMotion | None
     ransac: RegistrationResult
     icp: IcpResult | None
     corrs_total: int
@@ -54,7 +52,7 @@ class PairResult:
 
     @property
     def final(self) -> RigidMotion:
-        return self.refined if self.refined is not None else self.coarse
+        return self.icp.motion if self.icp is not None else self.ransac.motion
 
 
 def register_pair(src_points: Points, dst_points: Points,
@@ -72,13 +70,11 @@ def register_pair(src_points: Points, dst_points: Points,
     est = ransac_register(src_points, dst_points, kept, cfg.ransac)
     coarse_time = perf_counter() - t0
 
-    refined = icp_result = refined_time = None
+    icp_result = refined_time = None
     if cfg.refine == "icp":
         icp_result = icp_refine(src_points, dst_points, est.motion, cfg.icp)
-        refined = icp_result.motion
         refined_time = perf_counter() - t0
 
-    return PairResult(coarse=est.motion, refined=refined, ransac=est,
-                      icp=icp_result, corrs_total=len(corrs),
+    return PairResult(ransac=est, icp=icp_result, corrs_total=len(corrs),
                       corrs_kept=len(kept), coarse_time=coarse_time,
                       refined_time=refined_time)

@@ -47,6 +47,7 @@ from .match import Correspondences
 
 SAMPLE_SIZE = 3
 REJECTIONS = ("none", "elc")
+_PROSAC_T_TOTAL = 200_000   # iterations over which PROSAC reaches uniform
 
 
 class DegenerateSampleError(ValueError):
@@ -76,25 +77,24 @@ def kabsch(src_pts: Points, dst_pts: Points) -> RigidMotion:
         raise ValueError(f"point counts differ: {len(p)} vs {len(q)}")
     if len(p) < SAMPLE_SIZE:
         raise ValueError(f"need at least {SAMPLE_SIZE} point pairs, got {len(p)}")
-    w = np.full(len(p), 1.0 / len(p))
-    rot, trans, ok = _fit_rigid(p[None], q[None], w[None])
+    rot, trans, ok = _fit_rigid(p[None], q[None])
     if not ok[0]:
         raise DegenerateSampleError("sample covariance has rank < 2")
     return RigidMotion(rot[0], trans[0])
 
 
-def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64],
-               w: NDArray[np.float64]):
-    """Stacked weighted Kabsch over S point sets of k points each.
+def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64]):
+    """Stacked Kabsch over S point sets of k points each.
 
-    ``p`` and ``q`` are (S, k, 3), ``w`` is (S, k) or (k,) with unit row
-    sums.  Returns rotations (S, 3, 3), translations (S, 3) and a mask of
-    the fits whose centered source spans at least two dimensions; the
-    other rows hold an arbitrary rotation.
+    ``p`` and ``q`` are (S, k, 3).  Returns rotations (S, 3, 3),
+    translations (S, 3) and a mask of the fits whose centered source spans
+    at least two dimensions; the other rows hold an arbitrary rotation.
     """
-    cp = (w[..., None, :] @ p)[:, 0]
-    cq = (w[..., None, :] @ q)[:, 0]
-    h = np.swapaxes(p - cp[:, None], 1, 2) @ ((q - cq[:, None]) * w[..., None])
+    # the means as one product with uniform weights, not p.mean(), whose
+    # summation rounds differently
+    w = np.full(p.shape[1], 1.0 / p.shape[1])
+    cp, cq = w @ p, w @ q
+    h = np.swapaxes(p - cp[:, None], 1, 2) @ ((q - cq[:, None]) * w[:, None])
     rot, ok = _rotation(h)
     return rot, cq - (rot @ cp[..., None])[..., 0], ok
 
@@ -194,7 +194,7 @@ def _elc_mask(p: NDArray[np.float64], q: NDArray[np.float64],
 # ---------------------------------------------------------------------------
 
 def _distinct_rows(rng: np.random.Generator, pop: NDArray[np.int64], k: int,
-                   newest: NDArray[np.bool_] | None = None) -> NDArray[np.int64]:
+                   newest: NDArray[np.bool_]) -> NDArray[np.int64]:
     """One row of k distinct indices per entry of ``pop``, uniform over
     [0, pop[i]).  Rows flagged in ``newest`` start with pop[i] - 1 and draw
     the rest uniformly below it.
@@ -203,8 +203,7 @@ def _distinct_rows(rng: np.random.Generator, pop: NDArray[np.int64], k: int,
     taken and is mapped onto them, so no row is ever redrawn.
     """
     rows = rng.integers(0, pop[:, None] - np.arange(k), size=(len(pop), k))
-    if newest is not None:
-        rows[newest, 0] = pop[newest] - 1
+    rows[newest, 0] = pop[newest] - 1
     for j in range(1, k):
         taken = np.sort(rows[:, :j], axis=1)
         for c in range(j):
@@ -212,54 +211,41 @@ def _distinct_rows(rng: np.random.Generator, pop: NDArray[np.int64], k: int,
     return rows
 
 
-class ProsacSampler:
-    """Progressive minimal-sample schedule over quality-ranked input.
-
-    Correspondences must already be sorted best-first.  The t-th sample is
-    drawn from the top n(t) entries, where the growth of n(t) follows the
-    standard schedule: growth iteration counts T'_n start at 1 for n = m
-    and advance by ceil(T_{n+1} - T_n) with T_n = t_total·C(n,m)/C(N,m).
-    While growing, the sample always contains the n(t)-th ranked entry.
-    After T'_N the schedule is plain uniform sampling over everything.
+def _prosac_growth(n: int) -> NDArray[np.int64]:
+    """PROSAC's growth iterations T'_k for k = m .. n, m = SAMPLE_SIZE:
+    the t-th sample draws from the top k of n quality-ranked entries for
+    T'_{k-1} < t <= T'_k.  They start at 1 and advance by
+    ceil(T_{k+1} - T_k), at least 1, with T_k = _PROSAC_T_TOTAL·C(k,m)/C(n,m).
     """
+    m = SAMPLE_SIZE
+    ks = np.arange(m, n + 1, dtype=np.float64)
+    log_c = gammaln(ks + 1) - gammaln(m + 1) - gammaln(ks - m + 1)
+    t_k = np.exp(math.log(_PROSAC_T_TOTAL) + log_c - log_c[-1])
+    step = np.maximum(np.ceil(np.diff(t_k)), 1.0).astype(np.int64)
+    growth = np.empty(len(ks), dtype=np.int64)
+    growth[0] = 1
+    np.cumsum(step, out=growth[1:])
+    growth[1:] += 1
+    return growth
 
-    def __init__(self, n_corrs: int, sample_size: int = SAMPLE_SIZE,
-                 t_total: int = 200_000):
-        if n_corrs < sample_size:
-            raise ValueError(f"need at least {sample_size} correspondences")
-        self.n = n_corrs
-        self.m = sample_size
-        ns = np.arange(sample_size, n_corrs + 1, dtype=np.float64)
-        log_c = gammaln(ns + 1) - gammaln(sample_size + 1) - gammaln(ns - sample_size + 1)
-        t_n = np.exp(math.log(t_total) + log_c - log_c[-1])
-        grow = np.maximum(np.ceil(np.diff(t_n)), 1.0).astype(np.int64)
-        tprime = np.empty(len(ns), dtype=np.int64)
-        tprime[0] = 1
-        np.cumsum(grow, out=tprime[1:])
-        tprime[1:] += 1
-        self._tprime = tprime
 
-    def subset_size(self, t: int) -> int:
-        """n(t): how many top-ranked entries the t-th sample draws from."""
-        return int(self._subset_sizes(np.asarray([t]))[0])
+def _sample_block(growth: NDArray[np.int64], n: int, t: int, count: int,
+                  rng: np.random.Generator) -> NDArray[np.int64]:
+    """Minimal samples t .. t + count - 1 (t counts from 1), one row of
+    ranked positions each.
 
-    def _subset_sizes(self, ts: NDArray[np.int64]) -> NDArray[np.int64]:
-        idx = np.searchsorted(self._tprime, ts, side="left")
-        return np.where(idx < len(self._tprime), self.m + idx, self.n)
-
-    def sample(self, t: int, rng: np.random.Generator) -> NDArray[np.int64]:
-        """Ranked positions of the t-th minimal sample (t counts from 1)."""
-        return self.sample_block(t, 1, rng)[0]
-
-    def sample_block(self, t: int, count: int,
-                     rng: np.random.Generator) -> NDArray[np.int64]:
-        """Samples t .. t + count - 1, one row of ranked positions each."""
-        ts = np.arange(t, t + count)
-        n_t = self._subset_sizes(ts)
-        growing = ts <= self._tprime[-1]
-        rows = _distinct_rows(rng, n_t, self.m, newest=growing)
-        rows[growing & (n_t == self.m)] = np.arange(self.m)
-        return rows
+    While the schedule ``growth`` runs, the t-th sample draws from the top
+    n(t) entries and always contains the n(t)-th; after its last entry
+    sampling is uniform over all n.  The empty schedule is plain uniform
+    sampling from the first iteration on.
+    """
+    ts = np.arange(t, t + count)
+    stage = np.searchsorted(growth, ts)
+    growing = stage < len(growth)
+    n_t = np.where(growing, SAMPLE_SIZE + stage, n)
+    rows = _distinct_rows(rng, n_t, SAMPLE_SIZE, growing)
+    rows[growing & (n_t == SAMPLE_SIZE)] = np.arange(SAMPLE_SIZE)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +320,7 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
     size = min(_LO_MAX_SAMPLE, max(_LO_MIN_SAMPLE, len(inliers) // 2))
     table, ma, mb = _moment_table(a, b)
     pick = _lo_subsets(rng, inliers, _LO_INNER_ITERS, size)
-    rot, trans, ok = _fit_rigid(a[pick], b[pick], np.full(size, 1.0 / size))
+    rot, trans, ok = _fit_rigid(a[pick], b[pick])
     res = None
     for mult in _LO_ANNEAL:
         # one buffer holds each pass's residuals, then its 0/1 gate
@@ -356,7 +342,6 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
 
 _BLOCK = 256          # iterations drawn, screened and fitted together
 _SCORE_CHUNK = 16     # models per residual pass
-_SAMPLE_WEIGHTS = np.full(SAMPLE_SIZE, 1.0 / SAMPLE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -426,7 +411,8 @@ def ransac_register(src_points: Points, dst_points: Points,
 
     root = np.random.default_rng(cfg.seed)
     sample_rng, lo_rng = root.spawn(2)
-    sampler = ProsacSampler(n) if cfg.use_prosac else None
+    # uniform sampling is the empty schedule over unranked input
+    growth = _prosac_growth(n) if cfg.use_prosac else np.empty(0, dtype=np.int64)
 
     best = Hypothesis(RigidMotion.identity(), 0, np.zeros(n, dtype=bool))
     history: list[tuple[int, int, RigidMotion]] = []
@@ -438,12 +424,11 @@ def ransac_register(src_points: Points, dst_points: Points,
     while t < cfg.max_iterations and t < required:
         # iterations t+1 .. t+size; block position i is iteration t+1+i
         size = min(_BLOCK, cfg.max_iterations - t, required - t)
-        idx = sampler.sample_block(t + 1, size, sample_rng) if sampler is not None \
-            else _distinct_rows(sample_rng, np.full(size, n), SAMPLE_SIZE)
+        idx = _sample_block(growth, n, t + 1, size, sample_rng)
         sp, dp = a[idx], b[idx]
         live = np.flatnonzero(_elc_mask(sp, dp, cfg.elc_tolerance)) \
             if cfg.rejection == "elc" else np.arange(size)
-        rot, trans, ok = _fit_rigid(sp[live], dp[live], _SAMPLE_WEIGHTS)
+        rot, trans, ok = _fit_rigid(sp[live], dp[live])
         live, rot, trans = live[ok], rot[ok], trans[ok]
 
         # walk the survivors in iteration order, scoring them chunk by chunk

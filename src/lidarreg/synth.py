@@ -45,6 +45,7 @@ POINT_SPACING = 2.0             # pitch of the trajectory world grid, meters
 Z_JITTER = 2.0                  # vertical jitter of that grid, meters
 FRAME_DT = 1.0                  # seconds between trajectory frames
 DESCRIPTOR_NOISE_SIGMA = 0.05   # per-frame noise of frame_descriptors
+MAX_YAW_STEP_DEG = 15.0         # random_drive's largest turn per frame
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:
@@ -255,10 +256,9 @@ class TrajectorySpec:
 
     @classmethod
     def random_drive(cls, n_frames: int = 20, frame_spacing: float = 5.0,
-                     max_yaw_step_deg: float = 15.0, seed: int = 0,
-                     **kw) -> "TrajectorySpec":
+                     seed: int = 0, **kw) -> "TrajectorySpec":
         steps = np.random.default_rng([seed, 17]).uniform(
-            -max_yaw_step_deg, max_yaw_step_deg, n_frames - 1)
+            -MAX_YAW_STEP_DEG, MAX_YAW_STEP_DEG, n_frames - 1)
         return cls(n_frames=n_frames, frame_spacing=frame_spacing,
                    yaw_step_deg=tuple(float(s) for s in steps), seed=seed, **kw)
 

@@ -68,7 +68,6 @@ def test_overlap_matches_brute_force():
         tau = float(rng.uniform(0.5, 4.0))
         want = float(np.mean(cdist(a, b).min(axis=1) <= tau))
         assert overlap(a, b, RigidMotion.identity(), tau) == want
-        assert overlap(a, SpatialIndex(b), RigidMotion.identity(), tau) == want
 
 
 def _brute_overlap(src, tgt, gt: RigidMotion, tau: float) -> float:
@@ -94,7 +93,6 @@ def test_overlap_counts_neighbors_at_exactly_tau():
         for t in (tau, np.nextafter(tau, 0.0), np.nextafter(tau, np.inf)):
             want = _brute_overlap(src, tgt, gt, t)
             assert overlap(src, tgt, gt, t) == want
-            assert overlap(src, SpatialIndex(tgt), gt, t) == want
     assert overlap(g * 7.0, g * 7.0 + [3.0, 4.0, 0.0],
                    RigidMotion.identity(), 5.0) == 1.0
     assert overlap(g * 7.0, g * 7.0 + [3.0, 4.0, 0.0],
@@ -115,7 +113,6 @@ def test_overlap_straddling_tau_after_a_motion():
         want = _brute_overlap(src, tgt, gt, tau)
         assert 0.0 < want < 1.0
         assert overlap(src, tgt, gt, tau) == want
-        assert overlap(src, SpatialIndex(tgt), gt, tau) == want
 
 
 def test_overlap_validation():

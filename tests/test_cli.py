@@ -239,6 +239,30 @@ def test_benchgen_missing_pose_dir_exits_2(tmp_path, capsys):
     assert "no *.poses files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [b"nan", b"inf", "2.0\u00e9".encode("utf-8")],
+                         ids=["nan", "inf", "non-ascii"])
+def test_benchgen_bad_timestamp_exits_2_naming_the_line(traj_dir, tmp_path,
+                                                       capsys, bad):
+    (tmp_path / "drive0.poses").write_bytes((traj_dir / "drive0.poses").read_bytes())
+    later = b"".join(b"%d.0\n" % i for i in range(3, 8))
+    (tmp_path / "drive0.times").write_bytes(b"0.0\n1.0\n" + bad + b"\n" + later)
+    out = tmp_path / "p.csv"
+    assert main(["benchgen", "--cloud-dir", str(traj_dir),
+                 "--pose-dir", str(tmp_path), "--out-pairs", str(out),
+                 "--k", "1", "--min-overlap", "0.3", "--r", "0.5"]) == 2
+    assert "drive0.times:3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchgen_timestamp_count_must_match_poses(traj_dir, tmp_path, capsys):
+    (tmp_path / "drive0.poses").write_bytes((traj_dir / "drive0.poses").read_bytes())
+    (tmp_path / "drive0.times").write_text("0.0\n1.0\n")
+    assert main(["benchgen", "--cloud-dir", str(traj_dir),
+                 "--pose-dir", str(tmp_path),
+                 "--out-pairs", str(tmp_path / "p.csv")]) == 2
+    assert "2 timestamps for 8 poses" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def register_output(traj_dir, pair_list, tmp_path_factory):
     out = tmp_path_factory.mktemp("regs") / "records.jsonl"

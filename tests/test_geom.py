@@ -84,14 +84,6 @@ def test_motion_preserves_pairwise_distances():
     assert np.allclose(d0, d1, atol=1e-9)
 
 
-def test_matrix34_round_trip():
-    rng = np.random.default_rng(5)
-    t = random_motion(rng)
-    back = RigidMotion.from_matrix34(t.matrix34())
-    assert np.array_equal(back.rotation, t.rotation)
-    assert np.array_equal(back.translation, t.translation)
-
-
 # ---------------------------------------------------------------------------
 # Euler angles
 # ---------------------------------------------------------------------------

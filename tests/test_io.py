@@ -17,6 +17,7 @@ from lidarreg.io import (
     read_jsonl,
     read_pair_list,
     read_poses,
+    read_times,
     write_cloud_bin,
     write_cloud_ply,
     write_descriptors,
@@ -24,6 +25,7 @@ from lidarreg.io import (
     write_jsonl,
     write_pair_list,
     write_poses,
+    write_times,
 )
 from lidarreg.metrics import Histogram, PairRecord
 
@@ -74,6 +76,29 @@ def test_pose_round_trip_is_exact(tmp_path):
     for a, b in zip(motions, back):
         assert np.array_equal(a.rotation, b.rotation)
         assert np.array_equal(a.translation, b.translation)
+
+
+def test_times_round_trip_is_exact(tmp_path):
+    times = [0.0, 0.1, 1.0 / 3.0, 12345.678901234567]
+    p = tmp_path / "seq.times"
+    write_times(p, times)
+    assert p.read_text() == "".join(repr(t) + "\n" for t in times)
+    assert read_times(p) == times
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"nan", "non-finite"),
+    (b"inf", "non-finite"),
+    (b"-inf", "non-finite"),
+    (b"1.0x", "not a number"),
+    ("2.0\u00e9".encode("utf-8"), "not ASCII"),
+], ids=["nan", "inf", "-inf", "junk", "non-ascii"])
+def test_times_errors_name_the_file_and_line(tmp_path, bad, message):
+    p = tmp_path / "seq.times"
+    p.write_bytes(b"0.0\n1.0\n" + bad + b"\n3.0\n")
+    with pytest.raises(FormatError, match=message) as info:
+        read_times(p)
+    assert info.value.path == str(p) and info.value.line == 3
 
 
 def test_pair_list_round_trip_is_exact(tmp_path):

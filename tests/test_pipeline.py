@@ -42,18 +42,17 @@ def test_refine_none_leaves_refined_fields_empty():
     scene = _scene(seed=1)
     cfg = PipelineConfig(refine="none", ransac=_FAST_RANSAC)
     result = _register(scene, cfg)
-    assert result.refined is None
     assert result.icp is None
     assert result.refined_time is None
-    assert result.final is result.coarse
+    assert result.final is result.ransac.motion
 
 
 def test_final_prefers_refined_when_present():
     scene = _scene(seed=2)
     cfg = PipelineConfig(ransac=_FAST_RANSAC)
     result = _register(scene, cfg)
-    assert result.refined is not None
-    assert result.final is result.refined
+    assert result.icp is not None
+    assert result.final is result.icp.motion
     assert result.refined_time is not None and result.refined_time > 0.0
 
 
@@ -152,8 +151,8 @@ def test_icp_stage_tightens_the_coarse_estimate():
                              icp=IcpConfig(threshold=0.6))
         result = _register(scene, cfg)
         gt = scene.true_motion
-        te_coarse = translation_error(result.coarse.translation, gt.translation)
-        te_refined = translation_error(result.refined.translation, gt.translation)
+        te_coarse = translation_error(result.ransac.motion.translation, gt.translation)
+        te_refined = translation_error(result.icp.motion.translation, gt.translation)
         if te_refined > te_coarse + 1e-9:
             worse += 1
     assert worse <= 2

@@ -16,10 +16,9 @@ from lidarreg.metrics import rotation_error, translation_error
 from lidarreg.ransac import (
     _BLOCK,
     _LO_ANNEAL,
-    _SAMPLE_WEIGHTS,
+    SAMPLE_SIZE,
     DegenerateSampleError,
     Hypothesis,
-    ProsacSampler,
     RansacConfig,
     RegistrationResult,
     _distinct_rows,
@@ -28,7 +27,9 @@ from lidarreg.ransac import (
     _gated_fit,
     _lo_step,
     _moment_table,
+    _prosac_growth,
     _residuals,
+    _sample_block,
     elc_check,
     kabsch,
     ransac_register,
@@ -173,7 +174,7 @@ def kabsch_2d(p, q):
 def test_stacked_fit_equals_kabsch_per_sample():
     rng = np.random.default_rng(40)
     p, q = random_triangle_pairs(rng, 400)
-    rot, trans, ok = _fit_rigid(p, q, _SAMPLE_WEIGHTS)
+    rot, trans, ok = _fit_rigid(p, q)
     assert 0 < ok.sum() < len(ok)
     for i in range(len(p)):
         ref = kabsch_2d(p[i], q[i])
@@ -300,41 +301,56 @@ def test_elc_checks_all_three_edges():
 # progressive sampler
 # ---------------------------------------------------------------------------
 
-def test_prosac_first_sample_is_top_three():
-    rng = np.random.default_rng(10)
-    s = ProsacSampler(100, 3, t_total=1000)
-    assert list(s.sample(1, rng)) == [0, 1, 2]
+def subset_size(growth, n, t):
+    """n(t): the top-ranked entries the t-th sample draws from, one more
+    for each growth iteration before t, and all n once the schedule ends."""
+    return min(n, SAMPLE_SIZE + int(np.sum(growth < t)))
 
 
-def test_prosac_growth_nondecreasing_and_contains_newest():
+def test_prosac_first_sample_is_top_three(monkeypatch):
+    monkeypatch.setattr(ransac_module, "_PROSAC_T_TOTAL", 1000)
+    rows = _sample_block(_prosac_growth(100), 100, 1, 1, np.random.default_rng(10))
+    assert list(rows[0]) == [0, 1, 2]
+
+
+def test_prosac_growth_nondecreasing_and_contains_newest(monkeypatch):
+    monkeypatch.setattr(ransac_module, "_PROSAC_T_TOTAL", 500)
     rng = np.random.default_rng(11)
-    s = ProsacSampler(60, 3, t_total=500)
+    growth = _prosac_growth(60)
+    assert len(growth) == 60 - SAMPLE_SIZE + 1 and growth[0] == 1
+    assert (np.diff(growth) >= 1).all()
     last = 3
-    for t in range(1, int(s._tprime[-1]) + 1):
-        n_t = s.subset_size(t)
+    for t in range(1, int(growth[-1]) + 1):
+        n_t = subset_size(growth, 60, t)
         assert n_t >= last
         last = n_t
-        pick = s.sample(t, rng)
+        pick = _sample_block(growth, 60, t, 1, rng)[0]
         assert len(np.unique(pick)) == 3
         assert pick.max() < n_t
         if t > 1:
             assert (n_t - 1) in pick    # newest-ranked entry always included
 
 
-def test_prosac_uniform_phase_covers_all_triples():
-    rng = np.random.default_rng(12)
-    n = 8
-    s = ProsacSampler(n, 3, t_total=25)
-    t_uniform = int(s._tprime[-1]) + 1
-    counts: dict[tuple, int] = {}
-    draws = 30000
-    for _ in range(draws):
-        pick = tuple(sorted(s.sample(t_uniform, rng)))
-        counts[pick] = counts.get(pick, 0) + 1
-    n_triples = math.comb(n, 3)
-    assert len(counts) == n_triples
-    stat = chisquare(list(counts.values()))
-    assert stat.pvalue > 0.001
+def assert_uniform_over_triples(rows, n):
+    picks, counts = np.unique(np.sort(rows, axis=1), axis=0, return_counts=True)
+    assert len(picks) == math.comb(n, 3)
+    assert (picks < n).all()
+    assert chisquare(counts).pvalue > 0.001
+
+
+def test_prosac_uniform_phase_covers_all_triples(monkeypatch):
+    monkeypatch.setattr(ransac_module, "_PROSAC_T_TOTAL", 25)
+    growth = _prosac_growth(8)
+    t_uniform = int(growth[-1]) + 1
+    rows = _sample_block(growth, 8, t_uniform, 30000, np.random.default_rng(12))
+    assert_uniform_over_triples(rows, 8)
+
+
+def test_empty_schedule_is_uniform_from_the_first_sample():
+    # the uniform sampler is the empty schedule over unranked input
+    rows = _sample_block(np.empty(0, dtype=np.int64), 8, 1, 30000,
+                         np.random.default_rng(13))
+    assert_uniform_over_triples(rows, 8)
 
 
 def test_distinct_rows_are_distinct_and_in_range():
@@ -348,20 +364,16 @@ def test_distinct_rows_are_distinct_and_in_range():
     assert np.array_equal(rows[newest, 0], pop[newest] - 1)
 
 
-def test_prosac_block_matches_schedule():
-    s = ProsacSampler(60, 3, t_total=500)
-    t_end = int(s._tprime[-1]) + 40
-    rows = s.sample_block(1, t_end, np.random.default_rng(43))
+def test_prosac_block_matches_schedule(monkeypatch):
+    monkeypatch.setattr(ransac_module, "_PROSAC_T_TOTAL", 500)
+    growth = _prosac_growth(60)
+    t_end = int(growth[-1]) + 40
+    rows = _sample_block(growth, 60, 1, t_end, np.random.default_rng(43))
     for t, row in enumerate(rows, start=1):
-        n_t = s.subset_size(t)
+        n_t = subset_size(growth, 60, t)
         assert row.max() < n_t and len(set(row.tolist())) == 3
-        if 1 < t <= s._tprime[-1]:
+        if 1 < t <= growth[-1]:
             assert row[0] == n_t - 1
-
-
-def test_prosac_needs_enough_correspondences():
-    with pytest.raises(ValueError):
-        ProsacSampler(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +698,8 @@ def test_engine_matches_the_one_at_a_time_loop_on_its_draws(frac, monkeypatch):
             return rows
         return wrapper
 
-    monkeypatch.setattr(ProsacSampler, "sample_block",
-                        recording(ProsacSampler.sample_block))
+    monkeypatch.setattr(ransac_module, "_sample_block",
+                        recording(ransac_module._sample_block))
     # seed 1 allows one local-optimization round, so the cap binds where
     # the default would run two
     for seed, lo_cap in ((0, ransac_module._LO_MAX_ROUNDS), (1, 1)):
@@ -700,11 +712,7 @@ def test_engine_matches_the_one_at_a_time_loop_on_its_draws(frac, monkeypatch):
                 cfg = engine_cfg(max_iterations=max_iterations, seed=seed,
                                  rejection=rejection, use_prosac=prosac, use_lo=lo)
                 drawn.clear()
-                with monkeypatch.context() as m:
-                    if not prosac:
-                        m.setattr(ransac_module, "_distinct_rows",
-                                  recording(ransac_module._distinct_rows))
-                    res = ransac_register(src, dst, corrs, cfg)
+                res = ransac_register(src, dst, corrs, cfg)
                 rows = np.concatenate(drawn)
                 want = one_at_a_time(src, dst, corrs, cfg, rows)
                 got = (res.iterations_run, res.hypotheses_rejected_fast, res.lo_rounds,

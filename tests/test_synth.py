@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lidarreg import synth
 from lidarreg.benchgen import SelectorConfig, build_candidate_pool, overlap
 from lidarreg.geom import RigidMotion, apply, compose, inverse
 from lidarreg.match import match_features, mnn_filter
@@ -224,8 +225,9 @@ def test_uturn_pool_contains_a_reversed_pair():
     assert max(yaws) > 170.0
 
 
-def test_random_drive_bounds_yaw_rate():
-    spec = TrajectorySpec.random_drive(n_frames=30, max_yaw_step_deg=12.0, seed=5)
+def test_random_drive_bounds_yaw_rate(monkeypatch):
+    monkeypatch.setattr(synth, "MAX_YAW_STEP_DEG", 12.0)
+    spec = TrajectorySpec.random_drive(n_frames=30, seed=5)
     steps = np.asarray(spec.yaw_steps())
     assert len(steps) == 29
     assert np.all(np.abs(steps) <= 12.0)
