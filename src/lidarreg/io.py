@@ -281,11 +281,14 @@ def write_poses(path, motions) -> None:
 
 
 def read_times(path) -> list[float]:
-    """Frame timestamps in seconds, whitespace-separated; ``write_times``
-    puts one per line."""
+    """Frame timestamps in seconds, whitespace-separated and nondecreasing;
+    ``write_times`` puts one per line."""
     out: list[float] = []
     for i, raw in enumerate(_read_text(path), start=1):
-        out += _floats(path, raw.split(), i)
+        vals = _floats(path, raw.split(), i)
+        if any(b < a for a, b in zip(out[-1:] + vals, vals)):
+            raise FormatError(path, "timestamp smaller than the one before it", i)
+        out += vals
     return out
 
 

@@ -8,11 +8,9 @@ be toggled independently:
   uniform sampling over everything as iterations accumulate;
 * sample rejection: edge-length compatibility (elc) of the sampled
   triangle discards hopeless samples before they are fitted and scored;
-* local optimization: each time a new best model appears, non-minimal
-  re-fits with an annealed threshold polish it.  The inner samples come
-  from that model's inliers, so they are independent and are refined
-  together: one stacked fit, then per annealing step one residual pass
-  and one moment product for all of their gated re-fits.
+* local optimization: each time a new best model appears, iterated least
+  squares polishes it: a re-fit on its inliers, then re-fits on the
+  correspondences within a threshold that shrinks to the inlier one.
 
 Hypotheses are evaluated in blocks of ``_BLOCK`` iterations: the block's
 minimal samples are drawn in one call, screened by elc together, fitted
@@ -25,10 +23,9 @@ at the same iteration.
 
 Scoring counts correspondences whose post-transform residual is within
 ``inlier_threshold``.  With a fixed seed the whole run is deterministic;
-the local optimizer draws from its own random stream, so toggling it does
-not change which minimal samples are drawn.  The draws are fixed by the
-seed, but they are not the draws of versions that sampled one hypothesis
-at a time.
+the local optimizer draws nothing, so toggling it does not change which
+minimal samples are drawn.  The draws are fixed by the seed, but they are
+not the draws of versions that sampled one hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -95,13 +92,7 @@ def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64]):
     w = np.full(p.shape[1], 1.0 / p.shape[1])
     cp, cq = w @ p, w @ q
     h = np.swapaxes(p - cp[:, None], 1, 2) @ ((q - cq[:, None]) * w[:, None])
-    rot, ok = _rotation(h)
-    return rot, cq - (rot @ cp[..., None])[..., 0], ok
-
-
-def _rotation(h: NDArray[np.float64]):
-    """Proper rotations maximizing tr(R h) for stacked cross-covariances
-    ``h`` (S, 3, 3), and a mask of those of rank at least two."""
+    # the proper rotations maximizing tr(R h)
     u, s, vt = np.linalg.svd(h)
     ok = s[:, 1] > 1e-9 * np.maximum(s[:, 0], 1e-300)
     ut = np.swapaxes(u, 1, 2)
@@ -111,18 +102,16 @@ def _rotation(h: NDArray[np.float64]):
         # reflection: negate the axis of the smallest singular value
         vt[flip, -1, :] *= -1.0
         rot[flip] = np.swapaxes(vt[flip], 1, 2) @ ut[flip]
-    return rot, ok
+    return rot, cq - (rot @ cp[..., None])[..., 0], ok
 
 
 # ---------------------------------------------------------------------------
 # scoring and stopping
 # ---------------------------------------------------------------------------
 
-def _residuals(rotation, translation, a: Points, b: Points,
-               out=None) -> NDArray[np.float64]:
+def _residuals(rotation, translation, a: Points, b: Points) -> NDArray[np.float64]:
     """Residual norms of ``a`` mapped onto ``b``: (n,) for one motion, or
-    (S, n) for stacked rotations (S, 3, 3) and translations (S, 3).
-    They are written into ``out`` when it is given."""
+    (S, n) for stacked rotations (S, 3, 3) and translations (S, 3)."""
     # one coordinate at a time keeps every temporary a contiguous (S, n),
     # and one of them serves all three
     at = a.T
@@ -132,7 +121,7 @@ def _residuals(rotation, translation, a: Points, b: Points,
         d += translation[..., i, None]
         d -= b[:, i]
         if sq is None:
-            sq = np.square(d, out=out)
+            sq = np.square(d)
         else:
             sq += np.square(d, out=d)
     return np.sqrt(sq, out=sq)
@@ -260,80 +249,32 @@ class Hypothesis:
 
 
 _LO_ANNEAL = np.linspace(2.0, 1.0, 4)
-_LO_MAX_SAMPLE = 14
 _LO_MIN_SAMPLE = 4
-_LO_INNER_ITERS = 50  # inner samples per round, fitted and scored together
 _LO_MAX_ROUNDS = 10   # rounds per run, one per new best model
 
 
-def _moment_table(a: Points, b: Points):
-    """Per-correspondence moments ``[1, a, b, a (x) b]`` (n, 16) of ``a``
-    and ``b`` centered on their means, with the two means."""
-    ma, mb = a.mean(axis=0), b.mean(axis=0)
-    ac, bc = a - ma, b - mb
-    table = np.empty((len(a), 16))
-    table[:, 0] = 1.0
-    table[:, 1:4] = ac
-    table[:, 4:7] = bc
-    table[:, 7:] = (ac[:, :, None] * bc[:, None, :]).reshape(-1, 9)
-    return table, ma, mb
+def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float) -> Hypothesis:
+    """Polish a hypothesis by iterated least squares with annealed gating.
 
-
-def _gated_fit(gate: NDArray, table: NDArray[np.float64],
-               ma: NDArray[np.float64], mb: NDArray[np.float64]):
-    """Unweighted Kabsch of every row of ``gate`` (S, n), boolean or 0/1,
-    over the correspondences it selects, from one product with
-    ``_moment_table``.
-
-    Returns rotations (S, 3, 3), translations (S, 3) and a mask of the fits
-    with at least ``SAMPLE_SIZE`` points spanning two dimensions or more.
+    The model is re-fitted on the inliers of ``best``, then once per
+    ``_LO_ANNEAL`` step on the correspondences within that multiple of
+    ``threshold`` of the previous fit.  The last fit wins if it has more
+    inliers than ``best``; a gate of fewer than three points, or of
+    collinear ones, leaves ``best`` as it is.
     """
-    sums = np.asarray(gate, dtype=np.float64) @ table
-    count = sums[:, 0]
-    mom = sums[:, 1:] / np.maximum(count, 1.0)[:, None]
-    cp, cq = mom[:, :3], mom[:, 3:6]
-    h = mom[:, 6:].reshape(-1, 3, 3) - cp[:, :, None] * cq[:, None, :]
-    rot, ok = _rotation(h)
-    trans = cq + mb - (rot @ (cp + ma)[..., None])[..., 0]
-    return rot, trans, ok & (count >= SAMPLE_SIZE)
-
-
-def _lo_subsets(rng: np.random.Generator, pool: NDArray[np.int64], rows: int,
-                size: int) -> NDArray[np.int64]:
-    """``rows`` uniform ``size``-subsets of ``pool``, one per row."""
-    keys = rng.random((rows, len(pool)))
-    return pool[np.argpartition(keys, size - 1, axis=1)[:, :size]]
-
-
-def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float,
-             rng: np.random.Generator) -> Hypothesis:
-    """Polish a hypothesis by non-minimal re-fitting with annealed gating.
-
-    Every inner sample is drawn from the inliers of ``best``, so the
-    ``_LO_INNER_ITERS`` inner iterations are independent: they are fitted,
-    re-fitted under each annealed gate and scored together.  The first
-    sample with the highest count wins if it beats ``best``.
-    """
-    inliers = np.flatnonzero(best.inlier_mask)
-    if len(inliers) < _LO_MIN_SAMPLE:
+    gate = best.inlier_mask
+    if np.count_nonzero(gate) < _LO_MIN_SAMPLE:
         return best
-    size = min(_LO_MAX_SAMPLE, max(_LO_MIN_SAMPLE, len(inliers) // 2))
-    table, ma, mb = _moment_table(a, b)
-    pick = _lo_subsets(rng, inliers, _LO_INNER_ITERS, size)
-    rot, trans, ok = _fit_rigid(a[pick], b[pick])
-    res = None
-    for mult in _LO_ANNEAL:
-        # one buffer holds each pass's residuals, then its 0/1 gate
-        res = _residuals(rot, trans, a, b, out=res)
-        np.less_equal(res, mult * threshold, out=res)
-        rot, trans, gated_ok = _gated_fit(res, table, ma, mb)
-        ok &= gated_ok
-    masks = _residuals(rot, trans, a, b, out=res) <= threshold
-    counts = np.where(ok, masks.sum(axis=1), -1)
-    k = int(counts.argmax())
-    if counts[k] > best.inlier_count:
-        return Hypothesis(RigidMotion(rot[k], trans[k]), int(counts[k]), masks[k])
-    return best
+    try:
+        motion = kabsch(a[gate], b[gate])
+        for mult in _LO_ANNEAL:
+            gate = _residuals(motion.rotation, motion.translation, a, b) <= mult * threshold
+            motion = kabsch(a[gate], b[gate])
+    except ValueError:
+        return best
+    mask = _residuals(motion.rotation, motion.translation, a, b) <= threshold
+    count = int(np.count_nonzero(mask))
+    return Hypothesis(motion, count, mask) if count > best.inlier_count else best
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +350,7 @@ def ransac_register(src_points: Points, dst_points: Points,
     else:
         order = np.arange(n)
 
-    root = np.random.default_rng(cfg.seed)
-    sample_rng, lo_rng = root.spawn(2)
+    sample_rng = np.random.default_rng(cfg.seed).spawn(1)[0]
     # uniform sampling is the empty schedule over unranked input
     growth = _prosac_growth(n) if cfg.use_prosac else np.empty(0, dtype=np.int64)
 
@@ -447,7 +387,7 @@ def ransac_register(src_points: Points, dst_points: Points,
                 best = Hypothesis(RigidMotion(rot[c + k], trans[c + k]), count, masks[k])
                 if cfg.use_lo and lo_rounds < _LO_MAX_ROUNDS:
                     lo_rounds += 1
-                    best = _lo_step(best, a, b, cfg.inlier_threshold, lo_rng)
+                    best = _lo_step(best, a, b, cfg.inlier_threshold)
                 history.append((it, best.inlier_count, best.motion))
                 required = required_iterations(cfg.confidence, best.inlier_count / n,
                                                cfg.max_iterations)

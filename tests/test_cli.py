@@ -239,8 +239,8 @@ def test_benchgen_missing_pose_dir_exits_2(tmp_path, capsys):
     assert "no *.poses files" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [b"nan", b"inf", "2.0\u00e9".encode("utf-8")],
-                         ids=["nan", "inf", "non-ascii"])
+@pytest.mark.parametrize("bad", [b"nan", b"inf", "2.0\u00e9".encode("utf-8"), b"0.5"],
+                         ids=["nan", "inf", "non-ascii", "decreasing"])
 def test_benchgen_bad_timestamp_exits_2_naming_the_line(traj_dir, tmp_path,
                                                        capsys, bad):
     (tmp_path / "drive0.poses").write_bytes((traj_dir / "drive0.poses").read_bytes())

@@ -92,13 +92,23 @@ def test_times_round_trip_is_exact(tmp_path):
     (b"-inf", "non-finite"),
     (b"1.0x", "not a number"),
     ("2.0\u00e9".encode("utf-8"), "not ASCII"),
-], ids=["nan", "inf", "-inf", "junk", "non-ascii"])
+    (b"0.5", "smaller than the one before"),
+    (b"2.0 1.5", "smaller than the one before"),
+    (b"2.0 2.0 -1.0", "smaller than the one before"),
+], ids=["nan", "inf", "-inf", "junk", "non-ascii",
+        "decrease-next-line", "decrease-same-line", "decrease-after-a-tie"])
 def test_times_errors_name_the_file_and_line(tmp_path, bad, message):
     p = tmp_path / "seq.times"
     p.write_bytes(b"0.0\n1.0\n" + bad + b"\n3.0\n")
     with pytest.raises(FormatError, match=message) as info:
         read_times(p)
     assert info.value.path == str(p) and info.value.line == 3
+
+
+def test_times_may_repeat(tmp_path):
+    p = tmp_path / "seq.times"
+    p.write_bytes(b"0.0\n1.0 1.0\n1.0\n")
+    assert read_times(p) == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_pair_list_round_trip_is_exact(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,7 @@ from lidarreg.ransac import (
     _distinct_rows,
     _elc_mask,
     _fit_rigid,
-    _gated_fit,
     _lo_step,
-    _moment_table,
     _prosac_growth,
     _residuals,
     _sample_block,
@@ -385,10 +384,8 @@ def test_lo_never_decreases_inlier_count():
     src, dst, corrs, labels, truth = make_planted(rng, n=400, frac=0.4, sigma=0.05)
     count, mask = count_inliers(truth, corrs, src, dst, 0.6)
     start = Hypothesis(truth, count, mask)
-    for seed in range(5):
-        out = _lo_step(start, src[corrs.src], dst[corrs.dst], 0.6,
-                       np.random.default_rng(seed))
-        assert out.inlier_count >= start.inlier_count
+    out = _lo_step(start, src[corrs.src], dst[corrs.dst], 0.6)
+    assert out.inlier_count >= start.inlier_count
 
 
 def test_lo_improves_a_perturbed_hypothesis():
@@ -398,8 +395,7 @@ def test_lo_improves_a_perturbed_hypothesis():
         truth.rotation @ random_rotation_small(0.8), truth.translation + 0.25)
     count, mask = count_inliers(wobble, corrs, src, dst, 0.6)
     assert count > 4
-    out = _lo_step(Hypothesis(wobble, count, mask), src[corrs.src], dst[corrs.dst],
-                   0.6, np.random.default_rng(0))
+    out = _lo_step(Hypothesis(wobble, count, mask), src[corrs.src], dst[corrs.dst], 0.6)
     best_possible, _ = count_inliers(truth, corrs, src, dst, 0.6)
     assert out.inlier_count >= int(0.95 * best_possible)
     assert out.inlier_count > count
@@ -413,53 +409,21 @@ def random_rotation_small(deg):
     return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
 
 
-@pytest.mark.parametrize("offset", [0.0, 30.0, 1e3])
-def test_gated_moment_fit_equals_kabsch_per_row(offset):
-    rng = np.random.default_rng(45)
-    src, dst, corrs, labels, truth = make_planted(rng, n=300, frac=0.5, sigma=0.05)
-    a, b = src + offset, dst + offset
-    line = np.flatnonzero(labels)[:6]
-    a[line] = a[line[0]] + np.outer(np.arange(6.0), [0.4, -1.0, 2.0])
-    gates = [rng.random((40, 300)) < share for share in (0.02, 0.3, 0.9)]
-    gates.append(np.broadcast_to(labels, (4, 300)))
-    few = np.zeros((4, 300), dtype=bool)
-    few[1, 0] = few[2, :2] = few[3, line[:3]] = True    # 0, 1 and 2 points, a line
-    gates.append(few)
-    collinear = np.zeros((5, 300), dtype=bool)
-    for k in range(5):
-        collinear[k, line[:k + 2]] = True
-    gates.append(collinear)
-    gate = np.concatenate(gates)
-    rot, trans, ok = _gated_fit(gate, *_moment_table(a, b))
-    assert ok.any() and not ok.all()
-    for i, g in enumerate(gate):
-        try:
-            want = kabsch(a[g], b[g])
-        except ValueError:            # fewer than 3 points, or degenerate
-            assert not ok[i], i
-            continue
-        assert ok[i], i
-        assert np.abs(rot[i] - want.rotation).max() <= 1e-12, i
-        assert np.abs(trans[i] - want.translation).max() <= 1e-12 * max(1.0, offset), i
-
-
-def replay_lo(best, a, b, threshold, picks):
-    """The local optimizer one inner sample at a time, on given samples."""
-    win, skipped = best, 0
-    for pick in picks:
-        try:
-            motion = kabsch(a[pick], b[pick])
-            for mult in _LO_ANNEAL:
-                d = np.linalg.norm(a @ motion.rotation.T + motion.translation - b, axis=1)
-                motion = kabsch(a[d <= mult * threshold], b[d <= mult * threshold])
-        except ValueError:
-            skipped += 1
-            continue
-        d = np.linalg.norm(a @ motion.rotation.T + motion.translation - b, axis=1)
-        mask = d <= threshold
-        if mask.sum() > win.inlier_count:      # the first highest count wins
-            win = Hypothesis(motion, int(mask.sum()), mask)
-    return win, skipped
+def replay_lo(best, a, b, threshold):
+    """The local optimizer as explicit kabsch calls: a fit on the inliers
+    of ``best``, one re-fit per annealed gate, then the score."""
+    try:
+        motion = kabsch(a[best.inlier_mask], b[best.inlier_mask])
+        for mult in _LO_ANNEAL:
+            d = np.linalg.norm(a @ motion.rotation.T + motion.translation - b, axis=1)
+            motion = kabsch(a[d <= mult * threshold], b[d <= mult * threshold])
+    except ValueError:            # a gate of fewer than three points
+        return best
+    d = np.linalg.norm(a @ motion.rotation.T + motion.translation - b, axis=1)
+    mask = d <= threshold
+    if mask.sum() > best.inlier_count:
+        return Hypothesis(motion, int(mask.sum()), mask)
+    return best
 
 
 def lo_start(seed):
@@ -482,45 +446,49 @@ def lo_start(seed):
 
 def two_motion_start(seed):
     """Two planted motions with 60 inliers each and a hypothesis holding
-    four inliers of each: inner samples of either kind tie at 60 with
-    different masks, so the order of the winners matters."""
+    20 inliers of the first and two of the second: the annealed gates
+    must drop the second motion's points to reach all of the first's."""
     rng = np.random.default_rng([seed, 47])
     a = rng.uniform(-25.0, 25.0, size=(300, 3))
     b = rng.uniform(-25.0, 25.0, size=(300, 3))
     first, second = random_motion(rng, t_scale=8.0), random_motion(rng, t_scale=8.0)
     b[:60], b[60:120] = apply(first, a[:60]), apply(second, a[60:120])
     mask = np.zeros(300, dtype=bool)
-    mask[[0, 1, 2, 3, 60, 61, 62, 63]] = True
-    return Hypothesis(first, 8, mask), a, b
+    mask[:20] = mask[60:62] = True
+    return Hypothesis(first, 22, mask), a, b
 
 
-@pytest.mark.parametrize("inner_iters", [50, 150])
-def test_lo_equals_kabsch_replay_of_its_own_draws(inner_iters, monkeypatch):
-    monkeypatch.setattr(ransac_module, "_LO_INNER_ITERS", inner_iters)
-    drawn = []
-    subsets = ransac_module._lo_subsets
-
-    def recording(*args):
-        rows = subsets(*args)
-        drawn.append(rows.copy())
-        return rows
-
-    monkeypatch.setattr(ransac_module, "_lo_subsets", recording)
-    skipped = 0
-    cases = [(lo_start(s), s) for s in range(4)] + [(two_motion_start(1), 2)]
-    for (start, a, b), seed in cases:
-        drawn.clear()
-        got = _lo_step(start, a, b, 0.6, np.random.default_rng(seed))
-        picks = np.concatenate(drawn)
-        assert len(picks) == inner_iters
-        assert np.isin(picks, np.flatnonzero(start.inlier_mask)).all()
-        want, gone = replay_lo(start, a, b, 0.6, picks)
-        skipped += gone
-        assert got.inlier_count == want.inlier_count > start.inlier_count, seed
-        assert np.array_equal(got.inlier_mask, want.inlier_mask), seed
+def test_lo_equals_kabsch_replay_of_the_iterated_fit():
+    cases = [lo_start(s) for s in range(4)] + [two_motion_start(s) for s in (0, 1)]
+    gains = []
+    for i, (start, a, b) in enumerate(cases):
+        got = _lo_step(start, a, b, 0.6)
+        want = replay_lo(start, a, b, 0.6)
+        gains.append(got.inlier_count > start.inlier_count)
+        assert got.inlier_count == want.inlier_count, i
+        assert np.array_equal(got.inlier_mask, want.inlier_mask), i
         assert np.abs(got.motion.rotation - want.motion.rotation).max() <= 1e-9
         assert np.abs(got.motion.translation - want.motion.translation).max() <= 1e-9
-    assert skipped > 0                # degenerate samples were met and skipped
+    # the second two-motion case's first gate is empty, so it keeps its start
+    assert gains == [True] * 5 + [False]
+
+
+def test_lo_leaves_a_hypothesis_it_cannot_fit_unchanged():
+    rng = np.random.default_rng(48)
+    a = rng.uniform(-25.0, 25.0, size=(200, 3))
+    b = rng.uniform(-25.0, 25.0, size=(200, 3))
+    line = a[0] + np.outer(np.arange(6.0), [1.0, 0.5, -0.3])
+    a[:6], b[:6] = line, line + 2.0
+    mask = np.zeros(200, dtype=bool)
+    mask[:6] = True               # collinear inliers: the first fit is degenerate
+    collinear = Hypothesis(RigidMotion.identity(), 6, mask)
+    mask = np.zeros(200, dtype=bool)
+    mask[100:104] = True          # unrelated pairs: the first gate holds no point
+    scattered = Hypothesis(RigidMotion.identity(), 4, mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _lo_step(collinear, a, b, 0.6) is collinear
+        assert _lo_step(scattered, a, b, 1e-6) is scattered
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +627,6 @@ def one_at_a_time(src, dst, corrs, cfg, rows):
         order = priority_order(corrs)
         a, b = a[order], b[order]
     n = len(corrs)
-    lo_rng = np.random.default_rng(cfg.seed).spawn(2)[1]
     best = Hypothesis(RigidMotion.identity(), 0, np.zeros(n, dtype=bool))
     history, rejected, lo_rounds = [], 0, 0
     required, t = cfg.max_iterations, 0
@@ -680,7 +647,7 @@ def one_at_a_time(src, dst, corrs, cfg, rows):
             best = Hypothesis(motion, int(mask.sum()), mask)
             if cfg.use_lo and lo_rounds < ransac_module._LO_MAX_ROUNDS:
                 lo_rounds += 1
-                best = _lo_step(best, a, b, cfg.inlier_threshold, lo_rng)
+                best = _lo_step(best, a, b, cfg.inlier_threshold)
             history.append((t, best.inlier_count))
             required = required_iterations(cfg.confidence, best.inlier_count / n,
                                            max_iterations=cfg.max_iterations)
@@ -718,6 +685,31 @@ def test_engine_matches_the_one_at_a_time_loop_on_its_draws(frac, monkeypatch):
                 got = (res.iterations_run, res.hypotheses_rejected_fast, res.lo_rounds,
                        [(it, count) for it, count, _ in res.best_history])
                 assert got == want, (seed, max_iterations, rejection, prosac, lo)
+
+
+@pytest.mark.parametrize("prosac", [False, True])
+def test_lo_draws_nothing(prosac, monkeypatch):
+    # local optimization takes no random draws, so switching it on leaves
+    # the minimal samples as they were, up to where the shorter run stops
+    sample_block = ransac_module._sample_block
+    for seed in range(3):
+        src, dst, corrs, labels, truth = make_planted(
+            np.random.default_rng([seed, 23]), n=300, frac=0.1, sigma=0.2)
+        drawn = {}
+        for lo in (False, True):
+            rows = drawn[lo] = []
+
+            def recording(*args, rows=rows):
+                rows.append(sample_block(*args))
+                return rows[-1]
+
+            monkeypatch.setattr(ransac_module, "_sample_block", recording)
+            ransac_register(src, dst, corrs, engine_cfg(seed=seed, use_prosac=prosac,
+                                                        use_lo=lo))
+        off, on = np.concatenate(drawn[False]), np.concatenate(drawn[True])
+        k = min(len(off), len(on))
+        assert k > _BLOCK, seed
+        assert np.array_equal(off[:k], on[:k]), seed
 
 
 def test_engine_requires_three_correspondences():
