@@ -17,6 +17,7 @@ from lidarreg.metrics import rotation_error, translation_error
 from lidarreg.ransac import (
     _BLOCK,
     _LO_ANNEAL,
+    _LO_MIN_SAMPLE,
     SAMPLE_SIZE,
     DegenerateSampleError,
     Hypothesis,
@@ -412,6 +413,8 @@ def random_rotation_small(deg):
 def replay_lo(best, a, b, threshold):
     """The local optimizer as explicit kabsch calls: a fit on the inliers
     of ``best``, one re-fit per annealed gate, then the score."""
+    if best.inlier_count < _LO_MIN_SAMPLE:
+        return best
     try:
         motion = kabsch(a[best.inlier_mask], b[best.inlier_mask])
         for mult in _LO_ANNEAL:
@@ -471,6 +474,37 @@ def test_lo_equals_kabsch_replay_of_the_iterated_fit():
         assert np.abs(got.motion.translation - want.motion.translation).max() <= 1e-9
     # the second two-motion case's first gate is empty, so it keeps its start
     assert gains == [True] * 5 + [False]
+
+
+@pytest.mark.parametrize("max_iterations", [50, 150])
+def test_lo_equals_kabsch_replay_of_its_own_draws(max_iterations, monkeypatch):
+    # every hypothesis the engine hands to the local optimizer, drawn by
+    # the engine itself within a short run, is polished as the replay is
+    calls = []
+
+    def recording(best, a, b, threshold):
+        out = _lo_step(best, a, b, threshold)
+        calls.append((best, a, b, threshold, out))
+        return out
+
+    monkeypatch.setattr(ransac_module, "_lo_step", recording)
+    for seed in range(8):
+        src, dst, corrs, labels, truth = make_planted(
+            np.random.default_rng([seed, 49]), n=300, frac=0.08, sigma=0.2)
+        for prosac in (False, True):
+            ransac_register(src, dst, corrs, engine_cfg(
+                max_iterations=max_iterations, seed=seed, use_prosac=prosac,
+                rejection="none"))
+    assert len(calls) >= 10
+    gains = 0
+    for i, (best, a, b, threshold, got) in enumerate(calls):
+        want = replay_lo(best, a, b, threshold)
+        gains += got.inlier_count > best.inlier_count
+        assert got.inlier_count == want.inlier_count, i
+        assert np.array_equal(got.inlier_mask, want.inlier_mask), i
+        assert np.abs(got.motion.rotation - want.motion.rotation).max() <= 1e-9
+        assert np.abs(got.motion.translation - want.motion.translation).max() <= 1e-9
+    assert 0 < gains < len(calls)     # some polished, some kept as drawn
 
 
 def test_lo_leaves_a_hypothesis_it_cannot_fit_unchanged():
