@@ -10,7 +10,6 @@ calls for file-to-file use.
 
 from .benchgen import (
     CandidatePair,
-    MotionDescriptor6,
     PosedFrame,
     SelectionResult,
     SelectorConfig,
@@ -96,7 +95,7 @@ __all__ = [
     "CandidatePair", "Correspondences", "DEFAULT_BIN_EDGES",
     "DegenerateSampleError", "EulerAngles", "FailureHistogram",
     "FormatError", "GimbalLockError", "GpfConfig", "Histogram", "IcpConfig",
-    "IcpResult", "MotionDescriptor6", "NoMnnPairsError", "PairRecord",
+    "IcpResult", "NoMnnPairsError", "PairRecord",
     "PairResult", "PipelineConfig", "PosedFrame", "RansacConfig",
     "RegistrationResult", "RigidMotion", "Scene", "SceneSpec",
     "SelectionResult", "SelectorConfig", "SpatialIndex", "TrajectorySpec",

@@ -7,6 +7,8 @@ sequence, their relative motions are normalized into the unit 6-cube
 (x, y, z offsets and roll, pitch, yaw), and pairs are then accepted by
 rejection-sampling uniform locations in that cube.  The accepted set is
 close to uniform over whatever motion range the pool actually covers.
+A candidate holds only its two frames and their overlap; its motion and
+time gap are derived from the frames when they are needed.
 
 Overlap between two frames is the fraction of source points whose nearest
 neighbor in the target cloud, after applying the ground-truth alignment,
@@ -28,7 +30,6 @@ from .metrics import PairRecord
 
 __all__ = [
     "PosedFrame",
-    "MotionDescriptor6",
     "CandidatePair",
     "SelectorConfig",
     "SelectionResult",
@@ -60,31 +61,12 @@ class PosedFrame:
 
 
 @dataclass(frozen=True)
-class MotionDescriptor6:
-    """Relative motion source -> target: offsets in meters, angles in degrees."""
-
-    dx: float
-    dy: float
-    dz: float
-    roll: float
-    pitch: float
-    yaw: float
-
-    def as_array(self) -> NDArray[F64]:
-        return np.array([self.dx, self.dy, self.dz,
-                         self.roll, self.pitch, self.yaw], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class CandidatePair:
-    """Pool entry: a qualifying (source, target) frame pair and its stats."""
+    """Pool entry: a qualifying (source, target) frame pair and its overlap."""
 
     src: PosedFrame
     tgt: PosedFrame
-    motion: MotionDescriptor6
     overlap: float
-    dt: float
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -105,8 +87,9 @@ class SelectorConfig:
             raise ValueError("r must lie in (0, 1]")
         if self.target_count < 1:
             raise ValueError("target_count must be at least 1")
-        if self.overlap_tau <= 0.0:
-            raise ValueError("overlap_tau must be positive")
+        if not 0.0 < self.overlap_tau < np.inf:
+            raise ValueError("overlap_tau must be positive and finite, "
+                             f"got {self.overlap_tau}")
 
 
 @dataclass(frozen=True)
@@ -134,14 +117,12 @@ def alignment_motion(pose_src: RigidMotion, pose_tgt: RigidMotion) -> RigidMotio
     return compose(inverse(pose_tgt), pose_src)
 
 
-def motion_descriptor(pose_src: RigidMotion, pose_tgt: RigidMotion) -> MotionDescriptor6:
-    """Six-axis description of how the sensor moved from source to target."""
+def motion_descriptor(pose_src: RigidMotion, pose_tgt: RigidMotion) -> NDArray[F64]:
+    """How the sensor moved from source to target, as the (6,) array
+    ``[dx, dy, dz, roll, pitch, yaw]``: offsets in meters, angles in degrees."""
     rel = compose(inverse(pose_src), pose_tgt)
     e = to_euler(rel.rotation)
-    return MotionDescriptor6(dx=float(rel.translation[0]),
-                             dy=float(rel.translation[1]),
-                             dz=float(rel.translation[2]),
-                             roll=e.roll, pitch=e.pitch, yaw=e.yaw)
+    return np.array([*rel.translation, e.roll, e.pitch, e.yaw], dtype=np.float64)
 
 
 def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
@@ -152,8 +133,8 @@ def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
     src = np.asarray(src, dtype=np.float64)
     if len(src) == 0 or len(tgt) == 0:
         raise ValueError("overlap needs two nonempty clouds")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return float(np.mean(SpatialIndex(tgt).within(apply(gt, src), tau)))
 
 
@@ -241,11 +222,7 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
             if not cands:
                 continue
             tgt, ov = cands[int(rng.integers(len(cands)))]
-            desc = motion_descriptor(src.pose, tgt.pose)
-            pool.append(CandidatePair(
-                src=src, tgt=tgt, motion=desc, overlap=ov,
-                dt=abs(tgt.timestamp - src.timestamp),
-                distance=float(np.linalg.norm(desc.as_array()[:3]))))
+            pool.append(CandidatePair(src=src, tgt=tgt, overlap=ov))
     return pool
 
 
@@ -257,7 +234,7 @@ def normalize_motions(pool) -> tuple[NDArray[F64], NDArray[F64]]:
     """
     if len(pool) == 0:
         raise ValueError("cannot normalize an empty pool")
-    raw = np.stack([c.motion.as_array() for c in pool])
+    raw = np.stack([motion_descriptor(c.src.pose, c.tgt.pose) for c in pool])
     lo = raw.min(axis=0)
     hi = raw.max(axis=0)
     span = hi - lo
@@ -276,7 +253,7 @@ def _record_of(cand: CandidatePair) -> PairRecord:
                       tgt=cand.tgt.frame_index,
                       motion=alignment_motion(cand.src.pose, cand.tgt.pose),
                       overlap=cand.overlap,
-                      dt=cand.dt)
+                      dt=abs(cand.tgt.timestamp - cand.src.timestamp))
 
 
 def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchgen import SelectorConfig, build_candidate_pool, select_balanced
+from .benchgen import PosedFrame, SelectorConfig, build_candidate_pool, select_balanced
 from .geom import GimbalLockError, RigidMotion, voxel_downsample
 from .io import (
     FormatError,
@@ -100,6 +100,17 @@ _REGISTER_CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 
+# benchgen's and synth's flags by the config field each sets; a config's
+# error message starts with the field's name
+_FLAG_OF_FIELD: dict[str, str] = {
+    "k": "k", "min_overlap": "min-overlap", "r": "r", "overlap_tau": "tau",
+    "target_count": "target-count", "n_points": "n", "extent": "extent",
+    "inlier_fraction": "inlier-fraction", "noise_sigma": "sigma",
+    "descriptor_dim": "dim", "quality_correlation": "qc",
+    "n_frames": "frames", "frame_spacing": "spacing", "sensor_range": "range",
+}
+
+
 def _field_word(cfg: PipelineConfig, dest: str) -> object:
     section, name = _PIPELINE_FIELDS[dest]
     value = getattr(cfg if section is None else getattr(cfg, section), name)
@@ -155,6 +166,18 @@ def _merge_register_options(args: argparse.Namespace) -> dict[str, object]:
     if merged["threads"] < 1:
         raise ValueError("threads must be >= 1")
     return merged
+
+
+def _from_flags(make, **kwargs):
+    """``make(**kwargs)``; a ``ValueError`` that names a field is re-raised
+    naming the flag that sets it."""
+    try:
+        return make(**kwargs)
+    except ValueError as e:
+        flag = _FLAG_OF_FIELD.get(str(e).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise ValueError(f"{flag}: {e}") from e
 
 
 def _pipeline_config(opt: dict[str, object]) -> PipelineConfig:
@@ -309,8 +332,6 @@ def _cmd_register(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_sequences(args: argparse.Namespace):
-    from .benchgen import PosedFrame
-
     pose_dir = Path(args.pose_dir)
     pose_files = sorted(pose_dir.glob("*.poses"))
     if not pose_files:
@@ -340,9 +361,11 @@ def _load_sequences(args: argparse.Namespace):
 
 
 def _cmd_benchgen(args: argparse.Namespace) -> int:
-    cfg = SelectorConfig(k=args.k, min_overlap=args.min_overlap, r=args.r,
-                         target_count=args.target_count, overlap_tau=args.tau,
-                         seed=args.seed)
+    cfg = _from_flags(SelectorConfig, k=args.k, min_overlap=args.min_overlap,
+                      r=args.r, target_count=args.target_count,
+                      overlap_tau=args.tau, seed=args.seed)
+    if not 0.0 <= args.voxel < np.inf:
+        raise ValueError(f"voxel must be nonnegative and finite, got {args.voxel}")
     pool = build_candidate_pool(_load_sequences(args), cfg)
     if not pool:
         print("error: candidate pool is empty after overlap filtering; "
@@ -422,12 +445,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "scene":
-        spec = SceneSpec(n_points=args.n, extent=args.extent,
-                         true_motion=RigidMotion.identity() if args.identity else None,
-                         inlier_fraction=args.inlier_fraction,
-                         noise_sigma=args.sigma,
-                         descriptor_dim=args.dim,
-                         quality_correlation=args.qc, seed=args.seed)
+        spec = _from_flags(SceneSpec, n_points=args.n, extent=args.extent,
+                           true_motion=RigidMotion.identity() if args.identity else None,
+                           inlier_fraction=args.inlier_fraction,
+                           noise_sigma=args.sigma,
+                           descriptor_dim=args.dim,
+                           quality_correlation=args.qc, seed=args.seed)
         scene = generate_scene(spec)
         write_cloud_ply(out / "src.ply", scene.src)
         write_cloud_ply(out / "dst.ply", scene.dst)
@@ -436,28 +459,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         write_poses(out / "gt.txt", [scene.true_motion])
         return 0
 
-    if args.profile == "straight":
-        spec = TrajectorySpec.straight(n_frames=args.frames,
-                                       frame_spacing=args.spacing,
-                                       sensor_range=args.range,
-                                       seed=args.seed,
-                                       sequence_id=args.sequence_id)
-    elif args.profile == "uturn":
-        spec = TrajectorySpec.uturn(n_frames=args.frames,
-                                    frame_spacing=args.spacing,
-                                    sensor_range=args.range, seed=args.seed,
-                                    sequence_id=args.sequence_id)
-    elif args.profile == "stationary":
-        spec = TrajectorySpec.stationary(n_frames=args.frames,
-                                         sensor_range=args.range,
-                                         seed=args.seed,
-                                         sequence_id=args.sequence_id)
+    shared = dict(n_frames=args.frames, sensor_range=args.range,
+                  seed=args.seed, sequence_id=args.sequence_id)
+    if args.profile == "stationary":
+        spec = _from_flags(TrajectorySpec.stationary, **shared)
     else:
-        spec = TrajectorySpec.random_drive(n_frames=args.frames,
-                                           frame_spacing=args.spacing,
-                                           sensor_range=args.range,
-                                           seed=args.seed,
-                                           sequence_id=args.sequence_id)
+        make = {"straight": TrajectorySpec.straight,
+                "uturn": TrajectorySpec.uturn,
+                "random": TrajectorySpec.random_drive}[args.profile]
+        spec = _from_flags(make, frame_spacing=args.spacing, **shared)
     frames = generate_trajectory(spec)
     descs = frame_descriptors(frames, dim=args.dim, seed=args.seed)
     for frame, desc in zip(frames, descs):

@@ -8,6 +8,8 @@ same per-cell quota, and within a cell the best-ranked matches win.
 
 The budget R defaults to a multiple phi of the number of mutual pairs,
 so the filter adapts to how well the descriptors worked on this pair.
+The quota is read off the sorted cell counts for every level at once,
+and the selection is one stable sort of the priority order by cell.
 """
 
 from __future__ import annotations
@@ -80,48 +82,35 @@ def grid_assign(src_points: Points, corrs: Correspondences, grid_m: int) -> NDAr
         raise ValueError(f"grid_m must be >= 1, got {grid_m}")
     xy = np.asarray(src_points, dtype=np.float64)[corrs.src][:, :2]
     lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
-    span = hi - lo
-    cell = np.zeros((len(xy), 2), dtype=np.int64)
-    for axis in range(2):
-        if span[axis] > 0.0:
-            width = span[axis] / grid_m
-            idx = np.floor((xy[:, axis] - lo[axis]) / width).astype(np.int64)
-            cell[:, axis] = np.clip(idx, 0, grid_m - 1)
+    span = xy.max(axis=0) - lo
+    # a zero-extent axis has every offset 0, so any width maps it to 0
+    width = np.where(span > 0.0, span / grid_m, 1.0)
+    cell = np.clip(np.floor((xy - lo) / width).astype(np.int64), 0, grid_m - 1)
     return cell[:, 0] * grid_m + cell[:, 1]
 
 
 def quota_search(cell_counts, r: int) -> int:
     """Per-cell quota whose total selection lands closest to the budget.
 
-    Finds the l in [1, max(counts)] minimizing |sum_i min(l, c_i) - r|.
-    The total is strictly increasing in l over that range, so a binary
-    search suffices; an exact straddle resolves toward the larger l.
+    Finds the l in [1, max(counts)] minimizing |sum_i min(l, c_i) - r|,
+    an exact straddle resolving toward the larger l.  Every level's total
+    comes from the sorted counts at once: the cells below l in full, plus
+    l for each of the rest.
     """
-    counts = np.asarray(cell_counts, dtype=np.int64)
+    counts = np.sort(np.asarray(cell_counts, dtype=np.int64))
     if r < 1:
         raise ValueError(f"budget must be >= 1, got {r}")
-    if counts.size == 0 or counts.max() < 1:
+    if counts.size == 0 or counts[-1] < 1:
         raise ValueError("need at least one non-empty cell")
-
-    def total(level: int) -> int:
-        return int(np.minimum(counts, level).sum())
-
-    lo, hi = 1, int(counts.max())
-    if total(hi) <= r:
-        return hi
-    # smallest level whose total reaches the budget
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if total(mid) >= r:
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == 1:
-        return 1
-    above = total(lo) - r
-    below = r - total(lo - 1)
-    return lo if above <= below else lo - 1
+    # a budget past the total keeps the largest level; clamping keeps r in int64
+    r = min(r, int(counts.sum()))
+    levels = np.arange(1, counts[-1] + 1)
+    below = np.searchsorted(counts, levels)
+    below_sum = np.concatenate(([0], np.cumsum(counts)))[below]
+    totals = below_sum + levels * (counts.size - below)
+    miss = np.abs(totals - r)
+    # levels[i] is i + 1; the last minimum is the larger level of a straddle
+    return int(len(miss) - np.argmin(miss[::-1]))
 
 
 def gpf(src_points: Points, corrs: Correspondences, cfg: GpfConfig) -> Correspondences:
@@ -129,22 +118,18 @@ def gpf(src_points: Points, corrs: Correspondences, cfg: GpfConfig) -> Correspon
 
     Every occupied grid cell contributes its top matches up to a common
     quota; the quota is chosen so the total lands as close as possible to
-    the budget.  When the budget exceeds the number of matches the input
-    comes back whole (cell-ordered).
+    the budget.  The output runs over the cells in ascending id, best
+    match first within each.  When the budget exceeds the number of
+    matches the input comes back whole (cell-ordered).
     """
     if len(corrs) == 0:
         raise ValueError("no correspondences to filter")
     r = target_count(corrs, cfg)
     cells = grid_assign(src_points, corrs, cfg.grid_m)
-    rank = np.empty(len(corrs), dtype=np.int64)
-    rank[priority_order(corrs)] = np.arange(len(corrs))
-
-    occupied, counts = np.unique(cells, return_counts=True)
+    # best-first, then stably by cell: each cell's matches in priority order
+    order = priority_order(corrs)
+    order = order[np.argsort(cells[order], kind="stable")]
+    _, first, counts = np.unique(cells[order], return_index=True, return_counts=True)
     level = quota_search(counts, r)
-
-    keep: list[np.ndarray] = []
-    for cell_id in occupied:
-        members = np.nonzero(cells == cell_id)[0]
-        best = members[np.argsort(rank[members])][:level]
-        keep.append(best)
-    return corrs.take(np.concatenate(keep))
+    place = np.arange(len(order)) - np.repeat(first, counts)
+    return corrs.take(order[place < level])

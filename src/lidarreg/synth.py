@@ -93,14 +93,15 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
-        if self.extent <= 0.0:
-            raise ValueError("extent must be positive")
+        if not 0.0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if not 0.0 <= self.inlier_fraction <= 1.0:
             raise ValueError("inlier_fraction must lie in [0, 1]")
         if self.n_inliers < 3:
             raise ValueError("the spec must plant at least 3 inliers")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be nonnegative and finite, "
+                             f"got {self.noise_sigma}")
         if OUTLIER_MIN_OFFSET <= 2.0 * self.noise_sigma:
             raise ValueError("noise_sigma must be below half OUTLIER_MIN_OFFSET")
         if OUTLIER_MIN_OFFSET >= math.sqrt(3.0) * self.extent:
@@ -224,10 +225,12 @@ class TrajectorySpec:
     def __post_init__(self) -> None:
         if self.n_frames < 2:
             raise ValueError("n_frames must be at least 2")
-        if self.frame_spacing < 0.0:
-            raise ValueError("frame_spacing must be nonnegative")
-        if self.sensor_range <= 0.0:
-            raise ValueError("sensor_range must be positive")
+        if not 0.0 <= self.frame_spacing < math.inf:
+            raise ValueError("frame_spacing must be nonnegative and finite, "
+                             f"got {self.frame_spacing}")
+        if not 0.0 < self.sensor_range < math.inf:
+            raise ValueError("sensor_range must be positive and finite, "
+                             f"got {self.sensor_range}")
         steps = self.yaw_steps()
         if len(steps) != self.n_frames - 1:
             raise ValueError("yaw_step_deg tuple must have n_frames - 1 entries")

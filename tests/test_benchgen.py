@@ -134,8 +134,9 @@ def test_motion_descriptor_reads_off_relative_pose():
         rotation=from_euler(EulerAngles(roll=2.0, pitch=-3.0, yaw=40.0)),
         translation=np.array([5.0, -1.0, 0.25]))
     d = motion_descriptor(RigidMotion.identity(), pose_tgt)
-    assert np.allclose([d.dx, d.dy, d.dz], [5.0, -1.0, 0.25])
-    assert np.allclose([d.roll, d.pitch, d.yaw], [2.0, -3.0, 40.0], atol=1e-12)
+    assert d.shape == (6,) and d.dtype == np.float64
+    assert np.allclose(d[:3], [5.0, -1.0, 0.25])
+    assert np.allclose(d[3:], [2.0, -3.0, 40.0], atol=1e-12)
 
 
 def test_alignment_motion_maps_shared_world_points():
@@ -156,7 +157,7 @@ def test_descriptor_and_alignment_share_translation_norm():
     pose_src, pose_tgt = random_motion(rng), random_motion(rng)
     d = motion_descriptor(pose_src, pose_tgt)
     align = alignment_motion(pose_src, pose_tgt)
-    assert np.isclose(np.hypot(np.hypot(d.dx, d.dy), d.dz),
+    assert np.isclose(np.hypot(np.hypot(d[0], d[1]), d[2]),
                       np.linalg.norm(align.translation))
 
 
@@ -215,10 +216,13 @@ def test_pool_determinism_and_fields():
     b = build_candidate_pool([frames], cfg)
     assert [(c.src.frame_index, c.tgt.frame_index) for c in a] \
         == [(c.src.frame_index, c.tgt.frame_index) for c in b]
-    for c in a:
-        assert c.dt == abs(c.tgt.timestamp - c.src.timestamp)
-        assert c.distance == pytest.approx(
-            np.linalg.norm(c.motion.as_array()[:3]))
+    records = select_balanced(a, replace(cfg, target_count=len(a), r=1.0)).records
+    assert len(records) == len(a)
+    for rec in records:
+        src, tgt = frames[rec.src], frames[rec.tgt]
+        assert rec.dt == abs(tgt.timestamp - src.timestamp)
+        assert rec.distance == pytest.approx(
+            np.linalg.norm(motion_descriptor(src.pose, tgt.pose)[:3]))
 
 
 def _reference_pool(frames, cfg: SelectorConfig) -> list[CandidatePair]:
@@ -245,11 +249,7 @@ def _reference_pool(frames, cfg: SelectorConfig) -> list[CandidatePair]:
         if not qualifying:
             continue
         tgt, ov = qualifying[int(rng.integers(len(qualifying)))]
-        desc = motion_descriptor(src.pose, tgt.pose)
-        pool.append(CandidatePair(
-            src=src, tgt=tgt, motion=desc, overlap=ov,
-            dt=abs(tgt.timestamp - src.timestamp),
-            distance=float(np.linalg.norm(desc.as_array()[:3]))))
+        pool.append(CandidatePair(src=src, tgt=tgt, overlap=ov))
     return pool
 
 
@@ -263,8 +263,7 @@ def test_pool_equals_a_nearest_neighbor_reference(seed, k, tau):
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert a.src is b.src and a.tgt is b.tgt
-        assert a.motion == b.motion
-        assert (a.overlap, a.dt, a.distance) == (b.overlap, b.dt, b.distance)
+        assert a.overlap == b.overlap
 
 
 def test_pool_equals_a_nearest_neighbor_reference_above_the_skip_share(monkeypatch):
@@ -290,8 +289,7 @@ def test_pool_equals_a_nearest_neighbor_reference_above_the_skip_share(monkeypat
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert a.src is b.src and a.tgt is b.tgt
-        assert a.motion == b.motion
-        assert (a.overlap, a.dt, a.distance) == (b.overlap, b.dt, b.distance)
+        assert a.overlap == b.overlap
 
 
 def test_pool_rejects_decreasing_timestamps():
@@ -317,10 +315,7 @@ def _pool_from_descriptors(rows, seq_ids=None) -> list[CandidatePair]:
             translation=row[:3].copy())
         src = PosedFrame(seq, 2 * i, float(i), RigidMotion.identity(), dummy)
         tgt = PosedFrame(seq, 2 * i + 1, float(i), pose_tgt, dummy)
-        out.append(CandidatePair(src=src, tgt=tgt,
-                                 motion=motion_descriptor(src.pose, tgt.pose),
-                                 overlap=0.5, dt=0.0,
-                                 distance=float(np.linalg.norm(row[:3]))))
+        out.append(CandidatePair(src=src, tgt=tgt, overlap=0.5))
     return out
 
 
@@ -346,7 +341,7 @@ def test_normalize_round_trip():
     rows = rng.uniform(-1, 1, (40, 6)) * np.array([20, 10, 2, 5, 5, 90])
     pool = _pool_from_descriptors(rows)
     coords, bounds = normalize_motions(pool)
-    raw = np.stack([c.motion.as_array() for c in pool])
+    raw = np.stack([motion_descriptor(c.src.pose, c.tgt.pose) for c in pool])
     back = bounds[:, 0] + coords * (bounds[:, 1] - bounds[:, 0])
     assert np.allclose(back, raw, atol=1e-9)
 
@@ -406,9 +401,7 @@ def test_every_record_lies_within_radius_of_its_draw():
 def test_low_overlap_candidates_never_selected(monkeypatch):
     monkeypatch.setattr(benchgen_module, "_ATTEMPT_FACTOR", 50)
     pool = _uniform_pool(np.random.default_rng(11), 60)
-    starved = [CandidatePair(src=c.src, tgt=c.tgt, motion=c.motion,
-                             overlap=0.1, dt=c.dt, distance=c.distance)
-               for c in pool[:30]]
+    starved = [replace(c, overlap=0.1) for c in pool[:30]]
     res = select_balanced(starved + pool[30:],
                           SelectorConfig(target_count=30, r=0.5, seed=4))
     good = {(c.src.sequence_id, c.src.frame_index) for c in pool[30:]}

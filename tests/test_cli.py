@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from lidarreg.benchgen import SelectorConfig
 from lidarreg.cli import main
 from lidarreg.geom import RigidMotion
 from lidarreg.io import (
@@ -15,6 +16,7 @@ from lidarreg.io import (
     read_pair_list,
     read_poses,
 )
+from lidarreg.synth import SceneSpec, TrajectorySpec
 
 # Small scenes keep these tests quick; the heavy statistical checks live
 # in the acceptance suite.
@@ -230,6 +232,48 @@ def test_benchgen_empty_pool_exits_1(traj_dir, tmp_path, capsys):
                  "--out-pairs", str(tmp_path / "p.csv"),
                  "--min-overlap", "0.999", "--k", "1"]) == 1
     assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("config, field, command, flag", [
+    pytest.param(SelectorConfig, "overlap_tau", "benchgen", "--tau", id="tau"),
+    pytest.param(SceneSpec, "extent", "scene", "--extent", id="extent"),
+    pytest.param(SceneSpec, "noise_sigma", "scene", "--sigma", id="sigma"),
+    pytest.param(TrajectorySpec, "frame_spacing", "trajectory", "--spacing",
+                 id="spacing"),
+    pytest.param(TrajectorySpec, "sensor_range", "trajectory", "--range",
+                 id="range"),
+    pytest.param(None, None, "benchgen", "--voxel", id="voxel"),
+])
+def test_bad_float_is_rejected_naming_the_field_and_the_flag(
+        traj_dir, tmp_path, capsys, config, field, command, flag, value):
+    if config is not None:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            config(**{field: float(value)})
+    out = tmp_path / "out"
+    if command == "benchgen":
+        argv = ["benchgen", "--cloud-dir", str(traj_dir),
+                "--pose-dir", str(traj_dir), "--out-pairs", str(out / "p.csv"),
+                "--k", "1", "--min-overlap", "0.3", "--r", "0.5"]
+    else:
+        argv = ["synth", command, "--out-dir", str(out)]
+    assert main([*argv, f"{flag}={value}"]) == 2
+    assert f"error: {flag[2:]}" in capsys.readouterr().err
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+def test_benchgen_voxel_zero_disables_downsampling(traj_dir, tmp_path,
+                                                   monkeypatch):
+    calls = []
+    monkeypatch.setattr("lidarreg.cli.voxel_downsample",
+                        lambda *args: calls.append(args))
+    pairs = tmp_path / "p.csv"
+    assert main(["benchgen", "--cloud-dir", str(traj_dir),
+                 "--pose-dir", str(traj_dir), "--out-pairs", str(pairs),
+                 "--k", "1", "--min-overlap", "0.3", "--r", "0.5",
+                 "--target-count", "6", "--voxel", "0"]) == 0
+    assert len(read_pair_list(pairs)) == 6
+    assert calls == []
 
 
 def test_benchgen_missing_pose_dir_exits_2(tmp_path, capsys):

@@ -60,11 +60,26 @@ def test_quota_matches_linear_scan_oracle():
             counts[rng.integers(n_cells)] = rng.integers(1, 40)
         r = int(rng.integers(1, 120))
         assert quota_search(counts, r) == quota_oracle(counts, r), (list(counts), r)
+    # mostly empty cells, and a single cell
+    for _ in range(300):
+        n_cells = int(rng.integers(1, 12))
+        counts = np.where(rng.random(n_cells) < 0.7, 0, rng.integers(1, 40, n_cells))
+        if counts.max() == 0:
+            counts[rng.integers(n_cells)] = rng.integers(1, 40)
+        r = int(rng.integers(1, 120))
+        assert quota_search(counts, r) == quota_oracle(counts, r), (list(counts), r)
+    for count in (1, 2, 7, 39):
+        for r in (1, count - 1, count, count + 1, 100):
+            if r >= 1:
+                assert quota_search([count], r) == quota_oracle([count], r), (count, r)
+                assert quota_search([0, count, 0], r) == quota_oracle([0, count, 0], r)
 
 
 def test_quota_budget_above_total_returns_max_count():
     assert quota_search([2, 3, 1], 100) == 3
     assert quota_search([4], 4) == 4
+    # a budget far past the int64 range
+    assert quota_search([2, 3, 1], 10**30) == 3
 
 
 def test_quota_rejects_bad_input():
@@ -96,6 +111,7 @@ def test_target_count_that_overflows_keeps_every_match():
     c = make_corrs(1000, is_mnn=np.arange(1000) < 800)
     assert target_count(c, GpfConfig(phi=1e308)) == 1000
     assert len(gpf(np.zeros((1000, 3)), c, GpfConfig(phi=1e308))) == 1000
+    assert len(gpf(np.zeros((1000, 3)), c, GpfConfig(phi=1e300))) == 1000
     # a finite product is still rounded, however far past len(corrs)
     assert target_count(c, GpfConfig(phi=1e300)) == int(np.floor(800e300 + 0.5))
 
@@ -229,6 +245,24 @@ def test_gpf_matches_brute_force_oracle():
         want = c.take(gpf_oracle(pts, c, cfg))
         assert np.array_equal(got.src, want.src), trial
         assert np.array_equal(got.dst, want.dst)
+    # grids up to 50 per side, equal ratios (the source index breaks the
+    # tie) and repeated source points (several matches per point and cell,
+    # with equal ratios tied on both keys)
+    rng = np.random.default_rng(15)
+    for trial in range(90):
+        n = int(rng.integers(10, 400))
+        pts = rng.uniform(-20.0, 20.0, size=(n, 3))
+        ratio = np.full(n, 2.0) if trial % 2 else None
+        src = rng.integers(0, max(2, n // 4), n) if trial % 3 == 0 else None
+        c = make_corrs(n, rng=np.random.default_rng(200 + trial), ratio=ratio, src=src)
+        if not c.is_mnn.any():
+            continue
+        grid_m = 50 if trial % 5 == 0 else int(rng.integers(8, 51))
+        cfg = GpfConfig(grid_m=grid_m, phi=float(rng.uniform(0.3, 3.0)))
+        got = gpf(pts, c, cfg)
+        want = c.take(gpf_oracle(pts, c, cfg))
+        assert np.array_equal(got.src, want.src), trial
+        assert np.array_equal(got.dst, want.dst), trial
 
 
 def test_gpf_equal_counts_in_full_cells():

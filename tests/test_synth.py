@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lidarreg import synth
-from lidarreg.benchgen import SelectorConfig, build_candidate_pool, overlap
+from lidarreg.benchgen import SelectorConfig, build_candidate_pool, motion_descriptor, overlap
 from lidarreg.geom import RigidMotion, apply, compose, inverse
 from lidarreg.match import match_features, mnn_filter
 from lidarreg.ransac import _residuals, kabsch
@@ -221,7 +221,7 @@ def test_shared_world_points_align_exactly_under_relative_pose():
 def test_uturn_pool_contains_a_reversed_pair():
     frames = generate_trajectory(TrajectorySpec.uturn(n_frames=7, seed=8))
     pool = build_candidate_pool([frames], SelectorConfig(k=1, seed=0))
-    yaws = [abs(c.motion.yaw) for c in pool]
+    yaws = [abs(motion_descriptor(c.src.pose, c.tgt.pose)[5]) for c in pool]
     assert max(yaws) > 170.0
 
 
