@@ -21,13 +21,15 @@ from lidarreg import (
 # Three synthetic drives: straight, a U-turn, and a random wander.  Each
 # frame carries its ground-truth pose and a cloud in sensor coordinates.
 sequences = [
-    generate_trajectory(TrajectorySpec.straight(n_frames=14, frame_spacing=5.0,
-                                                seed=1, sequence_id="straight")),
-    generate_trajectory(TrajectorySpec.uturn(n_frames=12, frame_spacing=4.0,
-                                             seed=2, sequence_id="uturn")),
-    generate_trajectory(TrajectorySpec.random_drive(n_frames=14,
-                                                    frame_spacing=5.0, seed=3,
-                                                    sequence_id="wander")),
+    generate_trajectory(TrajectorySpec(profile="straight", n_frames=14,
+                                       frame_spacing=5.0, seed=1,
+                                       sequence_id="straight")),
+    generate_trajectory(TrajectorySpec(profile="uturn", n_frames=12,
+                                       frame_spacing=4.0, seed=2,
+                                       sequence_id="uturn")),
+    generate_trajectory(TrajectorySpec(profile="random", n_frames=14,
+                                       frame_spacing=5.0, seed=3,
+                                       sequence_id="wander")),
 ]
 
 # The pool takes every k-th frame as a source and draws one overlapping

@@ -7,12 +7,14 @@ builds a balanced registration set from pose and cloud directories.
 ``synth`` writes generated scenes or trajectories in the standard formats
 so the whole chain can run from files alone.
 
-Option precedence for ``register`` is flags over config file over
-defaults, which are the field defaults of ``PipelineConfig`` and its
-sections; the config file holds flat ``key=value`` lines named after the
-long flags.  With a fixed ``--seed`` and ``--threads 1`` (plus
-``--timing off``, since wall clocks are measurements, not outputs) every
-emitted byte is reproducible.
+Every flag that sets a config field takes its default and choices from
+the config dataclass: ``PipelineConfig`` and its sections for
+``register``, ``SelectorConfig`` for ``benchgen``, ``SceneSpec`` and
+``TrajectorySpec`` for ``synth``.  Option precedence for ``register`` is
+flags over config file over those defaults; the config file holds flat
+``key=value`` lines named after the long flags.  With a fixed ``--seed``
+and ``--threads 1`` (plus ``--timing off``, since wall clocks are
+measurements, not outputs) every emitted byte is reproducible.
 
 Exit codes: 0 all pairs processed, 1 empty result (the benchgen candidate
 pool is empty), 2 bad usage, unreadable or malformed input, or a value
@@ -64,7 +66,14 @@ from .metrics import (
 )
 from .pipeline import FILTERS, REFINERS, PipelineConfig, register_pair
 from .ransac import REJECTIONS
-from .synth import SceneSpec, TrajectorySpec, frame_descriptors, generate_scene, generate_trajectory
+from .synth import (
+    PROFILES,
+    SceneSpec,
+    TrajectorySpec,
+    frame_descriptors,
+    generate_scene,
+    generate_trajectory,
+)
 
 DEFAULT_CLOUD_PATTERN = "{seq}/{frame:06d}.ply"
 DEFAULT_DESC_PATTERN = "{seq}/{frame:06d}.fdsc"
@@ -100,14 +109,16 @@ _REGISTER_CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 
-# benchgen's and synth's flags by the config field each sets; a config's
-# error message starts with the field's name
+# every command's flags by the config field each sets; a config's error
+# message starts with the field's name
 _FLAG_OF_FIELD: dict[str, str] = {
     "k": "k", "min_overlap": "min-overlap", "r": "r", "overlap_tau": "tau",
     "target_count": "target-count", "n_points": "n", "extent": "extent",
     "inlier_fraction": "inlier-fraction", "noise_sigma": "sigma",
     "descriptor_dim": "dim", "quality_correlation": "qc",
     "n_frames": "frames", "frame_spacing": "spacing", "sensor_range": "range",
+    **{name: dest.replace("_", "-")
+       for dest, (_, name) in _PIPELINE_FIELDS.items()},
 }
 
 
@@ -168,11 +179,11 @@ def _merge_register_options(args: argparse.Namespace) -> dict[str, object]:
     return merged
 
 
-def _from_flags(make, **kwargs):
-    """``make(**kwargs)``; a ``ValueError`` that names a field is re-raised
-    naming the flag that sets it."""
+def _from_flags(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ``ValueError`` that names a field is
+    re-raised naming the flag that sets it."""
     try:
-        return make(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as e:
         flag = _FLAG_OF_FIELD.get(str(e).split(" ", 1)[0])
         if flag is None:
@@ -183,20 +194,17 @@ def _from_flags(make, **kwargs):
 def _pipeline_config(opt: dict[str, object]) -> PipelineConfig:
     """The merged options as a config; a value the config rejects raises
     ``ValueError`` naming its option."""
-    cfg = PipelineConfig()
+    by_section: dict[str | None, dict[str, object]] = {}
     for dest, (section, name) in _PIPELINE_FIELDS.items():
         value = opt[dest]
         if dest in _BOOL_WORDS:
             value = value == _BOOL_WORDS[dest][True]
-        try:
-            if section is None:
-                cfg = replace(cfg, **{name: value})
-            else:
-                cfg = replace(cfg, **{section: replace(getattr(cfg, section),
-                                                       **{name: value})})
-        except ValueError as e:
-            raise ValueError(f"{dest.replace('_', '-')}: {e}") from e
-    return cfg
+        by_section.setdefault(section, {})[name] = value
+    own = by_section.pop(None)
+    default = PipelineConfig()
+    return _from_flags(lambda: PipelineConfig(**own, **{
+        section: replace(getattr(default, section), **fields)
+        for section, fields in by_section.items()}))
 
 
 def _stage_dict(est: RigidMotion, gt: RigidMotion | None,
@@ -443,7 +451,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mode == "scene":
         spec = _from_flags(SceneSpec, n_points=args.n, extent=args.extent,
                            true_motion=RigidMotion.identity() if args.identity else None,
@@ -452,6 +459,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                            descriptor_dim=args.dim,
                            quality_correlation=args.qc, seed=args.seed)
         scene = generate_scene(spec)
+        out.mkdir(parents=True, exist_ok=True)
         write_cloud_ply(out / "src.ply", scene.src)
         write_cloud_ply(out / "dst.ply", scene.dst)
         write_descriptors(out / "src.fdsc", scene.src_desc)
@@ -459,17 +467,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         write_poses(out / "gt.txt", [scene.true_motion])
         return 0
 
-    shared = dict(n_frames=args.frames, sensor_range=args.range,
-                  seed=args.seed, sequence_id=args.sequence_id)
-    if args.profile == "stationary":
-        spec = _from_flags(TrajectorySpec.stationary, **shared)
-    else:
-        make = {"straight": TrajectorySpec.straight,
-                "uturn": TrajectorySpec.uturn,
-                "random": TrajectorySpec.random_drive}[args.profile]
-        spec = _from_flags(make, frame_spacing=args.spacing, **shared)
+    spec = _from_flags(TrajectorySpec, n_frames=args.frames,
+                       frame_spacing=args.spacing, profile=args.profile,
+                       sensor_range=args.range, seed=args.seed,
+                       sequence_id=args.sequence_id)
     frames = generate_trajectory(spec)
-    descs = frame_descriptors(frames, dim=args.dim, seed=args.seed)
+    descs = _from_flags(frame_descriptors, frames, dim=args.dim, seed=args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     for frame, desc in zip(frames, descs):
         cloud_path = out / DEFAULT_CLOUD_PATTERN.format(
             seq=spec.sequence_id, frame=frame.frame_index)
@@ -521,16 +525,16 @@ def _build_parser() -> argparse.ArgumentParser:
     bg.add_argument("--cloud-pattern", default=DEFAULT_CLOUD_PATTERN)
     bg.add_argument("--out-pairs", required=True, help="pair-list CSV to write")
     bg.add_argument("--out-dist", help="directory for distribution CSVs")
-    bg.add_argument("--k", type=int, default=10, help="source frame stride")
-    bg.add_argument("--min-overlap", type=float, default=0.2)
-    bg.add_argument("--r", type=float, default=0.1,
+    bg.add_argument("--k", type=int, default=SelectorConfig.k, help="source frame stride")
+    bg.add_argument("--min-overlap", type=float, default=SelectorConfig.min_overlap)
+    bg.add_argument("--r", type=float, default=SelectorConfig.r,
                     help="selection radius in the normalized motion cube")
-    bg.add_argument("--target-count", type=int, default=1000)
-    bg.add_argument("--tau", type=float, default=0.6,
+    bg.add_argument("--target-count", type=int, default=SelectorConfig.target_count)
+    bg.add_argument("--tau", type=float, default=SelectorConfig.overlap_tau,
                     help="nearest-neighbor gate for the overlap measure")
     bg.add_argument("--voxel", type=float, default=0.3,
                     help="downsample resolution before overlap (0 disables)")
-    bg.add_argument("--seed", type=int, default=0)
+    bg.add_argument("--seed", type=int, default=SelectorConfig.seed)
     bg.set_defaults(func=_cmd_benchgen)
 
     ev = sub.add_parser("eval", help="aggregate register output")
@@ -541,22 +545,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="generate synthetic data files")
     sy.add_argument("mode", choices=("scene", "trajectory"))
     sy.add_argument("--out-dir", required=True)
-    sy.add_argument("--seed", type=int, default=0)
-    sy.add_argument("--n", type=int, default=1000, help="scene: points")
-    sy.add_argument("--extent", type=float, default=50.0)
-    sy.add_argument("--inlier-fraction", type=float, default=0.3)
-    sy.add_argument("--sigma", type=float, default=0.05)
-    sy.add_argument("--qc", type=float, default=0.7,
+    sy.add_argument("--seed", type=int, default=SceneSpec.seed)
+    sy.add_argument("--n", type=int, default=SceneSpec.n_points, help="scene: points")
+    sy.add_argument("--extent", type=float, default=SceneSpec.extent)
+    sy.add_argument("--inlier-fraction", type=float, default=SceneSpec.inlier_fraction)
+    sy.add_argument("--sigma", type=float, default=SceneSpec.noise_sigma)
+    sy.add_argument("--qc", type=float, default=SceneSpec.quality_correlation,
                     help="descriptor quality correlation")
     sy.add_argument("--identity", action="store_true",
                     help="scene: use the identity as the true motion")
-    sy.add_argument("--dim", type=int, default=16, help="descriptor width")
-    sy.add_argument("--profile", default="straight",
-                    choices=("straight", "uturn", "stationary", "random"))
-    sy.add_argument("--frames", type=int, default=10)
-    sy.add_argument("--spacing", type=float, default=10.0)
-    sy.add_argument("--range", type=float, default=50.0)
-    sy.add_argument("--sequence-id", default="seq0", dest="sequence_id")
+    sy.add_argument("--dim", type=int, default=SceneSpec.descriptor_dim, help="descriptor width")
+    sy.add_argument("--profile", default=TrajectorySpec.profile, choices=PROFILES)
+    sy.add_argument("--frames", type=int, default=TrajectorySpec.n_frames)
+    sy.add_argument("--spacing", type=float, default=TrajectorySpec.frame_spacing,
+                    help="trajectory: meters between frames (unused when stationary)")
+    sy.add_argument("--range", type=float, default=TrajectorySpec.sensor_range)
+    sy.add_argument("--sequence-id", default=TrajectorySpec.sequence_id,
+                    dest="sequence_id")
     sy.set_defaults(func=_cmd_synth)
 
     return parser
@@ -566,10 +571,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # FormatError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

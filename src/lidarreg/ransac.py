@@ -304,7 +304,8 @@ class RansacConfig:
         if not self.inlier_threshold > 0.0:
             raise ValueError("inlier_threshold must be positive")
         if self.rejection not in REJECTIONS:
-            raise ValueError(f"unknown rejection kind {self.rejection!r}")
+            raise ValueError(f"rejection must be one of {REJECTIONS}, "
+                             f"got {self.rejection!r}")
         if not self.elc_tolerance > 0.0:
             raise ValueError("elc_tolerance must be positive")
 

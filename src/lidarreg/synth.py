@@ -11,9 +11,11 @@ labels exactly, which is what makes the generator usable as an oracle.
 ``generate_trajectory`` builds a vehicle-like posed sequence over a shared
 world point set, so the overlap between any two frames is decided by disk
 geometry rather than by chance: frame clouds are exactly the world points
-within sensor range, expressed in the sensor frame.  The world grid is
-jittered but keeps a minimum point spacing above the overlap gate, so a
-point either is shared between two frames or is nowhere near a match.
+within sensor range, expressed in the sensor frame.  The drive's shape is
+the spec's profile, one of ``PROFILES``: straight, a U-turn, standing
+still, or a seeded random wander.  The world grid is jittered but keeps a
+minimum point spacing above the overlap gate, so a point either is shared
+between two frames or is nowhere near a match.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ POINT_SPACING = 2.0             # pitch of the trajectory world grid, meters
 Z_JITTER = 2.0                  # vertical jitter of that grid, meters
 FRAME_DT = 1.0                  # seconds between trajectory frames
 DESCRIPTOR_NOISE_SIGMA = 0.05   # per-frame noise of frame_descriptors
-MAX_YAW_STEP_DEG = 15.0         # random_drive's largest turn per frame
+MAX_YAW_STEP_DEG = 15.0         # the random profile's largest turn per frame
+PROFILES = ("straight", "uturn", "stationary", "random")
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:
@@ -207,17 +210,20 @@ def generate_scene(spec: SceneSpec) -> Scene:
 class TrajectorySpec:
     """Recipe for a posed driving sequence over a shared world point set.
 
-    ``yaw_step_deg`` is the heading change applied after each frame, either
-    one value for all steps or a tuple of length n_frames - 1.  The world
-    is a jittered ground grid with pitch ``POINT_SPACING`` and vertical
-    jitter ``Z_JITTER``; the jitter never exceeds a quarter pitch per axis,
-    so distinct world points stay at least half a pitch apart.  Frames are
-    ``FRAME_DT`` seconds apart.
+    ``profile`` is one of ``PROFILES`` and sets the heading change after
+    each frame: ``straight`` and ``stationary`` never turn, ``uturn``
+    turns 180 degrees in equal steps over the drive, and ``random`` draws
+    each step uniformly within ``MAX_YAW_STEP_DEG`` from the seed.  A
+    ``stationary`` drive also never moves, whatever ``frame_spacing`` is.
+    The world is a jittered ground grid with pitch ``POINT_SPACING`` and
+    vertical jitter ``Z_JITTER``; the jitter never exceeds a quarter pitch
+    per axis, so distinct world points stay at least half a pitch apart.
+    Frames are ``FRAME_DT`` seconds apart.
     """
 
     n_frames: int = 10
     frame_spacing: float = 10.0
-    yaw_step_deg: float | tuple[float, ...] = 0.0
+    profile: str = "straight"       # one of PROFILES
     sensor_range: float = 50.0
     seed: int = 0
     sequence_id: str = "seq0"
@@ -228,42 +234,22 @@ class TrajectorySpec:
         if not 0.0 <= self.frame_spacing < math.inf:
             raise ValueError("frame_spacing must be nonnegative and finite, "
                              f"got {self.frame_spacing}")
+        if self.profile not in PROFILES:
+            raise ValueError(f"profile must be one of {PROFILES}, "
+                             f"got {self.profile!r}")
         if not 0.0 < self.sensor_range < math.inf:
             raise ValueError("sensor_range must be positive and finite, "
                              f"got {self.sensor_range}")
-        steps = self.yaw_steps()
-        if len(steps) != self.n_frames - 1:
-            raise ValueError("yaw_step_deg tuple must have n_frames - 1 entries")
 
-    def yaw_steps(self) -> tuple[float, ...]:
-        if isinstance(self.yaw_step_deg, tuple):
-            return self.yaw_step_deg
-        return (float(self.yaw_step_deg),) * (self.n_frames - 1)
-
-    @classmethod
-    def stationary(cls, n_frames: int = 5, **kw) -> "TrajectorySpec":
-        return cls(n_frames=n_frames, frame_spacing=0.0, yaw_step_deg=0.0, **kw)
-
-    @classmethod
-    def straight(cls, n_frames: int = 10, frame_spacing: float = 10.0,
-                 **kw) -> "TrajectorySpec":
-        return cls(n_frames=n_frames, frame_spacing=frame_spacing,
-                   yaw_step_deg=0.0, **kw)
-
-    @classmethod
-    def uturn(cls, n_frames: int = 7, frame_spacing: float = 3.0,
-              **kw) -> "TrajectorySpec":
-        step = 180.0 / (n_frames - 1)
-        return cls(n_frames=n_frames, frame_spacing=frame_spacing,
-                   yaw_step_deg=step, **kw)
-
-    @classmethod
-    def random_drive(cls, n_frames: int = 20, frame_spacing: float = 5.0,
-                     seed: int = 0, **kw) -> "TrajectorySpec":
-        steps = np.random.default_rng([seed, 17]).uniform(
-            -MAX_YAW_STEP_DEG, MAX_YAW_STEP_DEG, n_frames - 1)
-        return cls(n_frames=n_frames, frame_spacing=frame_spacing,
-                   yaw_step_deg=tuple(float(s) for s in steps), seed=seed, **kw)
+    def yaw_steps(self) -> NDArray[F64]:
+        """The n_frames - 1 heading changes, in degrees."""
+        n = self.n_frames - 1
+        if self.profile == "uturn":
+            return np.full(n, 180.0 / n)
+        if self.profile == "random":
+            return np.random.default_rng([self.seed, 17]).uniform(
+                -MAX_YAW_STEP_DEG, MAX_YAW_STEP_DEG, n)
+        return np.zeros(n)
 
 
 def _world_points(rng: np.random.Generator, positions: Points,
@@ -294,13 +280,13 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PosedFrame]:
     # spawn's first child: a seed keeps the frames it has always given
     world_rng = np.random.default_rng(spec.seed).spawn(1)[0]
 
-    steps = spec.yaw_steps()
     yaw = np.zeros(spec.n_frames)
-    yaw[1:] = np.cumsum(steps)
+    yaw[1:] = np.cumsum(spec.yaw_steps())
+    spacing = 0.0 if spec.profile == "stationary" else spec.frame_spacing
     positions = np.zeros((spec.n_frames, 3))
     for i in range(1, spec.n_frames):
         h = math.radians(yaw[i - 1])
-        positions[i] = positions[i - 1] + spec.frame_spacing * np.array(
+        positions[i] = positions[i - 1] + spacing * np.array(
             [math.cos(h), math.sin(h), 0.0])
 
     world = _world_points(world_rng, positions, spec)
@@ -321,15 +307,18 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PosedFrame]:
     return frames
 
 
-def frame_descriptors(frames, dim: int = 16,
+def frame_descriptors(frames, dim: int = SceneSpec.descriptor_dim,
                       seed: int = 0) -> list[NDArray[F64]]:
     """Per-frame descriptors consistent across frames.
 
     A point's descriptor is a fixed affine image of its world coordinates
     plus per-frame noise of sigma ``DESCRIPTOR_NOISE_SIGMA``, so the same
     world point seen from two frames yields nearby rows and feature
-    matching can recover shared points.
+    matching can recover shared points.  ``dim`` is the descriptor width,
+    at least 1.
     """
+    if dim < 1:
+        raise ValueError(f"descriptor_dim must be at least 1, got {dim}")
     frames = list(frames)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, 3))

@@ -210,7 +210,8 @@ def test_pool_respects_min_overlap():
 
 
 def test_pool_determinism_and_fields():
-    frames = generate_trajectory(TrajectorySpec.straight(n_frames=6, seed=6))
+    frames = generate_trajectory(TrajectorySpec(
+        profile="straight", n_frames=6, frame_spacing=10.0, seed=6))
     cfg = SelectorConfig(k=2, seed=9)
     a = build_candidate_pool([frames], cfg)
     b = build_candidate_pool([frames], cfg)
@@ -255,8 +256,9 @@ def _reference_pool(frames, cfg: SelectorConfig) -> list[CandidatePair]:
 
 @pytest.mark.parametrize("seed, k, tau", [(0, 1, 0.6), (1, 2, 1.0), (2, 3, 0.3)])
 def test_pool_equals_a_nearest_neighbor_reference(seed, k, tau):
-    frames = generate_trajectory(TrajectorySpec.random_drive(
-        n_frames=24, frame_spacing=5.0, sensor_range=20.0, seed=seed))
+    frames = generate_trajectory(TrajectorySpec(
+        profile="random", n_frames=24, frame_spacing=5.0, sensor_range=20.0,
+        seed=seed))
     cfg = SelectorConfig(k=k, overlap_tau=tau, min_overlap=0.1, seed=seed)
     got = build_candidate_pool([frames], cfg)
     want = _reference_pool(frames, cfg)
@@ -269,8 +271,9 @@ def test_pool_equals_a_nearest_neighbor_reference(seed, k, tau):
 def test_pool_equals_a_nearest_neighbor_reference_above_the_skip_share(monkeypatch):
     # at min_overlap 0.6 some pairs are skipped without a query, because
     # too few of their points fall inside the target's widened sphere
-    frames = generate_trajectory(TrajectorySpec.random_drive(
-        n_frames=24, frame_spacing=5.0, sensor_range=20.0, seed=3))
+    frames = generate_trajectory(TrajectorySpec(
+        profile="random", n_frames=24, frame_spacing=5.0, sensor_range=20.0,
+        seed=3))
     queried = []
     within = SpatialIndex.within
 

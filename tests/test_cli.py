@@ -262,6 +262,22 @@ def test_bad_float_is_rejected_naming_the_field_and_the_flag(
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["scene", "--sigma", "nan"], "sigma", id="scene-sigma-nan"),
+    pytest.param(["trajectory", "--profile", "uturn", "--frames", "1"],
+                 "frames", id="uturn-frames-1"),
+    pytest.param(["trajectory", "--profile", "random", "--frames", "0"],
+                 "frames", id="random-frames-0"),
+    pytest.param(["trajectory", "--dim", "0"], "dim", id="trajectory-dim-0"),
+])
+def test_synth_bad_flag_exits_2_before_creating_the_out_dir(tmp_path, capsys,
+                                                            argv, flag):
+    out = tmp_path / "out"
+    assert main(["synth", *argv, "--out-dir", str(out)]) == 2
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchgen_voxel_zero_disables_downsampling(traj_dir, tmp_path,
                                                    monkeypatch):
     calls = []

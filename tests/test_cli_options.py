@@ -1,4 +1,5 @@
-"""`register` options: one table from flag or config key to config field."""
+"""Command options: `register`'s table from flag or config key to config
+field, and every command's defaults taken from its config dataclass."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import json
 import pytest
 
 from lidarreg import cli
+from lidarreg.benchgen import SelectorConfig
 from lidarreg.gpf import GpfConfig
 from lidarreg.icp import IcpConfig
 from lidarreg.pipeline import PipelineConfig
 from lidarreg.ransac import RansacConfig
+from lidarreg.synth import SceneSpec, TrajectorySpec
 
 # every register option at the built-in default, as a config file
 _DEFAULTS = {
@@ -128,3 +131,36 @@ def test_gpf_budget_past_the_float_range_keeps_every_match(scene_dir, tmp_path):
     assert _register(scene_dir, out, "--gpf", "1e308", "--refine", "none") == 0
     row = json.loads(out.read_text())
     assert row["n_filtered"] == row["n_corrs"] == 300
+
+
+# benchgen's case exits 1 on an empty pool: its two frames share no point
+@pytest.mark.parametrize("name, argv, default, code", [
+    pytest.param("generate_scene", ["synth", "scene"], SceneSpec(), 0,
+                 id="synth-scene"),
+    pytest.param("generate_trajectory", ["synth", "trajectory"],
+                 TrajectorySpec(), 0, id="synth-trajectory"),
+    pytest.param("build_candidate_pool", ["benchgen"], SelectorConfig(), 1,
+                 id="benchgen"),
+])
+def test_required_flags_alone_give_the_config_defaults(
+        tmp_path, monkeypatch, name, argv, default, code):
+    out = tmp_path / "out"
+    if argv == ["benchgen"]:
+        data = tmp_path / "data"
+        assert cli.main(["synth", "trajectory", "--out-dir", str(data),
+                         "--frames", "2", "--spacing", "100",
+                         "--range", "20"]) == 0
+        argv = [*argv, "--cloud-dir", str(data), "--pose-dir", str(data),
+                "--out-pairs", str(out / "pairs.csv")]
+    else:
+        argv = [*argv, "--out-dir", str(out)]
+    seen = []
+    real = getattr(cli, name)
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert cli.main(argv) == code
+    assert seen == [default]

@@ -754,9 +754,9 @@ def test_engine_requires_three_correspondences():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rejection must be"):
         RansacConfig(rejection="both")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rejection must be"):
         RansacConfig(rejection="sprt")     # removed: never beat elc
     with pytest.raises(ValueError):
         RansacConfig(confidence=1.0)

@@ -173,8 +173,15 @@ def test_scene_spec_validation(kw):
 # ---------------------------------------------------------------------------
 
 def test_stationary_trajectory_identity_motions_and_full_overlap():
-    frames = generate_trajectory(TrajectorySpec.stationary(n_frames=4, seed=2))
+    frames = generate_trajectory(TrajectorySpec(
+        profile="stationary", n_frames=4, frame_spacing=0.0, seed=2))
     assert len(frames) == 4
+    # a stationary drive stands still whatever its frame spacing
+    spaced = generate_trajectory(TrajectorySpec(
+        profile="stationary", n_frames=4, frame_spacing=10.0, seed=2))
+    for f, g in zip(frames, spaced):
+        assert np.array_equal(f.pose.matrix34(), g.pose.matrix34())
+        assert np.array_equal(f.cloud, g.cloud)
     for f in frames[1:]:
         rel = compose(inverse(frames[0].pose), f.pose)
         assert np.array_equal(rel.rotation, np.eye(3))
@@ -194,8 +201,8 @@ def _lens_fraction(d: float, radius: float) -> float:
 
 
 def test_straight_line_overlap_matches_disk_intersection():
-    spec = TrajectorySpec.straight(n_frames=4, frame_spacing=10.0,
-                                   sensor_range=50.0, seed=4)
+    spec = TrajectorySpec(profile="straight", n_frames=4, frame_spacing=10.0,
+                          sensor_range=50.0, seed=4)
     frames = generate_trajectory(spec)
     for a, b, dist in [(0, 1, 10.0), (0, 3, 30.0)]:
         gt = compose(inverse(frames[b].pose), frames[a].pose)
@@ -204,7 +211,8 @@ def test_straight_line_overlap_matches_disk_intersection():
 
 
 def test_shared_world_points_align_exactly_under_relative_pose():
-    frames = generate_trajectory(TrajectorySpec.straight(n_frames=3, seed=6))
+    frames = generate_trajectory(TrajectorySpec(
+        profile="straight", n_frames=3, frame_spacing=10.0, seed=6))
     a, b = frames[0], frames[1]
     world_a = apply(a.pose, a.cloud)
     world_b = apply(b.pose, b.cloud)
@@ -219,7 +227,8 @@ def test_shared_world_points_align_exactly_under_relative_pose():
 
 
 def test_uturn_pool_contains_a_reversed_pair():
-    frames = generate_trajectory(TrajectorySpec.uturn(n_frames=7, seed=8))
+    frames = generate_trajectory(TrajectorySpec(
+        profile="uturn", n_frames=7, frame_spacing=3.0, seed=8))
     pool = build_candidate_pool([frames], SelectorConfig(k=1, seed=0))
     yaws = [abs(motion_descriptor(c.src.pose, c.tgt.pose)[5]) for c in pool]
     assert max(yaws) > 170.0
@@ -227,14 +236,16 @@ def test_uturn_pool_contains_a_reversed_pair():
 
 def test_random_drive_bounds_yaw_rate(monkeypatch):
     monkeypatch.setattr(synth, "MAX_YAW_STEP_DEG", 12.0)
-    spec = TrajectorySpec.random_drive(n_frames=30, seed=5)
+    spec = TrajectorySpec(profile="random", n_frames=30, frame_spacing=5.0,
+                          seed=5)
     steps = np.asarray(spec.yaw_steps())
     assert len(steps) == 29
     assert np.all(np.abs(steps) <= 12.0)
 
 
 def test_trajectory_determinism_and_frame_metadata():
-    spec = TrajectorySpec.straight(n_frames=5, seed=10, sequence_id="drive3")
+    spec = TrajectorySpec(profile="straight", n_frames=5, frame_spacing=10.0,
+                          seed=10, sequence_id="drive3")
     a = generate_trajectory(spec)
     b = generate_trajectory(spec)
     for fa, fb in zip(a, b):
@@ -247,8 +258,8 @@ def test_trajectory_determinism_and_frame_metadata():
 
 
 def test_frame_descriptors_support_feature_matching():
-    frames = generate_trajectory(TrajectorySpec.straight(
-        n_frames=2, frame_spacing=10.0, seed=12))
+    frames = generate_trajectory(TrajectorySpec(
+        profile="straight", n_frames=2, frame_spacing=10.0, seed=12))
     descs = frame_descriptors(frames, dim=8, seed=1)
     corrs = mnn_filter(match_features(descs[0], descs[1]))
     gt = compose(inverse(frames[1].pose), frames[0].pose)
@@ -261,7 +272,7 @@ def test_frame_descriptors_support_feature_matching():
 
 @pytest.mark.parametrize("kw", [
     dict(n_frames=1),
-    dict(n_frames=4, yaw_step_deg=(1.0, 2.0)),
+    dict(n_frames=4, profile="zigzag"),
     dict(n_frames=3, frame_spacing=-1.0),
     dict(n_frames=3, sensor_range=0.0),
     dict(n_frames=3, sensor_range=-1.0),
