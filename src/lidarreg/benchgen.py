@@ -128,14 +128,16 @@ def motion_descriptor(pose_src: RigidMotion, pose_tgt: RigidMotion) -> NDArray[F
 def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
     """Fraction of source points with a target neighbor within tau after gt.
 
-    Asymmetric by construction (source side only).
+    Asymmetric by construction (source side only).  The candidate pool
+    computes the same measure through the same routine, ``_overlaps``.
     """
     src = np.asarray(src, dtype=np.float64)
+    tgt = np.asarray(tgt, dtype=np.float64)
     if len(src) == 0 or len(tgt) == 0:
         raise ValueError("overlap needs two nonempty clouds")
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    return float(np.mean(SpatialIndex(tgt).within(apply(gt, src), tau)))
+    return float(_overlaps([apply(gt, src)], tgt, tau, min_overlap=0.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +162,32 @@ def _near_sources(centers: NDArray[F64], radii: NDArray[F64],
     return sources[(dist <= limit) & (sources != ti)]
 
 
-def _overlaps(srcs: list[PosedFrame], tgt: PosedFrame, tau: float, min_overlap: float) -> NDArray[F64]:
-    """``overlap`` of every source frame with tgt, from one within-tau query.
+def _overlaps(srcs: list[Points], tgt: Points, tau: float, min_overlap: float) -> NDArray[F64]:
+    """Overlap of every source cloud, already mapped into the target
+    frame, with the target cloud, from one within-tau query.
 
     A source whose share of points inside the target cloud's sphere,
     widened by tau, is at most min_overlap gets 0.0 without a query: its
-    overlap cannot exceed that share, so it could never qualify.
+    overlap cannot exceed that share, so it could never qualify.  At
+    min_overlap 0 only a source with no point inside that sphere is
+    skipped, and its overlap is exactly 0.
     """
-    center, radius = _sphere(tgt.cloud)
+    center, radius = _sphere(tgt)
     reach = _pad(radius + tau)
     out = np.zeros(len(srcs))
     kept, parts = [], []
     for j, src in enumerate(srcs):
-        pts = apply(alignment_motion(src.pose, tgt.pose), src.cloud)
-        pts = pts[np.sum((pts - center) ** 2, axis=1) <= reach * reach]
-        if len(pts) / len(src.cloud) > min_overlap:
+        pts = src[np.sum((src - center) ** 2, axis=1) <= reach * reach]
+        if len(pts) / len(src) > min_overlap:
             kept.append(j)
             parts.append(pts)
     if not kept:
         return out
-    hits = SpatialIndex(tgt.cloud).within(np.concatenate(parts), tau)
+    hits = SpatialIndex(tgt).within(np.concatenate(parts), tau)
     owner = np.repeat(np.arange(len(kept)), [len(p) for p in parts])
     counts = np.bincount(owner[hits], minlength=len(kept))
     # the same float as np.mean over the source's hit vector
-    out[kept] = counts / np.array([len(srcs[j].cloud) for j in kept])
+    out[kept] = counts / np.array([len(srcs[j]) for j in kept])
     return out
 
 
@@ -213,8 +217,9 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
         qualifying: list[list[tuple[PosedFrame, float]]] = [[] for _ in sources]
         for ti, tgt in enumerate(frames):
             near = _near_sources(centers, radii, sources, ti, cfg.overlap_tau)
-            ovs = _overlaps([frames[si] for si in near], tgt,
-                            cfg.overlap_tau, cfg.min_overlap)
+            mapped = [apply(alignment_motion(frames[si].pose, tgt.pose), frames[si].cloud)
+                      for si in near]
+            ovs = _overlaps(mapped, tgt.cloud, cfg.overlap_tau, cfg.min_overlap)
             for si, ov in zip(near, ovs):
                 if ov > cfg.min_overlap:
                     qualifying[si // cfg.k].append((tgt, float(ov)))
@@ -272,8 +277,9 @@ def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:
     coords, _ = normalize_motions(pool)
     rng = np.random.default_rng([cfg.seed, 1])
     remaining = np.ones(len(pool), dtype=bool)
-    seq_of = np.array([c.src.sequence_id for c in pool])
-    counts: dict[str, int] = {s: 0 for s in seq_of}
+    # sequences as codes in sorted-id order, with their selection counts
+    seqs, seq_of = np.unique([c.src.sequence_id for c in pool], return_inverse=True)
+    counts = np.zeros(len(seqs), dtype=np.int64)
 
     records: list[PairRecord] = []
     draws: list[NDArray[F64]] = []
@@ -286,14 +292,14 @@ def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:
         near = np.flatnonzero(remaining & (d2 <= cfg.r * cfg.r))
         if near.size == 0:
             continue
-        near_counts = np.array([counts[s] for s in seq_of[near]])
+        near_counts = counts[seq_of[near]]
         tied = near[near_counts == near_counts.min()]
         tied_seqs = np.unique(seq_of[tied])
         seq = tied_seqs[int(rng.integers(tied_seqs.size))]
         members = tied[seq_of[tied] == seq]
         pick = int(members[int(rng.integers(members.size))])
         remaining[pick] = False
-        counts[str(seq_of[pick])] += 1
+        counts[seq_of[pick]] += 1
         records.append(_record_of(pool[pick]))
         draws.append(u)
 

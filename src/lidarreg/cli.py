@@ -117,6 +117,7 @@ _FLAG_OF_FIELD: dict[str, str] = {
     "inlier_fraction": "inlier-fraction", "noise_sigma": "sigma",
     "descriptor_dim": "dim", "quality_correlation": "qc",
     "n_frames": "frames", "frame_spacing": "spacing", "sensor_range": "range",
+    "sequence_id": "sequence-id",
     **{name: dest.replace("_", "-")
        for dest, (_, name) in _PIPELINE_FIELDS.items()},
 }
@@ -285,18 +286,15 @@ def _cmd_register(args: argparse.Namespace) -> int:
     single = args.src is not None
     listed = args.pairs is not None
     if single == listed:
-        print("error: give either --src/--dst/--src-desc/--dst-desc or --pairs",
-              file=sys.stderr)
-        return 2
+        raise ValueError("give either --src/--dst/--src-desc/--dst-desc or --pairs")
 
     jobs: list[tuple] = []
     if single:
         missing = [n for n in ("dst", "src_desc", "dst_desc")
                    if getattr(args, n) is None]
         if missing:
-            print(f"error: --{missing[0].replace('_', '-')} is required "
-                  "with --src", file=sys.stderr)
-            return 2
+            raise ValueError(f"--{missing[0].replace('_', '-')} is required "
+                             "with --src")
         gt = None
         if args.gt_pose is not None:
             poses = read_poses(args.gt_pose)
@@ -308,9 +306,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
                      gt, cfg, timing))
     else:
         if args.cloud_dir is None or args.desc_dir is None:
-            print("error: --cloud-dir and --desc-dir are required with --pairs",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--cloud-dir and --desc-dir are required with --pairs")
         records = read_pair_list(args.pairs)
         for i, rec in enumerate(records):
             cloud = Path(args.cloud_dir)
@@ -423,8 +419,7 @@ def _write_failure_csv(path, fh: FailureHistogram) -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     rows = read_jsonl(args.records)
     if not rows:
-        print(f"error: {args.records}: no records", file=sys.stderr)
-        return 2
+        raise FormatError(args.records, "no records")
     stages = [_final_stage(row, args.records) for row in rows]
     success = np.array([bool(s["success"]) for s in stages])
     walls = np.array([float(s.get("wall_time", 0.0)) for s in stages])
@@ -471,8 +466,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                        frame_spacing=args.spacing, profile=args.profile,
                        sensor_range=args.range, seed=args.seed,
                        sequence_id=args.sequence_id)
+    # no frames: only checks the width, before the drive is built
+    _from_flags(frame_descriptors, [], dim=args.dim)
     frames = generate_trajectory(spec)
-    descs = _from_flags(frame_descriptors, frames, dim=args.dim, seed=args.seed)
+    descs = frame_descriptors(frames, dim=args.dim, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     for frame, desc in zip(frames, descs):
         cloud_path = out / DEFAULT_CLOUD_PATTERN.format(

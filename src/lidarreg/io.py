@@ -10,10 +10,12 @@ set.
 
 Every parser raises :class:`FormatError` -- never an uncaught low-level
 exception -- on malformed input, naming the file and where possible the
-line.  Writers emit LF line endings and shortest round-trip float text, so
-equal inputs produce byte-identical files.  Cloud coordinates are stored
-at float32 precision; everything held as float64 elsewhere survives a
-write/read cycle exactly in the other text formats.
+line.  A PLY body is parsed by numpy's text reader; only a body it refuses
+is read again line by line, to name the first bad line.  Writers emit LF
+line endings and shortest round-trip float text, so equal inputs produce
+byte-identical files.  Cloud coordinates are stored at float32 precision;
+everything held as float64 elsewhere survives a write/read cycle exactly
+in the other text formats.
 """
 
 from __future__ import annotations
@@ -165,27 +167,22 @@ def read_cloud_ply(path) -> Points:
     return out.astype(np.float64)
 
 
-_LINE_END = "|"     # a token that float() rejects
-
-
 def _vertex_body(body: list[str]) -> NDArray[np.float32] | None:
     """All vertex rows in one parse, or None when any line is malformed."""
-    # a marker token after each line: every line holds exactly three tokens
-    # iff the markers land on every fourth token and parsing the rest
-    # succeeds (a marker written in the file would fail to parse)
-    tokens = f" {_LINE_END} ".join(body + [""]).split()
-    if len(tokens) != 4 * len(body) or tokens[3::4].count(_LINE_END) != len(body):
-        return None
-    del tokens[3::4]
+    if not body:
+        return np.empty((0, 3), dtype=np.float32)
     try:
-        vals = np.array(tokens, dtype=np.float64)
+        vals = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
+        return None
+    # loadtxt skips blank lines, so a blank body line changes the shape
+    if vals.shape != (len(body), 3):
         return None
     with np.errstate(over="ignore"):
         out = vals.astype(np.float32)
     if not np.isfinite(out).all():
         return None
-    return out.reshape(-1, 3)
+    return out
 
 
 def write_cloud_ply(path, points: Points) -> None:

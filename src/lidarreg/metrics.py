@@ -153,13 +153,10 @@ def failure_histogram(parameter: str, values, success) -> FailureHistogram:
     """Bin one pair parameter's values over its ``DEFAULT_BIN_EDGES`` and
     split the counts by success."""
     edges = DEFAULT_BIN_EDGES[parameter]
+    values = np.asarray(values, dtype=np.float64)
     ok = np.asarray(success, dtype=bool)
-    bins = _bin_of(np.asarray(values, dtype=np.float64), edges)
-    n_bins = len(edges) - 1
-    succ = np.bincount(bins[ok], minlength=n_bins)
-    fail = np.bincount(bins[~ok], minlength=n_bins)
-    return FailureHistogram(parameter, edges, succ.astype(np.int64),
-                            fail.astype(np.int64))
+    return FailureHistogram(parameter, edges, histogram(values[ok], edges).counts,
+                            histogram(values[~ok], edges).counts)
 
 
 def set_distribution_report(pairs) -> dict[str, Histogram]:

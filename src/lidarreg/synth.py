@@ -166,9 +166,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
     rng = np.random.default_rng(spec.seed)
     motion = spec.true_motion
     if motion is None:
-        motion = RigidMotion(rotation=random_rotation(rng),
-                             translation=rng.uniform(-spec.extent / 2.0,
-                                                     spec.extent / 2.0, 3))
+        motion = random_motion(rng, spec.extent / 2.0)
 
     n = spec.n_points
     src = rng.uniform(-spec.extent, spec.extent, (n, 3))
@@ -218,7 +216,8 @@ class TrajectorySpec:
     The world is a jittered ground grid with pitch ``POINT_SPACING`` and
     vertical jitter ``Z_JITTER``; the jitter never exceeds a quarter pitch
     per axis, so distinct world points stay at least half a pitch apart.
-    Frames are ``FRAME_DT`` seconds apart.
+    Frames are ``FRAME_DT`` seconds apart.  ``sequence_id`` names the
+    drive's files, so it must be one plain path component.
     """
 
     n_frames: int = 10
@@ -240,6 +239,10 @@ class TrajectorySpec:
         if not 0.0 < self.sensor_range < math.inf:
             raise ValueError("sensor_range must be positive and finite, "
                              f"got {self.sensor_range}")
+        if (self.sequence_id in ("", ".", "..") or "/" in self.sequence_id
+                or "\\" in self.sequence_id):
+            raise ValueError("sequence_id must be one plain path component, "
+                             f"got {self.sequence_id!r}")
 
     def yaw_steps(self) -> NDArray[F64]:
         """The n_frames - 1 heading changes, in degrees."""

@@ -435,6 +435,17 @@ def test_identical_sequences_end_balanced():
     assert abs(counts["a"] - counts["b"]) <= 1
 
 
+def test_sequence_ties_break_in_sorted_id_order():
+    # "b" comes first in the pool; the tie among equally counted sequences
+    # is drawn over the ids in sorted order, so "a" is the first choice
+    pool = _uniform_pool(np.random.default_rng(12), 12, seqs=("b", "a"))
+    res = select_balanced(pool, SelectorConfig(target_count=8, r=1.0, seed=0))
+    assert [(r.sequence_id, r.src, r.tgt) for r in res.records] == [
+        ("a", 2, 3), ("b", 12, 13), ("b", 8, 9), ("a", 14, 15),
+        ("a", 6, 7), ("b", 20, 21), ("b", 4, 5), ("a", 18, 19)]
+    assert (res.attempts, res.exhausted) == (8, False)
+
+
 def test_exhaustion_warns_and_flags(monkeypatch):
     monkeypatch.setattr(benchgen_module, "_ATTEMPT_FACTOR", 5)
     pool = _pool_from_descriptors(np.tile([1.0, 0, 0, 0, 0, 0], (3, 1)))

@@ -128,15 +128,22 @@ def test_register_is_byte_deterministic(scene_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_register_needs_exactly_one_input_mode(scene_dir, capsys):
-    assert main(["register"]) == 2
-    assert "either" in capsys.readouterr().err
-    assert main(_register_args(scene_dir, "--pairs", "x.csv")) == 2
-
-
-def test_register_missing_companion_flag(scene_dir, capsys):
-    assert main(["register", "--src", str(scene_dir / "src.ply")]) == 2
-    assert "--dst is required" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["register"],
+                 "give either --src/--dst/--src-desc/--dst-desc or --pairs",
+                 id="no-input"),
+    pytest.param(["register", "--src", "a.ply", "--pairs", "p.csv"],
+                 "give either --src/--dst/--src-desc/--dst-desc or --pairs",
+                 id="both-inputs"),
+    pytest.param(["register", "--src", "a.ply"], "--dst is required with --src",
+                 id="src-without-dst"),
+    pytest.param(["register", "--pairs", "p.csv", "--desc-dir", "d"],
+                 "--cloud-dir and --desc-dir are required with --pairs",
+                 id="pairs-without-cloud-dir"),
+])
+def test_register_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_register_unreadable_cloud_exits_2(scene_dir, tmp_path, capsys):
@@ -269,13 +276,18 @@ def test_bad_float_is_rejected_naming_the_field_and_the_flag(
     pytest.param(["trajectory", "--profile", "random", "--frames", "0"],
                  "frames", id="random-frames-0"),
     pytest.param(["trajectory", "--dim", "0"], "dim", id="trajectory-dim-0"),
+    pytest.param(["trajectory", "--sequence-id", "../escape"], "sequence-id",
+                 id="escaping-sequence-id"),
 ])
 def test_synth_bad_flag_exits_2_before_creating_the_out_dir(tmp_path, capsys,
-                                                            argv, flag):
+                                                            monkeypatch, argv, flag):
+    built = []
+    monkeypatch.setattr("lidarreg.cli.generate_trajectory", built.append)
     out = tmp_path / "out"
     assert main(["synth", *argv, "--out-dir", str(out)]) == 2
     assert f"error: {flag}:" in capsys.readouterr().err
-    assert not out.exists()
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_benchgen_voxel_zero_disables_downsampling(traj_dir, tmp_path,
@@ -410,4 +422,4 @@ def test_eval_empty_records_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main(["eval", "--records", str(empty)]) == 2
-    assert "no records" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {empty}: no records\n")

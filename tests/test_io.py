@@ -47,7 +47,9 @@ def test_ply_round_trip_is_exact_at_float32(tmp_path):
 def test_ply_empty_cloud_round_trips(tmp_path):
     p = tmp_path / "empty.ply"
     write_cloud_ply(p, np.zeros((0, 3)))
-    assert read_cloud_ply(p).shape == (0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_cloud_ply(p).shape == (0, 3)
 
 
 def test_bin_round_trip_is_bit_exact(tmp_path):
@@ -276,6 +278,18 @@ def test_ply_accepts_every_token_python_float_accepts(tmp_path):
     assert got.tolist() == [[10.0, 2.5, -0.5], [1000.0, 0.5, 0.0],
                             [7.0, 8.0, 9.0], [0.0, 1.0, 1000.5]]
     assert got.tobytes() == _per_line_ply(p).tobytes()
+
+
+def test_ply_underscored_coordinates_read_as_the_plain_cloud(tmp_path):
+    # numpy's text reader refuses "1_0", so such a body goes line by line
+    pts = np.arange(30.0).reshape(10, 3) * 10.0 + 10.0
+    plain = tmp_path / "plain.ply"
+    write_cloud_ply(plain, pts)
+    body = "".join(" ".join(f"{int(v) // 10}_{int(v) % 10}" for v in row) + "\n"
+                   for row in pts)
+    assert "1_0 2_0 3_0" in body
+    got = read_cloud_ply(_ply(tmp_path, body, n=len(pts)))
+    assert got.tobytes() == read_cloud_ply(plain).tobytes()
 
 
 @pytest.mark.parametrize("body, line, message", [

@@ -280,3 +280,9 @@ def test_frame_descriptors_support_feature_matching():
 def test_trajectory_spec_validation(kw):
     with pytest.raises(ValueError):
         TrajectorySpec(**kw)
+
+
+@pytest.mark.parametrize("sequence_id", ["", ".", "..", "a/b", "a\\b"])
+def test_sequence_id_must_be_one_plain_path_component(sequence_id):
+    with pytest.raises(ValueError, match="^sequence_id must be one plain path component"):
+        TrajectorySpec(sequence_id=sequence_id)
