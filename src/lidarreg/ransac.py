@@ -12,20 +12,27 @@ be toggled independently:
   squares polishes it: a re-fit on its inliers, then re-fits on the
   correspondences within a threshold that shrinks to the inlier one.
 
-Hypotheses are evaluated in blocks of ``_BLOCK`` iterations: the block's
-minimal samples are drawn in one call, screened by elc together, fitted
-with one stacked SVD, and scored ``_SCORE_CHUNK`` models per residual
-pass.  The survivors are then walked in iteration order, so local
-optimization, adaptive stopping and the reported counters
-(``iterations_run``, ``hypotheses_rejected_fast``, ``best_history``) are
-exactly those of a loop that handles one sample per iteration and stops
-at the same iteration.
+Hypotheses are evaluated in blocks that grow with the run: the first
+holds ``_BLOCK`` iterations, and each later one as many as have run so
+far, up to ``_MAX_BLOCK``, so short runs keep small blocks and long runs
+pay the per-block numpy overhead rarely.  A block's minimal samples are
+drawn in one call, screened by elc one edge at a time, fitted with one
+stacked SVD, and scored ``_SCORE_CHUNK`` models per residual pass.  The
+survivors are then walked in iteration order, so local optimization,
+adaptive stopping and the reported counters (``iterations_run``,
+``hypotheses_rejected_fast``, ``best_history``) are exactly those of a
+loop that handles one sample per iteration and stops at the same
+iteration.
 
 Scoring counts correspondences whose post-transform residual is within
-``inlier_threshold``.  With a fixed seed the whole run is deterministic;
-the local optimizer draws nothing, so toggling it does not change which
-minimal samples are drawn.  The draws are fixed by the seed, but they are
-not the draws of versions that sampled one hypothesis at a time.
+``inlier_threshold``.  With a fixed seed the whole run is deterministic.
+``Generator.integers`` with array bounds draws its values one after the
+other, row by row, from the bit generator, so a block's draws are the
+next ones of the stream wherever the block starts or ends: the block
+sizes change no result.  The local optimizer draws nothing, so toggling
+it does not change which minimal samples are drawn.  The draws are fixed
+by the seed, but they are not the draws of versions that sampled one
+hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -155,8 +162,7 @@ def required_iterations(confidence: float, inlier_fraction: float,
 # sample rejection: edge-length compatibility
 # ---------------------------------------------------------------------------
 
-_EDGE_I = np.array([0, 0, 1])
-_EDGE_J = np.array([1, 2, 2])
+_EDGES = ((0, 1), (0, 2), (1, 2))
 
 
 def elc_check(src_tri: Points, dst_tri: Points, tolerance: float) -> bool:
@@ -165,38 +171,49 @@ def elc_check(src_tri: Points, dst_tri: Points, tolerance: float) -> bool:
     A rigid motion preserves edge lengths, so a sample whose triangles
     disagree cannot be all-inlier and is not worth fitting.
     """
-    p = np.asarray(src_tri, dtype=np.float64).reshape(1, 3, 3)
-    q = np.asarray(dst_tri, dtype=np.float64).reshape(1, 3, 3)
-    return bool(_elc_mask(p, q, tolerance)[0])
+    p = np.asarray(src_tri, dtype=np.float64).reshape(3, 3)
+    q = np.asarray(dst_tri, dtype=np.float64).reshape(3, 3)
+    return len(_elc_live(p, q, np.arange(3)[None], tolerance)) == 1
 
 
-def _elc_mask(p: NDArray[np.float64], q: NDArray[np.float64],
-              tolerance: float) -> NDArray[np.bool_]:
-    """``elc_check`` over stacked triangle pairs ``p``, ``q`` of shape (B, 3, 3)."""
-    dp = np.sqrt(np.sum((p[:, _EDGE_I] - p[:, _EDGE_J]) ** 2, axis=2))
-    dq = np.sqrt(np.sum((q[:, _EDGE_I] - q[:, _EDGE_J]) ** 2, axis=2))
-    return np.all(np.abs(dp - dq) <= tolerance, axis=1)
+def _elc_live(a: Points, b: Points, idx: NDArray[np.int64],
+              tolerance: float) -> NDArray[np.int64]:
+    """Positions of the rows of ``idx`` whose triangles ``a[row]``,
+    ``b[row]`` pass ``elc_check``, in increasing order.
+
+    Edges are screened one at a time, each on the survivors of the one
+    before, so a row costs nothing past its first failing edge.
+    """
+    live = np.arange(len(idx))
+    for i, j in _EDGES:
+        ii, jj = idx[live, i], idx[live, j]
+        dp = np.sqrt(np.sum((a[ii] - a[jj]) ** 2, axis=1))
+        dq = np.sqrt(np.sum((b[ii] - b[jj]) ** 2, axis=1))
+        live = live[np.abs(dp - dq) <= tolerance]
+    return live
 
 
 # ---------------------------------------------------------------------------
 # progressive sampler
 # ---------------------------------------------------------------------------
 
-def _distinct_rows(rng: np.random.Generator, pop: NDArray[np.int64], k: int,
+def _distinct_rows(rng: np.random.Generator, pop: NDArray[np.int64],
                    newest: NDArray[np.bool_]) -> NDArray[np.int64]:
-    """One row of k distinct indices per entry of ``pop``, uniform over
+    """One row of three distinct indices per entry of ``pop``, uniform over
     [0, pop[i]).  Rows flagged in ``newest`` start with pop[i] - 1 and draw
     the rest uniformly below it.
 
     The j-th draw of a row is uniform over the pop[i] - j values not yet
     taken and is mapped onto them, so no row is ever redrawn.
     """
-    rows = rng.integers(0, pop[:, None] - np.arange(k), size=(len(pop), k))
+    rows = rng.integers(0, pop[:, None] - np.arange(SAMPLE_SIZE),
+                        size=(len(pop), SAMPLE_SIZE))
     rows[newest, 0] = pop[newest] - 1
-    for j in range(1, k):
-        taken = np.sort(rows[:, :j], axis=1)
-        for c in range(j):
-            rows[:, j] += rows[:, j] >= taken[:, c]
+    r0, r1, r2 = rows.T
+    r1 += r1 >= r0
+    # step past the smaller taken value first, then the larger
+    r2 += r2 >= np.minimum(r0, r1)
+    r2 += r2 >= np.maximum(r0, r1)
     return rows
 
 
@@ -232,7 +249,7 @@ def _sample_block(growth: NDArray[np.int64], n: int, t: int, count: int,
     stage = np.searchsorted(growth, ts)
     growing = stage < len(growth)
     n_t = np.where(growing, SAMPLE_SIZE + stage, n)
-    rows = _distinct_rows(rng, n_t, SAMPLE_SIZE, growing)
+    rows = _distinct_rows(rng, n_t, growing)
     rows[growing & (n_t == SAMPLE_SIZE)] = np.arange(SAMPLE_SIZE)
     return rows
 
@@ -281,7 +298,8 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float) -> Hypoth
 # the estimator
 # ---------------------------------------------------------------------------
 
-_BLOCK = 256          # iterations drawn, screened and fitted together
+_BLOCK = 256          # iterations in the first block
+_MAX_BLOCK = 4096     # iterations in the largest block
 _SCORE_CHUNK = 16     # models per residual pass
 
 
@@ -318,8 +336,9 @@ class RegistrationResult:
     ``best_history`` records (iteration, inlier count, motion) at every
     improvement, which makes convergence studies cheap.  The counters are
     those of one hypothesis per iteration even though hypotheses are
-    evaluated in blocks: samples drawn past the stopping iteration are
-    neither counted nor scored.  ``wall_time`` is the only field that is
+    evaluated in blocks that grow with the run: samples drawn past the
+    stopping iteration are neither counted nor scored, and no field
+    depends on the block sizes.  ``wall_time`` is the only field that is
     not reproducible run to run; the rest is fixed by the seed, though not
     equal to what versions that drew one sample at a time returned.
     """
@@ -364,12 +383,12 @@ def ransac_register(src_points: Points, dst_points: Points,
 
     while t < cfg.max_iterations and t < required:
         # iterations t+1 .. t+size; block position i is iteration t+1+i
-        size = min(_BLOCK, cfg.max_iterations - t, required - t)
+        size = min(max(_BLOCK, t), _MAX_BLOCK, cfg.max_iterations - t, required - t)
         idx = _sample_block(growth, n, t + 1, size, sample_rng)
-        sp, dp = a[idx], b[idx]
-        live = np.flatnonzero(_elc_mask(sp, dp, cfg.elc_tolerance)) \
+        live = _elc_live(a, b, idx, cfg.elc_tolerance) \
             if cfg.rejection == "elc" else np.arange(size)
-        rot, trans, ok = _fit_rigid(sp[live], dp[live])
+        pick = idx[live]
+        rot, trans, ok = _fit_rigid(a[pick], b[pick])
         live, rot, trans = live[ok], rot[ok], trans[ok]
 
         # walk the survivors in iteration order, scoring them chunk by chunk

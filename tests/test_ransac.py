@@ -18,13 +18,15 @@ from lidarreg.ransac import (
     _BLOCK,
     _LO_ANNEAL,
     _LO_MIN_SAMPLE,
+    _MAX_BLOCK,
+    REJECTIONS,
     SAMPLE_SIZE,
     DegenerateSampleError,
     Hypothesis,
     RansacConfig,
     RegistrationResult,
     _distinct_rows,
-    _elc_mask,
+    _elc_live,
     _fit_rigid,
     _lo_step,
     _prosac_growth,
@@ -194,11 +196,24 @@ def test_stacked_elc_equals_elc_check_per_row():
     rng = np.random.default_rng(41)
     p, q = random_triangle_pairs(rng, 400)
     q[::3] += rng.normal(scale=0.3, size=q[::3].shape)   # near the tolerance
+    # triangle i is rows 3i .. 3i+2 of the stacked points, and row i of idx
+    # names its corners in a shuffled order
+    a, b = p.reshape(-1, 3), q.reshape(-1, 3)
+    idx = 3 * np.arange(len(p))[:, None] + rng.permuted(np.tile([0, 1, 2], (len(p), 1)),
+                                                        axis=1)
+
+    def length(x, i, j):
+        dx, dy, dz = (x[i] - x[j]).tolist()
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+
     for tol in (0.1, 0.6, 2.0):
-        mask = _elc_mask(p, q, tol)
-        assert mask.any() and not mask.all()
-        assert [bool(v) for v in mask] == [elc_check(p[i], q[i], tol)
-                                           for i in range(len(p))]
+        want = [r for r, (i, j, k) in enumerate(idx.tolist())
+                if all(abs(length(a, u, v) - length(b, u, v)) <= tol
+                       for u, v in ((i, j), (i, k), (j, k)))]
+        live = _elc_live(a, b, idx, tol)
+        assert 0 < len(want) < len(idx)
+        assert live.tolist() == want
+        assert [r for r in range(len(idx)) if elc_check(a[idx[r]], b[idx[r]], tol)] == want
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +372,25 @@ def test_distinct_rows_are_distinct_and_in_range():
     rng = np.random.default_rng(42)
     pop = rng.integers(3, 9, size=5000)
     newest = rng.random(5000) < 0.5
-    rows = _distinct_rows(rng, pop, 3, newest=newest)
+    rows = _distinct_rows(rng, pop, newest=newest)
     assert (rows >= 0).all() and (rows < pop[:, None]).all()
     srt = np.sort(rows, axis=1)
     assert (srt[:, 1:] != srt[:, :-1]).all()
     assert np.array_equal(rows[newest, 0], pop[newest] - 1)
+
+
+def test_distinct_rows_map_each_draw_onto_the_values_not_taken():
+    # each draw of a row picks a value by its rank among those not yet
+    # taken, so the rows follow from the raw draws alone
+    pop = np.random.default_rng(44).integers(3, 7, size=2000)
+    newest = np.arange(2000) % 3 == 0
+    raw = np.random.default_rng(45).integers(0, pop[:, None] - np.arange(3), size=(2000, 3))
+    rows = _distinct_rows(np.random.default_rng(45), pop, newest=newest)
+    for row, draws, m, first in zip(rows.tolist(), raw.tolist(), pop.tolist(), newest):
+        free = list(range(m))
+        want = [free.pop(m - 1 if first else draws[0])]
+        want += [free.pop(draws[1]), free.pop(draws[2])]
+        assert row == want
 
 
 def test_prosac_block_matches_schedule(monkeypatch):
@@ -744,6 +773,58 @@ def test_lo_draws_nothing(prosac, monkeypatch):
         k = min(len(off), len(on))
         assert k > _BLOCK, seed
         assert np.array_equal(off[:k], on[:k]), seed
+
+
+def result_key(res):
+    """Every field of a RegistrationResult but wall_time, as comparable bytes."""
+    def motion(m):
+        return m.rotation.tobytes() + m.translation.tobytes()
+    return (motion(res.motion), res.inlier_mask.tobytes(), res.inlier_count,
+            res.iterations_run, res.hypotheses_rejected_fast, res.lo_rounds,
+            res.converged_by, [(it, count, motion(m)) for it, count, m in res.best_history])
+
+
+def test_results_do_not_depend_on_the_block_schedule(monkeypatch):
+    # Generator.integers with array bounds draws row by row, so where a
+    # block starts or ends changes no draw and no result.  A 10% scene runs
+    # to a cap that ends mid-block; a 30% scene stops early mid-block.
+    scenes = [(make_planted(np.random.default_rng([seed, 24]), n=300, frac=frac,
+                            sigma=0.2), cap)
+              for seed, frac, cap in ((0, 0.1, 600), (1, 0.3, 3000))]
+    results = {}
+    for first, largest in ((1, 1), (7, 7), (1, 7), (_BLOCK, _MAX_BLOCK)):
+        monkeypatch.setattr(ransac_module, "_BLOCK", first)
+        monkeypatch.setattr(ransac_module, "_MAX_BLOCK", largest)
+        for k, ((src, dst, corrs, _, _), cap) in enumerate(scenes):
+            for prosac in (False, True):
+                for rejection in REJECTIONS:
+                    for lo in (False, True):
+                        cfg = engine_cfg(max_iterations=cap, seed=k, use_prosac=prosac,
+                                         rejection=rejection, use_lo=lo)
+                        res = ransac_register(src, dst, corrs, cfg)
+                        results.setdefault((k, prosac, rejection, lo), []).append(
+                            result_key(res))
+    for case, keys in results.items():
+        assert all(key == keys[0] for key in keys[1:]), case
+    stops = {keys[0][6] for keys in results.values()}
+    assert stops == {"early_stop", "iteration_cap"}
+
+
+def test_blocks_start_at_the_first_size_and_stay_bounded(monkeypatch):
+    counts = []
+    sample_block = ransac_module._sample_block
+
+    def recording(growth, n, t, count, rng):
+        counts.append(count)
+        return sample_block(growth, n, t, count, rng)
+
+    monkeypatch.setattr(ransac_module, "_sample_block", recording)
+    src, dst, corrs, labels, truth = make_planted(
+        np.random.default_rng(25), n=300, frac=0.05, sigma=0.2)
+    res = ransac_register(src, dst, corrs, engine_cfg(max_iterations=50_000))
+    assert res.iterations_run == sum(counts) == 50_000
+    assert counts[0] <= _BLOCK
+    assert max(counts) == _MAX_BLOCK     # the run is long enough to reach it
 
 
 def test_engine_requires_three_correspondences():
