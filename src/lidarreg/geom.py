@@ -156,10 +156,17 @@ def voxel_downsample(points: Points, voxel_size: float) -> Points:
     if len(points) == 0:
         return points.copy()
     keys = np.floor(points / voxel_size).astype(np.int64)
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((len(uniq), 3))
+    # voxels in (x, y, z) key order, as np.unique(keys, axis=0) gives them
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    inv = np.empty(len(keys), dtype=np.intp)
+    inv[order] = np.cumsum(starts) - 1
+    n_voxels = int(np.count_nonzero(starts))
+    sums = np.zeros((n_voxels, 3))
     np.add.at(sums, inv, points)
-    counts = np.bincount(inv, minlength=len(uniq)).astype(np.float64)
+    counts = np.bincount(inv, minlength=n_voxels).astype(np.float64)
     return sums / counts[:, None]
 
 

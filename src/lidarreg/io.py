@@ -15,7 +15,9 @@ is read again line by line, to name the first bad line.  Writers emit LF
 line endings and shortest round-trip float text, so equal inputs produce
 byte-identical files.  Cloud coordinates are stored at float32 precision;
 everything held as float64 elsewhere survives a write/read cycle exactly
-in the other text formats.
+in the other text formats.  The cloud and descriptor writers raise
+ValueError, before creating the file, on a value that is not finite at
+float32 precision, since their readers would reject it.
 """
 
 from __future__ import annotations
@@ -185,15 +187,30 @@ def _vertex_body(body: list[str]) -> NDArray[np.float32] | None:
     return out
 
 
+_PLY_CHUNK_ROWS = 65536
+
+
+def _float32(path, values, what: str) -> NDArray[np.float32]:
+    """``values`` cast to little-endian float32, refused when any is not
+    finite there."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(values, dtype="<f4")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{path}: {what} has a value that is not finite "
+                         "at float32 precision")
+    return out
+
+
 def write_cloud_ply(path, points: Points) -> None:
-    pts = np.ascontiguousarray(points, dtype=np.float32).reshape(-1, 3)
+    pts = _float32(path, points, "cloud").reshape(-1, 3)
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {len(pts)}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")
         f.write("end_header\n")
-        for x, y, z in pts:
-            f.write(f"{float(x):.9g} {float(y):.9g} {float(z):.9g}\n")
+        for start in range(0, len(pts), _PLY_CHUNK_ROWS):
+            chunk = pts[start:start + _PLY_CHUNK_ROWS]
+            f.write("%.9g %.9g %.9g\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_cloud_bin(path) -> Points:
@@ -210,11 +227,11 @@ def read_cloud_bin(path) -> Points:
 
 
 def write_cloud_bin(path, points: Points, intensity=None) -> None:
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = _float32(path, np.asarray(points, dtype=np.float64), "cloud").reshape(-1, 3)
     rows = np.zeros((len(pts), 4), dtype="<f4")
     rows[:, :3] = pts
     if intensity is not None:
-        rows[:, 3] = np.asarray(intensity, dtype="<f4")
+        rows[:, 3] = _float32(path, intensity, "intensity")
     Path(path).write_bytes(rows.tobytes())
 
 
@@ -241,7 +258,7 @@ def read_descriptors(path) -> NDArray[F64]:
 
 
 def write_descriptors(path, descriptors) -> None:
-    desc = np.ascontiguousarray(descriptors, dtype="<f4")
+    desc = _float32(path, descriptors, "descriptors")
     if desc.ndim != 2:
         raise ValueError("descriptors must be a 2-D array")
     header = DESCRIPTOR_MAGIC + struct.pack("<II", desc.shape[0], desc.shape[1])

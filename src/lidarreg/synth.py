@@ -256,7 +256,8 @@ class TrajectorySpec:
 
 
 def _world_points(rng: np.random.Generator, positions: Points,
-                  spec: TrajectorySpec) -> Points:
+                  spec: TrajectorySpec) -> tuple[NDArray[F64], NDArray[F64], NDArray[F64]]:
+    """The jittered world grid as an (len(xs), len(ys), 3) array, and its axes."""
     g = POINT_SPACING
     margin = spec.sensor_range + g
     x_lo = positions[:, 0].min() - margin
@@ -271,14 +272,19 @@ def _world_points(rng: np.random.Generator, positions: Points,
     pts[:, 0] = gx.ravel() + rng.uniform(-g / 4.0, g / 4.0, n)
     pts[:, 1] = gy.ravel() + rng.uniform(-g / 4.0, g / 4.0, n)
     pts[:, 2] = rng.uniform(-Z_JITTER, Z_JITTER, n)
-    return pts
+    return pts.reshape(len(xs), len(ys), 3), xs, ys
 
 
 def generate_trajectory(spec: TrajectorySpec) -> list[PosedFrame]:
     """Posed frames along a planar drive, clouds in sensor coordinates.
 
     Heading integrates the yaw steps; each frame advances along the current
-    heading before turning; poses have zero pitch and roll.
+    heading before turning; poses have zero pitch and roll.  A frame reads
+    only the grid rectangle within ``sensor_range + POINT_SPACING / 2`` of
+    its position on each axis, which holds every point in range since the
+    jitter is at most a quarter pitch.  So a frame costs
+    O((sensor_range / POINT_SPACING)^2) whatever the drive's length; only
+    building the world grid grows with the drive's bounding box.
     """
     # spawn's first child: a seed keeps the frames it has always given
     world_rng = np.random.default_rng(spec.seed).spawn(1)[0]
@@ -292,7 +298,10 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PosedFrame]:
         positions[i] = positions[i - 1] + spacing * np.array(
             [math.cos(h), math.sin(h), 0.0])
 
-    world = _world_points(world_rng, positions, spec)
+    world, xs, ys = _world_points(world_rng, positions, spec)
+    reach = spec.sensor_range + POINT_SPACING / 2.0
+    x0, x1 = np.searchsorted(xs, [positions[:, 0] - reach, positions[:, 0] + reach])
+    y0, y1 = np.searchsorted(ys, [positions[:, 1] - reach, positions[:, 1] + reach])
 
     frames: list[PosedFrame] = []
     for i in range(spec.n_frames):
@@ -300,8 +309,10 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PosedFrame]:
             rotation=from_euler(EulerAngles(roll=0.0, pitch=0.0,
                                             yaw=float(yaw[i]))),
             translation=positions[i])
-        planar = np.linalg.norm(world[:, :2] - positions[i, :2], axis=1)
-        visible = world[planar <= spec.sensor_range]
+        # C order keeps the full grid's point order
+        patch = world[x0[i]:x1[i], y0[i]:y1[i]].reshape(-1, 3)
+        planar = np.linalg.norm(patch[:, :2] - positions[i, :2], axis=1)
+        visible = patch[planar <= spec.sensor_range]
         frames.append(PosedFrame(sequence_id=spec.sequence_id,
                                  frame_index=i,
                                  timestamp=i * FRAME_DT,

@@ -290,6 +290,17 @@ def test_synth_bad_flag_exits_2_before_creating_the_out_dir(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_scene_beyond_float32_exits_2_without_writing_a_cloud(tmp_path, capsys):
+    # an extent past float32's range gives coordinates no PLY reader accepts
+    out = tmp_path / "out"
+    assert main(["synth", "scene", "--out-dir", str(out), "--n", "20",
+                 "--extent", "1e39"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'src.ply'}: ")
+    assert "not finite at float32 precision" in err
+    assert list(out.iterdir()) == []
+
+
 def test_benchgen_voxel_zero_disables_downsampling(traj_dir, tmp_path,
                                                    monkeypatch):
     calls = []

@@ -182,6 +182,29 @@ def test_voxel_all_points_in_one_cell():
     assert np.allclose(out[0], pts.mean(axis=0))
 
 
+def _voxel_by_unique(points: np.ndarray, size: float) -> np.ndarray:
+    # grouping by np.unique over key rows, summed in input order
+    keys = np.floor(points / size).astype(np.int64)
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((len(uniq), 3))
+    np.add.at(sums, inv.ravel(), points)
+    return sums / np.bincount(inv.ravel(), minlength=len(uniq))[:, None]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_voxel_equals_unique_row_grouping_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(int(rng.integers(1, 2000)), 3)) * rng.uniform(0.1, 1e4)
+    if seed % 2:
+        pts = np.round(pts)                 # points on voxel boundaries
+        pts[: len(pts) // 3] = pts[0]       # one crowded voxel
+    size = float(rng.uniform(0.05, 5.0))
+    out = voxel_downsample(pts, size)
+    want = _voxel_by_unique(pts, size)
+    assert out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+
+
 def test_voxel_rejects_bad_size():
     with pytest.raises(ValueError):
         voxel_downsample(np.zeros((4, 3)), 0.0)

@@ -9,6 +9,7 @@ import pytest
 
 from lidarreg.geom import RigidMotion
 from lidarreg.io import (
+    _PLY_CHUNK_ROWS,
     FormatError,
     read_cloud_bin,
     read_cloud_ply,
@@ -150,6 +151,60 @@ def test_write_determinism(tmp_path):
     write_jsonl(ja, [{"b": 1, "a": 2}])
     write_jsonl(jb, [{"a": 2, "b": 1}])
     assert ja.read_bytes() == jb.read_bytes()
+
+
+def _per_line_ply_bytes(points) -> bytes:
+    """A PLY file as the writer formatted it one f-string per row."""
+    pts = np.ascontiguousarray(points, dtype=np.float32).reshape(-1, 3)
+    text = PLY_HEADER.format(n=len(pts)) + "".join(
+        f"{float(x):.9g} {float(y):.9g} {float(z):.9g}\n" for x, y, z in pts)
+    return text.encode("ascii")
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param([[-0.0, 0.0, 1e-45], [3.4028235e38, -3.4028235e38, -1e-45]],
+                 id="signed-zero-subnormal-and-extremes"),
+    pytest.param([[1, -2, 3], [16777216, -7, 0]], id="integers"),
+    pytest.param(np.zeros((0, 3)), id="empty"),
+    pytest.param(np.random.default_rng(3).normal(size=(200, 3)) * 1e3, id="random"),
+])
+def test_ply_writer_bytes_equal_a_per_line_formatter(tmp_path, points):
+    p = tmp_path / "c.ply"
+    write_cloud_ply(p, np.asarray(points, dtype=np.float64))
+    assert p.read_bytes() == _per_line_ply_bytes(points)
+
+
+@pytest.mark.parametrize("chunk_rows, n", [(7, 20), (_PLY_CHUNK_ROWS, _PLY_CHUNK_ROWS + 3)])
+def test_ply_writer_bytes_span_chunks(tmp_path, monkeypatch, chunk_rows, n):
+    # clouds longer than one chunk, which they do not fill evenly
+    monkeypatch.setattr("lidarreg.io._PLY_CHUNK_ROWS", chunk_rows)
+    pts = np.random.default_rng(n).uniform(-300.0, 300.0, (n, 3))
+    p = tmp_path / "c.ply"
+    write_cloud_ply(p, pts)
+    assert p.read_bytes() == _per_line_ply_bytes(pts)
+
+
+def _write_bin_intensity(path, values):
+    write_cloud_bin(path, np.zeros((len(values), 3)), intensity=values)
+
+
+@pytest.mark.parametrize("write, shape", [
+    pytest.param(write_cloud_ply, (2, 3), id="ply"),
+    pytest.param(write_cloud_bin, (2, 3), id="bin"),
+    pytest.param(_write_bin_intensity, (2,), id="bin-intensity"),
+    pytest.param(write_descriptors, (2, 4), id="descriptors"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+def test_writers_refuse_values_not_finite_at_float32(tmp_path, write, shape, bad):
+    # what the readers would reject is never written; 1e39 overflows float32
+    values = np.ones(shape)
+    values.flat[-1] = bad
+    p = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite at float32 precision$"):
+            write(p, values)
+    assert not p.exists()
 
 
 def test_histogram_csv_layout(tmp_path):

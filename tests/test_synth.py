@@ -286,3 +286,69 @@ def test_trajectory_spec_validation(kw):
 def test_sequence_id_must_be_one_plain_path_component(sequence_id):
     with pytest.raises(ValueError, match="^sequence_id must be one plain path component"):
         TrajectorySpec(sequence_id=sequence_id)
+
+
+# ---------------------------------------------------------------------------
+# trajectory frames read only their patch of the world grid
+# ---------------------------------------------------------------------------
+
+def _full_world_clouds(spec: TrajectorySpec, frames) -> list[np.ndarray]:
+    """Each frame's cloud from a scan of the whole world grid."""
+    positions = np.array([f.pose.translation for f in frames])
+    world_rng = np.random.default_rng(spec.seed).spawn(1)[0]
+    world = synth._world_points(world_rng, positions, spec)[0].reshape(-1, 3)
+    out = []
+    for frame, position in zip(frames, positions):
+        planar = np.linalg.norm(world[:, :2] - position[:2], axis=1)
+        out.append(apply(inverse(frame.pose), world[planar <= spec.sensor_range]))
+    return out
+
+
+def _assert_frames_match_full_world_scan(spec: TrajectorySpec) -> None:
+    frames = generate_trajectory(spec)
+    for frame, want in zip(frames, _full_world_clouds(spec, frames), strict=True):
+        assert frame.cloud.shape == want.shape
+        assert frame.cloud.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("profile", synth.PROFILES)
+@pytest.mark.parametrize("sensor_range", [0.7, 5.0, 13.3, 37.3])
+def test_frames_equal_a_full_world_scan_bit_for_bit(profile, sensor_range):
+    # 0.7 m is below the pitch; 13.3 and 37.3 m are not multiples of it
+    _assert_frames_match_full_world_scan(TrajectorySpec(
+        profile=profile, n_frames=12, frame_spacing=3.5,
+        sensor_range=sensor_range, seed=3))
+
+
+@pytest.mark.parametrize("profile", ["straight", "uturn", "random"])
+def test_frames_clipped_by_the_grid_edge_equal_a_full_world_scan(monkeypatch, profile):
+    # a grid two rows short on every side: the end frames' patches run off
+    # the grid, so their rectangles are clipped at its first and last rows
+    world_points = synth._world_points
+
+    def trimmed(rng, positions, spec):
+        world, xs, ys = world_points(rng, positions, spec)
+        return world[2:-2, 2:-2], xs[2:-2], ys[2:-2]
+
+    monkeypatch.setattr(synth, "_world_points", trimmed)
+    spec = TrajectorySpec(profile=profile, n_frames=9, frame_spacing=4.0,
+                          sensor_range=9.0, seed=11)
+    frames = generate_trajectory(spec)
+    assert min(len(f.cloud) for f in frames) > 0
+    _assert_frames_match_full_world_scan(spec)
+
+
+def test_frame_work_is_bounded_by_sensor_range_not_drive_length(monkeypatch):
+    rows = []
+    norm = np.linalg.norm
+
+    def counting_norm(x, *args, **kwargs):
+        rows.append(len(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    spec = TrajectorySpec(profile="random", n_frames=200, frame_spacing=5.0,
+                          sensor_range=30.0, seed=7)
+    generate_trajectory(spec)
+    g = synth.POINT_SPACING
+    assert rows and max(rows) <= (2.0 * (spec.sensor_range + g) / g + 2.0) ** 2
