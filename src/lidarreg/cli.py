@@ -37,6 +37,7 @@ from .benchgen import PosedFrame, SelectorConfig, build_candidate_pool, select_b
 from .geom import GimbalLockError, RigidMotion, voxel_downsample
 from .io import (
     FormatError,
+    _float32,
     read_cloud_bin,
     read_cloud_ply,
     read_config,
@@ -454,11 +455,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                            descriptor_dim=args.dim,
                            quality_correlation=args.qc, seed=args.seed)
         scene = generate_scene(spec)
+        files = {"src.ply": scene.src, "dst.ply": scene.dst,
+                 "src.fdsc": scene.src_desc, "dst.fdsc": scene.dst_desc}
+        # the writers' own float32 check, on every array before any is written
+        for name, values in files.items():
+            _float32(out / name, values, "cloud" if name.endswith(".ply") else "descriptors")
         out.mkdir(parents=True, exist_ok=True)
-        write_cloud_ply(out / "src.ply", scene.src)
-        write_cloud_ply(out / "dst.ply", scene.dst)
-        write_descriptors(out / "src.fdsc", scene.src_desc)
-        write_descriptors(out / "dst.fdsc", scene.dst_desc)
+        for name, values in files.items():
+            (write_cloud_ply if name.endswith(".ply") else write_descriptors)(out / name, values)
         write_poses(out / "gt.txt", [scene.true_motion])
         return 0
 

@@ -19,6 +19,12 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
+__all__ = [
+    "RigidMotion", "EulerAngles", "GimbalLockError", "SpatialIndex", "apply",
+    "compose", "inverse", "from_euler", "to_euler", "rotation_is_valid",
+    "voxel_downsample",
+]
+
 F64: TypeAlias = np.float64
 Points: TypeAlias = NDArray[F64]      # (N, 3)
 Vec3: TypeAlias = NDArray[F64]        # (3,)

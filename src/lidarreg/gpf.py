@@ -22,6 +22,11 @@ from numpy.typing import NDArray
 from .geom import Points
 from .match import Correspondences
 
+__all__ = [
+    "GpfConfig", "NoMnnPairsError", "gpf", "grid_assign", "priority_order",
+    "quota_search",
+]
+
 
 @dataclass(frozen=True)
 class GpfConfig:

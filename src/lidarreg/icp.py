@@ -18,6 +18,8 @@ import numpy as np
 from .geom import Points, RigidMotion, SpatialIndex, apply
 from .ransac import SAMPLE_SIZE, DegenerateSampleError, kabsch
 
+__all__ = ["IcpConfig", "IcpResult", "icp_refine"]
+
 _MAX_ITERATIONS = 30
 _RMSE_DELTA_TOL = 1e-6
 _TRANSFORM_DELTA_TOL = 1e-6

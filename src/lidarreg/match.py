@@ -43,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+__all__ = ["Correspondences", "match_features", "mnn_filter"]
+
 
 @dataclass(frozen=True)
 class Correspondences:

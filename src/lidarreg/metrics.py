@@ -15,6 +15,12 @@ from numpy.typing import NDArray
 
 from .geom import EulerAngles, RigidMotion, inverse, to_euler
 
+__all__ = [
+    "PairRecord", "Histogram", "FailureHistogram", "DEFAULT_BIN_EDGES",
+    "rotation_error", "translation_error", "is_success", "recall", "histogram",
+    "failure_histogram", "set_distribution_report",
+]
+
 RE_MAX_DEG = 5.0
 TE_MAX_M = 0.6
 

@@ -58,6 +58,9 @@ class PairResult:
 def register_pair(src_points: Points, dst_points: Points,
                   src_desc, dst_desc, cfg: PipelineConfig) -> PairResult:
     """Full pipeline from descriptors: feature matching included in timing."""
+    for side, points, desc in (("src", src_points, src_desc), ("dst", dst_points, dst_desc)):
+        if len(desc) != len(points):
+            raise ValueError(f"{side}_desc has {len(desc)} rows for {len(points)} {side}_points")
     t0 = perf_counter()
     corrs = match_features(src_desc, dst_desc)
     # match_features always marks a mutual pair, so the GPF budget is defined

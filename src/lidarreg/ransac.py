@@ -49,6 +49,11 @@ from .geom import Points, RigidMotion
 from .gpf import priority_order
 from .match import Correspondences
 
+__all__ = [
+    "RansacConfig", "RegistrationResult", "DegenerateSampleError",
+    "ransac_register", "required_iterations", "elc_check", "kabsch",
+]
+
 SAMPLE_SIZE = 3
 REJECTIONS = ("none", "elc")
 _PROSAC_T_TOTAL = 200_000   # iterations over which PROSAC reaches uniform

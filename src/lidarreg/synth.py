@@ -49,6 +49,7 @@ FRAME_DT = 1.0                  # seconds between trajectory frames
 DESCRIPTOR_NOISE_SIGMA = 0.05   # per-frame noise of frame_descriptors
 MAX_YAW_STEP_DEG = 15.0         # the random profile's largest turn per frame
 PROFILES = ("straight", "uturn", "stationary", "random")
+_MAX_WORLD_POINTS = 2**24       # world grid cap; a 2,000-frame drive needs ~3.1e6
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:
@@ -189,15 +190,19 @@ def generate_scene(spec: SceneSpec) -> Scene:
     dst_desc[labels] = src_desc[labels] + scale * rng.standard_normal(
         (int(labels.sum()), spec.descriptor_dim))
 
-    # the planted pairs are (i, i); their ratio and mutual flag are those the
-    # matcher gives row i, and a pair is mutual only if i's nearest is i
-    m = match_features(src_desc, dst_desc)
-    idx = np.arange(n)
-    corrs = Correspondences(src=idx, dst=idx.copy(),
-                            feat_dist=np.sqrt(np.sum((src_desc - dst_desc) ** 2, axis=1)),
-                            ratio=m.ratio, is_mnn=(m.dst == idx) & m.is_mnn)
     return Scene(src=src, dst=dst, src_desc=src_desc, dst_desc=dst_desc,
-                 corrs=corrs, inlier_labels=labels, true_motion=motion)
+                 corrs=_planted_pairs(src_desc, dst_desc), inlier_labels=labels,
+                 true_motion=motion)
+
+
+def _planted_pairs(src_desc: NDArray[F64], dst_desc: NDArray[F64]) -> Correspondences:
+    """The pairs (i, i), with the ratio and mutual flag the matcher gives
+    row i; a pair is mutual only if row i's nearest target row is i."""
+    m = match_features(src_desc, dst_desc)
+    idx = np.arange(len(src_desc))
+    return Correspondences(src=idx, dst=idx.copy(),
+                           feat_dist=np.sqrt(np.sum((src_desc - dst_desc) ** 2, axis=1)),
+                           ratio=m.ratio, is_mnn=(m.dst == idx) & m.is_mnn)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +269,11 @@ def _world_points(rng: np.random.Generator, positions: Points,
     x_hi = positions[:, 0].max() + margin
     y_lo = positions[:, 1].min() - margin
     y_hi = positions[:, 1].max() + margin
+    # np.arange's lengths, so an oversized grid is refused before allocation
+    size = math.prod(np.ceil([(x_hi + g - x_lo) / g, (y_hi + g - y_lo) / g]).tolist())
+    if not size <= _MAX_WORLD_POINTS:
+        raise ValueError(f"the drive's world grid would hold {size:.3g} points, "
+                         f"over the limit of {_MAX_WORLD_POINTS}")
     xs = np.arange(x_lo, x_hi + g, g)
     ys = np.arange(y_lo, y_hi + g, g)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.spatial.distance import cdist
 
 from lidarreg.benchgen import SelectorConfig, normalize_motions, select_balanced
 from lidarreg.cli import main
@@ -34,10 +33,10 @@ from lidarreg.io import (
     write_pair_list,
     write_poses,
 )
-from lidarreg.match import Correspondences, mnn_filter
+from lidarreg.match import mnn_filter
 from lidarreg.metrics import PairRecord, is_success, rotation_error, translation_error
 from lidarreg.ransac import RansacConfig, elc_check, kabsch, ransac_register
-from lidarreg.synth import SceneSpec, generate_scene, random_motion
+from lidarreg.synth import SceneSpec, _planted_pairs, generate_scene, random_motion
 
 from test_benchgen import _pool_from_descriptors
 from test_geom import random_rotation
@@ -254,15 +253,7 @@ def _clustered_false_match_scene(seed: int, n: int = 1000, n_in: int = 80,
     coherent = slice(0, n_in + n_false)
     dst_desc[coherent] = src_desc[coherent] \
         + 0.1 * np.sqrt(2.0) * rng.standard_normal((n_in + n_false, 16))
-    d = cdist(src_desc, dst_desc)
-    idx = np.arange(n)
-    two = np.partition(d, 1, axis=1)
-    with np.errstate(divide="ignore"):
-        ratio = two[:, 1] / two[:, 0]
-    corrs = Correspondences(
-        src=idx, dst=idx, feat_dist=d[idx, idx], ratio=ratio,
-        is_mnn=(np.argmin(d, axis=1) == idx) & (np.argmin(d, axis=0) == idx))
-    return src, dst, corrs, t_true
+    return src, dst, _planted_pairs(src_desc, dst_desc), t_true
 
 
 def test_06_grid_quota_spreads_and_outperforms_mutual_only():

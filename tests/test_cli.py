@@ -290,15 +290,29 @@ def test_synth_bad_flag_exits_2_before_creating_the_out_dir(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_synth_scene_beyond_float32_exits_2_without_writing_a_cloud(tmp_path, capsys):
-    # an extent past float32's range gives coordinates no PLY reader accepts
+@pytest.mark.parametrize("argv, bad_file", [
+    # every coordinate is past float32's range
+    pytest.param(["--extent", "1e39"], "src.ply", id="extent-1e39"),
+    # the source fits float32, the moved target does not
+    pytest.param(["--extent", "3e38", "--seed", "3"], "dst.ply", id="extent-3e38-target"),
+])
+def test_synth_scene_beyond_float32_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                               argv, bad_file):
     out = tmp_path / "out"
-    assert main(["synth", "scene", "--out-dir", str(out), "--n", "20",
-                 "--extent", "1e39"]) == 2
+    assert main(["synth", "scene", "--out-dir", str(out), "--n", "20", *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'src.ply'}: ")
+    assert err.startswith(f"error: {out / bad_file}: ")
     assert "not finite at float32 precision" in err
-    assert list(out.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_trajectory_over_the_world_grid_cap_exits_2_before_the_out_dir(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("lidarreg.synth._MAX_WORLD_POINTS", 1000)
+    out = tmp_path / "out"
+    assert main(["synth", "trajectory", "--out-dir", str(out)]) == 2
+    assert "world grid would hold" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_benchgen_voxel_zero_disables_downsampling(traj_dir, tmp_path,

@@ -18,21 +18,8 @@ from lidarreg.geom import (
     to_euler,
     voxel_downsample,
 )
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def random_motion(rng: np.random.Generator, t_scale: float = 10.0) -> RigidMotion:
-    return RigidMotion(random_rotation(rng), rng.uniform(-t_scale, t_scale, 3))
+# other test modules import these two from here
+from lidarreg.synth import random_motion, random_rotation
 
 
 # ---------------------------------------------------------------------------

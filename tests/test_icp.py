@@ -38,7 +38,7 @@ def test_identity_on_identical_clouds_converges_immediately():
 def test_recovers_from_small_perturbation():
     rng = np.random.default_rng(1)
     cloud = dense_cloud(rng)
-    truth = random_motion(rng, t_scale=5.0)
+    truth = random_motion(rng, translation_scale=5.0)
     moved = apply(truth, cloud)
     res = icp_refine(cloud, moved, perturbed(truth, trans=0.2, deg=2.0))
     assert translation_error(res.motion.translation, truth.translation) < 0.01
@@ -48,7 +48,7 @@ def test_recovers_from_small_perturbation():
 def test_gated_rmse_nonincreasing():
     rng = np.random.default_rng(2)
     cloud = dense_cloud(rng, n=2000)
-    truth = random_motion(rng, t_scale=3.0)
+    truth = random_motion(rng, translation_scale=3.0)
     moved = apply(truth, cloud) + rng.normal(scale=0.03, size=cloud.shape)
     res = icp_refine(cloud, moved, perturbed(truth, trans=0.3, deg=2.5))
     hist = list(res.rmse_history)
@@ -61,7 +61,7 @@ def test_final_rmse_never_above_initial():
     for seed in range(10):
         local = np.random.default_rng(seed)
         cloud = dense_cloud(local, n=1500)
-        truth = random_motion(local, t_scale=4.0)
+        truth = random_motion(local, translation_scale=4.0)
         moved = apply(truth, cloud) + local.normal(scale=0.05, size=cloud.shape)
         res = icp_refine(cloud, moved, perturbed(truth, trans=0.25, deg=2.0))
         assert res.rmse <= res.rmse_history[0] + 1e-15
@@ -71,7 +71,7 @@ def test_disjoint_clouds_report_no_overlap():
     rng = np.random.default_rng(4)
     a = dense_cloud(rng, n=200, extent=5.0)
     b = a + np.array([1000.0, 0.0, 0.0])
-    init = random_motion(rng, t_scale=1.0)
+    init = random_motion(rng, translation_scale=1.0)
     res = icp_refine(a, b, init)
     assert res.no_overlap
     assert math.isinf(res.rmse)
@@ -84,7 +84,7 @@ def test_respects_iteration_cap(monkeypatch):
     monkeypatch.setattr(icp_module, "_MAX_ITERATIONS", 2)
     rng = np.random.default_rng(5)
     cloud = dense_cloud(rng, n=800)
-    truth = random_motion(rng, t_scale=2.0)
+    truth = random_motion(rng, translation_scale=2.0)
     moved = apply(truth, cloud) + rng.normal(scale=0.1, size=cloud.shape)
     res = icp_refine(cloud, moved, perturbed(truth, trans=0.3, deg=3.0))
     assert res.iterations <= 2
@@ -93,7 +93,7 @@ def test_respects_iteration_cap(monkeypatch):
 def test_noisy_pair_converges_within_default_budget():
     rng = np.random.default_rng(6)
     cloud = dense_cloud(rng, n=3000)
-    truth = random_motion(rng, t_scale=5.0)
+    truth = random_motion(rng, translation_scale=5.0)
     moved = apply(truth, cloud) + rng.normal(scale=0.02, size=cloud.shape)
     res = icp_refine(cloud, moved, perturbed(truth, trans=0.2, deg=1.5))
     assert res.converged
@@ -118,7 +118,7 @@ def test_gated_search_gives_the_unbounded_result(monkeypatch):
     # point within the gate, which the gated search answers with inf
     rng = np.random.default_rng(9)
     cloud = dense_cloud(rng, n=3000)
-    truth = random_motion(rng, t_scale=3.0)
+    truth = random_motion(rng, translation_scale=3.0)
     dst = apply(truth, cloud[cloud[:, 0] > 5.0])
     init = perturbed(truth, trans=0.3, deg=3.0)
     cfg = IcpConfig(threshold=0.5)

@@ -177,7 +177,7 @@ def test_failure_histogram_counts_and_ratio():
 
 def test_failure_histogram_all_parameters_available():
     rng = np.random.default_rng(5)
-    pairs = [make_pair(motion=random_motion(rng, t_scale=20.0),
+    pairs = [make_pair(motion=random_motion(rng, translation_scale=20.0),
                        overlap=rng.uniform(0.2, 1.0), dt=rng.uniform(0.0, 60.0))
              for _ in range(30)]
     success = rng.uniform(size=30) < 0.5
@@ -198,7 +198,7 @@ def test_failure_histogram_of_no_records_is_all_zero():
 
 def test_set_distribution_report_covers_six_parameters():
     rng = np.random.default_rng(6)
-    pairs = [make_pair(motion=random_motion(rng, t_scale=20.0),
+    pairs = [make_pair(motion=random_motion(rng, translation_scale=20.0),
                        overlap=rng.uniform(0.2, 1.0), dt=rng.uniform(0.0, 50.0))
              for _ in range(40)]
     report = set_distribution_report(pairs)

@@ -134,6 +134,19 @@ def test_register_pair_matches_descriptors_itself():
     assert translation_error(result.final.translation, gt.translation) < 0.1
 
 
+@pytest.mark.parametrize("side", ["src", "dst"])
+@pytest.mark.parametrize("cut", ["points", "desc"])
+def test_register_pair_rejects_descriptor_and_cloud_row_mismatch(side, cut):
+    # a short cloud would index past its end, short descriptors would
+    # silently pair the wrong rows
+    scene = _scene(seed=3, n_points=300)
+    arrays = dict(src_points=scene.src, dst_points=scene.dst,
+                  src_desc=scene.src_desc, dst_desc=scene.dst_desc)
+    arrays[f"{side}_{cut}"] = arrays[f"{side}_{cut}"][:-20]
+    with pytest.raises(ValueError, match=f"^{side}_desc has"):
+        register_pair(**arrays, cfg=PipelineConfig(ransac=_FAST_RANSAC))
+
+
 def test_pipeline_is_deterministic_for_a_fixed_seed():
     scene = _scene(seed=8)
     cfg = PipelineConfig(ransac=RansacConfig(seed=21))

@@ -94,7 +94,7 @@ def test_horn_oracle_sanity():
 def test_kabsch_recovers_exact_motion_minimal_sample():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        t = random_motion(rng, t_scale=20.0)
+        t = random_motion(rng, translation_scale=20.0)
         p = rng.uniform(-30.0, 30.0, size=(3, 3))
         got = kabsch(p, apply(t, p))
         assert frobenius_angle_deg(got.rotation, t.rotation) < 1e-7
@@ -223,7 +223,7 @@ def test_stacked_elc_equals_elc_check_per_row():
 def make_planted(rng, n=400, frac=0.5, extent=25.0, sigma=0.0, offset=2.0):
     """Index-aligned correspondence set with exactly round(frac*n) inliers."""
     src = rng.uniform(-extent, extent, size=(n, 3))
-    truth = random_motion(rng, t_scale=8.0)
+    truth = random_motion(rng, translation_scale=8.0)
     dst = apply(truth, src)
     n_in = int(round(frac * n))
     labels = np.zeros(n, dtype=bool)
@@ -483,7 +483,7 @@ def two_motion_start(seed):
     rng = np.random.default_rng([seed, 47])
     a = rng.uniform(-25.0, 25.0, size=(300, 3))
     b = rng.uniform(-25.0, 25.0, size=(300, 3))
-    first, second = random_motion(rng, t_scale=8.0), random_motion(rng, t_scale=8.0)
+    first, second = random_motion(rng, translation_scale=8.0), random_motion(rng, translation_scale=8.0)
     b[:60], b[60:120] = apply(first, a[:60]), apply(second, a[60:120])
     mask = np.zeros(300, dtype=bool)
     mask[:20] = mask[60:62] = True

@@ -352,3 +352,17 @@ def test_frame_work_is_bounded_by_sensor_range_not_drive_length(monkeypatch):
     generate_trajectory(spec)
     g = synth.POINT_SPACING
     assert rows and max(rows) <= (2.0 * (spec.sensor_range + g) / g + 2.0) ** 2
+
+
+@pytest.mark.parametrize("profile", ["straight", "uturn", "random"])
+def test_world_grid_cap_counts_the_points_the_grid_would_hold(monkeypatch, profile):
+    spec = TrajectorySpec(profile=profile, n_frames=9, frame_spacing=7.3,
+                          sensor_range=11.1, seed=5)
+    positions = np.array([f.pose.translation for f in generate_trajectory(spec)])
+    world = synth._world_points(np.random.default_rng(0), positions, spec)[0]
+    n_points = world.shape[0] * world.shape[1]
+    monkeypatch.setattr(synth, "_MAX_WORLD_POINTS", n_points)
+    generate_trajectory(spec)
+    monkeypatch.setattr(synth, "_MAX_WORLD_POINTS", n_points - 1)
+    with pytest.raises(ValueError, match="world grid would hold"):
+        generate_trajectory(spec)
