@@ -74,6 +74,11 @@ class Correspondences:
 # this many entries (1 MB in float32; the passes over a block run faster
 # than over smaller or larger blocks); the selection masks scale with it.
 _BLOCK_ENTRIES = 1 << 18
+# Candidates are re-measured in pieces of about this many entries, 32 KB
+# temporaries.  Two live temporaries of 256 KB made glibc return the heap
+# top and fault it back in on the next call: 500-700 minor faults, a third
+# of a 700 x 700 match's time.
+_PIECE_ENTRIES = 1 << 12
 # A float32 block that keeps more than this many candidates per query row
 # and per target row is estimated again in float64, whose windows are 2**29
 # times narrower, and so is every block after it, since the windows scale
@@ -146,7 +151,7 @@ def _candidates(est, q_window, r_err, r_reach, r_upper, masks, budget):
 def _distances(rows, queries, rj, qi):
     """The scan's ``sqrt(sum((r - q)**2))`` for each pair (rows[rj], queries[qi])."""
     d = np.empty(len(rj))
-    step = max(1, (_BLOCK_ENTRIES >> 3) // rows.shape[1])     # 256 KB temporaries
+    step = max(1, _PIECE_ENTRIES // rows.shape[1])
     for lo in range(0, len(rj), step):
         diff = rows[rj[lo:lo + step]] - queries[qi[lo:lo + step]]
         d[lo:lo + step] = np.sqrt(np.sum(diff ** 2, axis=1))

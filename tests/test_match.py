@@ -182,15 +182,29 @@ def test_near_ties_on_a_large_offset_follow_the_tie_contract(seed):
     _assert_equals_oracle(src, dst)
 
 
-def test_query_blocks_of_the_module_size_span_several_blocks():
+def test_query_blocks_of_the_module_size_span_several_blocks(monkeypatch):
     # 2000 rows give 131 queries per forward block and 300 rows give 873 per
-    # reverse block, so both passes run 3 blocks with a short last one
+    # reverse block, so both passes run 3 blocks with a short last one; the
+    # candidates are re-measured in several pieces and a short last one
+    sizes = []
+    distances = match._distances
+
+    def spy(rows, queries, rj, qi):
+        sizes.append(len(rj))
+        return distances(rows, queries, rj, qi)
+
+    monkeypatch.setattr(match, "_distances", spy)
     rng = np.random.default_rng(7)
-    src = rng.integers(-3, 4, (300, 4)).astype(np.float64)
-    dst = rng.integers(-3, 4, (2000, 4)).astype(np.float64)
-    assert len(src) % (match._BLOCK_ENTRIES // len(dst)) != 0
-    assert len(dst) % (match._BLOCK_ENTRIES // len(src)) != 0
-    _assert_equals_oracle(src, dst)
+    for dim in (4, 16):
+        src = rng.integers(-3, 4, (300, dim)).astype(np.float64)
+        dst = rng.integers(-3, 4, (2000, dim)).astype(np.float64)
+        assert len(src) % (match._BLOCK_ENTRIES // len(dst)) != 0
+        assert len(dst) % (match._BLOCK_ENTRIES // len(src)) != 0
+        sizes.clear()
+        _assert_equals_oracle(src, dst)
+        piece = match._PIECE_ENTRIES // dim
+        assert len(sizes) == 1
+        assert sizes[0] > 3 * piece and sizes[0] % piece != 0
 
 
 @pytest.mark.parametrize("block_entries", [1, 7, 100, 1000])
