@@ -7,6 +7,10 @@ box points forced at least ``OUTLIER_MIN_OFFSET`` away from where the true
 motion would put them.  Because the noise norm is capped at three sigma,
 a 3-sigma gate on residuals under the true motion recovers the planted
 labels exactly, which is what makes the generator usable as an oracle.
+Generation is O(n) in time and memory.  The planted pairs' ratio and
+mutual flag need a full descriptor match, so ``Scene.corrs`` ranks them
+on its first read, from the descriptors as they are at that moment, and
+keeps the result.
 
 ``generate_trajectory`` builds a vehicle-like posed sequence over a shared
 world point set, so the overlap between any two frames is decided by disk
@@ -21,7 +25,9 @@ between two frames or is nowhere near a match.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -127,15 +133,21 @@ class Scene:
 
     Correspondences pair row i of ``src`` with row i of ``dst``;
     ``inlier_labels[i]`` says whether that pair is planted as an inlier.
+    ``corrs`` is ranked on its first read, from the descriptors as they are
+    at that moment, and the same object is returned after that.
     """
 
     src: Points
     dst: Points
     src_desc: NDArray[F64]
     dst_desc: NDArray[F64]
-    corrs: Correspondences
     inlier_labels: NDArray[np.bool_]
     true_motion: RigidMotion
+
+    @cached_property
+    def corrs(self) -> Correspondences:
+        """The planted pairs (i, i) with the matcher's ratio and mutual flag."""
+        return _planted_pairs(self.src_desc, self.dst_desc)
 
 
 def _capped_noise(rng: np.random.Generator, n: int, sigma: float) -> Points:
@@ -191,8 +203,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
         (int(labels.sum()), spec.descriptor_dim))
 
     return Scene(src=src, dst=dst, src_desc=src_desc, dst_desc=dst_desc,
-                 corrs=_planted_pairs(src_desc, dst_desc), inlier_labels=labels,
-                 true_motion=motion)
+                 inlier_labels=labels, true_motion=motion)
 
 
 def _planted_pairs(src_desc: NDArray[F64], dst_desc: NDArray[F64]) -> Correspondences:
@@ -244,6 +255,15 @@ class TrajectorySpec:
         if not 0.0 < self.sensor_range < math.inf:
             raise ValueError("sensor_range must be positive and finite, "
                              f"got {self.sensor_range}")
+        # a stationary drive ignores its spacing; a moving one must keep
+        # (n_frames - 1) * frame_spacing + sensor_range finite, tested by
+        # division since an int past float64's range cannot be multiplied
+        if (self.profile != "stationary" and self.frame_spacing > 0.0
+                and self.n_frames - 1 > (sys.float_info.max - self.sensor_range)
+                / self.frame_spacing):
+            raise ValueError(f"frame_spacing {self.frame_spacing} over "
+                             f"{self.n_frames - 1} steps, plus sensor_range, "
+                             "overflows float64")
         if (self.sequence_id in ("", ".", "..") or "/" in self.sequence_id
                 or "\\" in self.sequence_id):
             raise ValueError("sequence_id must be one plain path component, "
@@ -264,11 +284,11 @@ def _world_points(rng: np.random.Generator, positions: Points,
                   spec: TrajectorySpec) -> tuple[NDArray[F64], NDArray[F64], NDArray[F64]]:
     """The jittered world grid as an (len(xs), len(ys), 3) array, and its axes."""
     g = POINT_SPACING
-    margin = spec.sensor_range + g
-    x_lo = positions[:, 0].min() - margin
-    x_hi = positions[:, 0].max() + margin
-    y_lo = positions[:, 1].min() - margin
-    y_hi = positions[:, 1].max() + margin
+    # Python floats: bounds past float64's range turn inf without a
+    # warning, and the cap below refuses them
+    margin = float(spec.sensor_range) + g
+    x_lo, y_lo = (v - margin for v in positions[:, :2].min(axis=0).tolist())
+    x_hi, y_hi = (v + margin for v in positions[:, :2].max(axis=0).tolist())
     # np.arange's lengths, so an oversized grid is refused before allocation
     size = math.prod(np.ceil([(x_hi + g - x_lo) / g, (y_hi + g - y_lo) / g]).tolist())
     if not size <= _MAX_WORLD_POINTS:

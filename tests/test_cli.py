@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,29 @@ def test_synth_trajectory_over_the_world_grid_cap_exits_2_before_the_out_dir(
     out = tmp_path / "out"
     assert main(["synth", "trajectory", "--out-dir", str(out)]) == 2
     assert "world grid would hold" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 99 steps of 1e307 m overflow float64, so the spec refuses the spacing
+    pytest.param(["--frames", "100", "--spacing", "1e307"], "spacing: frame_spacing",
+                 id="spacing-past-float64"),
+    # 99 steps of 1.8e306 m stay finite; the grid's point count does not
+    pytest.param(["--frames", "100", "--spacing", "1.8e306"], "the drive's world grid",
+                 id="spacing-under-float64"),
+    # a stationary drive ignores its spacing, but its grid bounds overflow
+    pytest.param(["--profile", "stationary", "--spacing", "1e308", "--range", "1e308"],
+                 "the drive's world grid", id="range-past-float64"),
+])
+def test_synth_trajectory_past_float64_exits_2_in_one_line_without_warnings(
+        tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "trajectory", "--out-dir", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

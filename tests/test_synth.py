@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from lidarreg import synth
 from lidarreg.benchgen import SelectorConfig, build_candidate_pool, motion_descriptor, overlap
+from lidarreg.cli import main
 from lidarreg.geom import RigidMotion, apply, compose, inverse
 from lidarreg.match import match_features, mnn_filter
 from lidarreg.ransac import _residuals, kabsch
@@ -103,30 +106,73 @@ def test_perfect_quality_correlation_ranks_all_inliers_first():
     assert scene.corrs.is_mnn[scene.inlier_labels].all()
 
 
+def _assert_same_pairs(a, b) -> None:
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
 def test_planted_pair_signals_agree_with_a_dense_distance_matrix():
-    scene = generate_scene(SceneSpec(n_points=300, inlier_fraction=0.3,
-                                     quality_correlation=0.5, seed=17))
-    d = np.sqrt(np.sum((scene.src_desc[:, None, :] - scene.dst_desc[None, :, :]) ** 2,
-                       axis=2))
-    idx = np.arange(300)
-    two = np.sort(d, axis=1)[:, :2]
-    assert np.array_equal(scene.corrs.src, idx)
-    assert np.array_equal(scene.corrs.dst, idx)
-    assert np.array_equal(scene.corrs.feat_dist, d[idx, idx])
-    assert np.array_equal(scene.corrs.ratio, two[:, 1] / two[:, 0])
-    assert np.array_equal(scene.corrs.is_mnn,
-                          (d.argmin(axis=1) == idx) & (d.argmin(axis=0) == idx))
+    for n, fraction, qc, seed in [(300, 0.3, 0.5, 17), (57, 1.0, 0.7, 3),
+                                  (411, 0.3, 0.0, 8), (128, 0.5, 1.0, 23),
+                                  (40, 1.0, 1.0, 5)]:
+        scene = generate_scene(SceneSpec(n_points=n, inlier_fraction=fraction,
+                                         quality_correlation=qc, seed=seed))
+        corrs = scene.corrs
+        assert scene.corrs is corrs             # ranked once, on the first read
+        _assert_same_pairs(corrs, synth._planted_pairs(scene.src_desc, scene.dst_desc))
+        d = np.sqrt(np.sum((scene.src_desc[:, None, :] - scene.dst_desc[None, :, :]) ** 2,
+                           axis=2))
+        idx = np.arange(n)
+        two = np.sort(d, axis=1)[:, :2]
+        assert np.array_equal(corrs.src, idx)
+        assert np.array_equal(corrs.dst, idx)
+        assert np.array_equal(corrs.feat_dist, d[idx, idx])
+        with np.errstate(divide="ignore"):      # identical rows give inf
+            assert np.array_equal(corrs.ratio, two[:, 1] / two[:, 0])
+        assert np.array_equal(corrs.is_mnn,
+                              (d.argmin(axis=1) == idx) & (d.argmin(axis=0) == idx))
+
+
+def test_scenes_are_generated_without_ranking_the_planted_pairs(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("match_features called")
+
+    monkeypatch.setattr(synth, "match_features", refuse)
+    scene = generate_scene(SceneSpec(n_points=500, seed=4))
+    assert main(["synth", "scene", "--out-dir", str(tmp_path), "--n", "500"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dst.fdsc", "dst.ply", "gt.txt", "src.fdsc", "src.ply"]
+    with pytest.raises(RuntimeError, match="match_features called"):
+        len(scene.corrs)
+
+
+def test_pickled_scene_round_trips_before_and_after_ranking(monkeypatch):
+    scene = generate_scene(SceneSpec(n_points=200, seed=6))
+    before = pickle.loads(pickle.dumps(scene))
+    corrs = scene.corrs
+    after = pickle.loads(pickle.dumps(scene))
+    for copy in (before, after):
+        for field in dataclasses.fields(Scene):
+            if field.name != "true_motion":
+                assert np.array_equal(getattr(copy, field.name), getattr(scene, field.name))
+        assert np.array_equal(copy.true_motion.matrix34(), scene.true_motion.matrix34())
+    _assert_same_pairs(before.corrs, corrs)
+    # the ranked pairs travel with the pickle: the copy does not rank again
+    monkeypatch.setattr(synth, "match_features", None)
+    _assert_same_pairs(after.corrs, corrs)
 
 
 def test_large_scene_needs_no_dense_distance_matrix():
     # a dense 8000 x 8000 float64 distance matrix alone is 512 MB
     tracemalloc.start()
     try:
-        scene = generate_scene(SceneSpec(n_points=8000, seed=0))
+        corrs = generate_scene(SceneSpec(n_points=8000, seed=0)).corrs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(scene.corrs) == 8000
+    assert len(corrs) == 8000
     assert peak < 64 * 2**20
 
 
@@ -177,11 +223,12 @@ def test_stationary_trajectory_identity_motions_and_full_overlap():
         profile="stationary", n_frames=4, frame_spacing=0.0, seed=2))
     assert len(frames) == 4
     # a stationary drive stands still whatever its frame spacing
-    spaced = generate_trajectory(TrajectorySpec(
-        profile="stationary", n_frames=4, frame_spacing=10.0, seed=2))
-    for f, g in zip(frames, spaced):
-        assert np.array_equal(f.pose.matrix34(), g.pose.matrix34())
-        assert np.array_equal(f.cloud, g.cloud)
+    for spacing in (10.0, 1e308):
+        spaced = generate_trajectory(TrajectorySpec(
+            profile="stationary", n_frames=4, frame_spacing=spacing, seed=2))
+        for f, g in zip(frames, spaced):
+            assert np.array_equal(f.pose.matrix34(), g.pose.matrix34())
+            assert np.array_equal(f.cloud, g.cloud)
     for f in frames[1:]:
         rel = compose(inverse(frames[0].pose), f.pose)
         assert np.array_equal(rel.rotation, np.eye(3))
@@ -276,6 +323,10 @@ def test_frame_descriptors_support_feature_matching():
     dict(n_frames=3, frame_spacing=-1.0),
     dict(n_frames=3, sensor_range=0.0),
     dict(n_frames=3, sensor_range=-1.0),
+    # 99 steps of 1e307 m: the drive's positions overflow float64
+    dict(n_frames=100, frame_spacing=1e307),
+    dict(n_frames=100, frame_spacing=1e307, profile="random"),
+    dict(n_frames=10**400, frame_spacing=1.0),     # past float64 itself
 ])
 def test_trajectory_spec_validation(kw):
     with pytest.raises(ValueError):
