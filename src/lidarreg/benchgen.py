@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geom import F64, Points, RigidMotion, SpatialIndex, _pad, apply, compose, inverse, to_euler
+from .geom import (F64, Points, RigidMotion, SpatialIndex, _pad, _squared_norms, apply, compose,
+                   inverse, to_euler)
 from .metrics import PairRecord
 
 __all__ = [
@@ -147,7 +148,7 @@ def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
 def _sphere(points: Points) -> tuple[NDArray[F64], float]:
     # centroid and enclosing radius of a cloud
     center = points.mean(axis=0)
-    radius = float(np.sqrt(np.max(np.sum((points - center) ** 2, axis=1))))
+    radius = float(np.sqrt(np.max(_squared_norms(points - center))))
     return center, radius
 
 
@@ -158,7 +159,7 @@ def _near_sources(centers: NDArray[F64], radii: NDArray[F64],
     # all.  The pad keeps a pair that rounding puts just past the limit;
     # _overlaps then decides every kept pair exactly.
     limit = _pad(radii[sources] + radii[ti] + tau)
-    dist = np.sqrt(np.sum((centers[sources] - centers[ti]) ** 2, axis=1))
+    dist = np.sqrt(_squared_norms(centers[sources] - centers[ti]))
     return sources[(dist <= limit) & (sources != ti)]
 
 
@@ -177,7 +178,7 @@ def _overlaps(srcs: list[Points], tgt: Points, tau: float, min_overlap: float) -
     out = np.zeros(len(srcs))
     kept, parts = [], []
     for j, src in enumerate(srcs):
-        pts = src[np.sum((src - center) ** 2, axis=1) <= reach * reach]
+        pts = src[_squared_norms(src - center) <= reach * reach]
         if len(pts) / len(src) > min_overlap:
             kept.append(j)
             parts.append(pts)
@@ -274,7 +275,8 @@ def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:
     pool = [c for c in pool if c.overlap > cfg.min_overlap]
     if len(pool) == 0:
         raise ValueError("candidate pool is empty")
-    coords, _ = normalize_motions(pool)
+    # column-major, so each attempt's scan reads every axis contiguously
+    coords = np.asfortranarray(normalize_motions(pool)[0])
     rng = np.random.default_rng([cfg.seed, 1])
     remaining = np.ones(len(pool), dtype=bool)
     # sequences as codes in sorted-id order, with their selection counts
@@ -288,7 +290,7 @@ def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:
     while len(records) < cfg.target_count and attempts < budget and remaining.any():
         attempts += 1
         u = rng.random(6)
-        d2 = np.sum((coords - u) ** 2, axis=1)
+        d2 = _squared_norms(coords - u)
         near = np.flatnonzero(remaining & (d2 <= cfg.r * cfg.r))
         if near.size == 0:
             continue

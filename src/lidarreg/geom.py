@@ -42,6 +42,19 @@ def _as_f64(a) -> NDArray[F64]:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+def _squared_norms(d: NDArray[F64]) -> NDArray[F64]:
+    """Squared norms over the last axis of ``d``, x*x + y*y + z*z.
+
+    The columns are added in order, one whole column at a time: the same
+    float as ``np.sum(d ** 2, axis=-1)``, which numpy reduces slowly over
+    a short axis.
+    """
+    out = np.square(d[..., 0])
+    for k in range(1, d.shape[-1]):
+        out += np.square(d[..., k])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rigid motions
 # ---------------------------------------------------------------------------
@@ -195,7 +208,7 @@ class SpatialIndex:
 
     def _brute(self, idx, q: NDArray[F64]) -> NDArray[F64]:
         # the distances a brute-force linear scan would compute
-        return np.sqrt(np.sum((self._points[idx] - q) ** 2, axis=-1))
+        return np.sqrt(_squared_norms(self._points[idx] - q))
 
     def nearest(self, queries: Points, r: float = np.inf) -> tuple[NDArray[F64], NDArray[np.int64]]:
         """Distance and index of the single nearest point per query row.

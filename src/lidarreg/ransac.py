@@ -25,7 +25,12 @@ loop that handles one sample per iteration and stops at the same
 iteration.
 
 Scoring counts correspondences whose post-transform residual is within
-``inlier_threshold``.  With a fixed seed the whole run is deterministic.
+``inlier_threshold``.  It compares squared residuals with a squared gate,
+the largest float whose square root is within the threshold, so it counts
+the same correspondences without taking a square root.  Elc sums each
+edge from the coordinate rows ``a.T``, one coordinate at a time, to the
+same float as a sum over the point's row.  With a fixed seed the whole
+run is deterministic.
 ``Generator.integers`` with array bounds draws its values one after the
 other, row by row, from the bit generator, so a block's draws are the
 next ones of the stream wherever the block starts or ends: the block
@@ -38,6 +43,7 @@ hypothesis at a time.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -121,22 +127,52 @@ def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64]):
 # scoring and stopping
 # ---------------------------------------------------------------------------
 
-def _residuals(rotation, translation, a: Points, b: Points) -> NDArray[np.float64]:
-    """Residual norms of ``a`` mapped onto ``b``: (n,) for one motion, or
-    (S, n) for stacked rotations (S, 3, 3) and translations (S, 3)."""
+def _squared_residuals(rotation, translation, at, bt) -> NDArray[np.float64]:
+    """Squared residual norms of points mapped onto their targets, from
+    the coordinate rows ``at``, ``bt`` (3, n): (n,) for one motion, or
+    (S, n) for stacked rotations (S, 3, 3) and translations (S, 3).
+
+    The product with ``at`` goes through BLAS, whose kernel, and so the
+    last bit of a residual, depends on the operand's layout: callers pass
+    ``a.T`` of a C-ordered (n, 3) ``a``.
+    """
     # one coordinate at a time keeps every temporary a contiguous (S, n),
     # and one of them serves all three
-    at = a.T
     sq = d = None
     for i in range(3):
         d = np.matmul(rotation[..., i, :], at, out=d)
         d += translation[..., i, None]
-        d -= b[:, i]
+        d -= bt[i]
         if sq is None:
             sq = np.square(d)
         else:
             sq += np.square(d, out=d)
+    return sq
+
+
+def _residuals(rotation, translation, a: Points, b: Points) -> NDArray[np.float64]:
+    """Residual norms of ``a`` mapped onto ``b``, as ``_squared_residuals``
+    gives their squares."""
+    sq = _squared_residuals(rotation, translation, a.T, b.T)
     return np.sqrt(sq, out=sq)
+
+
+def _squared_gate(t: float) -> float:
+    """The largest float64 x with sqrt(x) <= t, for t > 0.
+
+    IEEE sqrt is correctly rounded and monotone, so a squared residual sq
+    passes ``sq <= _squared_gate(t)`` exactly when ``sqrt(sq) <= t``.
+    """
+    t = float(t)
+    if t == math.inf:
+        return math.inf
+    # Python floats: t * t past the float range is inf, without a warning
+    g = min(t * t, sys.float_info.max)
+    while math.sqrt(g) > t:
+        g = math.nextafter(g, 0.0)
+    while g < sys.float_info.max and math.sqrt(math.nextafter(g, math.inf)) <= t:
+        g = math.nextafter(g, math.inf)
+    return g
 
 
 def required_iterations(confidence: float, inlier_fraction: float,
@@ -187,14 +223,19 @@ def _elc_live(a: Points, b: Points, idx: NDArray[np.int64],
     ``b[row]`` pass ``elc_check``, in increasing order.
 
     Edges are screened one at a time, each on the survivors of the one
-    before, so a row costs nothing past its first failing edge.
+    before, so a row costs nothing past its first failing edge.  Each
+    length is summed from the coordinate rows ``a.T``, ``b.T``, one
+    coordinate at a time and in order, as ``np.sum`` over a row would.
     """
     live = np.arange(len(idx))
     for i, j in _EDGES:
         ii, jj = idx[live, i], idx[live, j]
-        dp = np.sqrt(np.sum((a[ii] - a[jj]) ** 2, axis=1))
-        dq = np.sqrt(np.sum((b[ii] - b[jj]) ** 2, axis=1))
-        live = live[np.abs(dp - dq) <= tolerance]
+        # 0.0 + x*x is x*x, so the sums equal np.sum's bit for bit
+        p2 = q2 = 0.0
+        for x, y in zip(a.T, b.T):
+            p2 += np.square(x[ii] - x[jj])
+            q2 += np.square(y[ii] - y[jj])
+        live = live[np.abs(np.sqrt(p2) - np.sqrt(q2)) <= tolerance]
     return live
 
 
@@ -290,11 +331,13 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float) -> Hypoth
     try:
         motion = kabsch(a[gate], b[gate])
         for mult in _LO_ANNEAL:
-            gate = _residuals(motion.rotation, motion.translation, a, b) <= mult * threshold
+            gate = _squared_residuals(motion.rotation, motion.translation, a.T, b.T) \
+                <= _squared_gate(mult * threshold)
             motion = kabsch(a[gate], b[gate])
     except ValueError:
         return best
-    mask = _residuals(motion.rotation, motion.translation, a, b) <= threshold
+    mask = _squared_residuals(motion.rotation, motion.translation, a.T, b.T) \
+        <= _squared_gate(threshold)
     count = int(np.count_nonzero(mask))
     return Hypothesis(motion, count, mask) if count > best.inlier_count else best
 
@@ -375,6 +418,9 @@ def ransac_register(src_points: Points, dst_points: Points,
     else:
         order = np.arange(n)
 
+    # the residuals' target rows, contiguous, and the squared inlier gate
+    bt = np.ascontiguousarray(b.T)
+    gate = _squared_gate(cfg.inlier_threshold)
     sample_rng = np.random.default_rng(cfg.seed).spawn(1)[0]
     # uniform sampling is the empty schedule over unranked input
     growth = _prosac_growth(n) if cfg.use_prosac else np.empty(0, dtype=np.int64)
@@ -402,7 +448,7 @@ def ransac_register(src_points: Points, dst_points: Points,
             if t + 1 + live[c] > required:
                 break
             chunk = slice(c, c + _SCORE_CHUNK)
-            masks = _residuals(rot[chunk], trans[chunk], a, b) <= cfg.inlier_threshold
+            masks = _squared_residuals(rot[chunk], trans[chunk], a.T, bt) <= gate
             for k, count in enumerate(masks.sum(axis=1).tolist()):
                 it = t + 1 + int(live[c + k])
                 if it > required:

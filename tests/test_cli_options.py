@@ -133,6 +133,18 @@ def test_gpf_budget_past_the_float_range_keeps_every_match(scene_dir, tmp_path):
     assert row["n_filtered"] == row["n_corrs"] == 300
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("thresh", ["1e200", "inf"])
+def test_inlier_threshold_past_the_float_range_registers(scene_dir, tmp_path,
+                                                         thresh):
+    # the squared inlier gate saturates without an overflow warning, and
+    # the first sample's model holds every match, so the run stops there
+    out = tmp_path / "out.jsonl"
+    assert _register(scene_dir, out, "--inlier-thresh", thresh) == 0
+    row = json.loads(out.read_text())
+    assert (row["iterations"], row["converged_by"]) == (1, "early_stop")
+
+
 # benchgen's case exits 1 on an empty pool: its two frames share no point
 @pytest.mark.parametrize("name, argv, default, code", [
     pytest.param("generate_scene", ["synth", "scene"], SceneSpec(), 0,

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarreg.geom import (
     EulerAngles,
@@ -16,6 +19,7 @@ from lidarreg.geom import (
     inverse,
     rotation_is_valid,
     to_euler,
+    _squared_norms,
     voxel_downsample,
 )
 # other test modules import these two from here
@@ -195,6 +199,22 @@ def test_voxel_equals_unique_row_grouping_bit_for_bit(seed):
 def test_voxel_rejects_bad_size():
     with pytest.raises(ValueError):
         voxel_downsample(np.zeros((4, 3)), 0.0)
+
+
+_MAGNITUDES = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    arrays(np.float64, st.tuples(st.integers(1, 40), st.sampled_from([3, 6])),
+           elements=_MAGNITUDES),
+    arrays(np.float64, st.tuples(st.integers(1, 10), st.integers(1, 5), st.just(3)),
+           elements=_MAGNITUDES)))
+def test_squared_norms_equal_numpy_sum_bit_for_bit(d):
+    # the helper stands in for np.sum(d ** 2, axis=-1) wherever a result
+    # must not change; a numpy that sums in another order fails here
+    want = np.sum(d ** 2, axis=-1)
+    assert _squared_norms(d).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +33,8 @@ from lidarreg.ransac import (
     _prosac_growth,
     _residuals,
     _sample_block,
+    _squared_gate,
+    _squared_residuals,
     elc_check,
     kabsch,
     ransac_register,
@@ -259,6 +262,33 @@ def test_count_inliers_exact_on_planted_set():
     count, mask = count_inliers(truth, corrs, src, dst, threshold=0.6)
     assert count == 70
     assert np.array_equal(mask, labels)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [5e-324, 1e-300, 0.6, 1.0, 1e200, sys.float_info.max,
+                               math.inf])
+def test_squared_gate_is_the_largest_float_whose_root_is_within_t(t):
+    gate = _squared_gate(t)
+    assert math.sqrt(gate) <= t
+    above = math.nextafter(gate, math.inf)
+    assert gate == math.inf or above == math.inf or math.sqrt(above) > t
+
+
+def test_squared_scoring_equals_the_residual_gate_at_the_threshold():
+    # thresholds placed at residuals and one ulp to either side of them,
+    # for one motion and for a stack of them
+    rng = np.random.default_rng(51)
+    a = rng.uniform(-25.0, 25.0, size=(300, 3))
+    b = apply(random_motion(rng), a) + rng.normal(scale=0.4, size=a.shape)
+    motions = [random_motion(rng, translation_scale=0.01) for _ in range(3)]
+    rot = np.stack([m.rotation for m in motions])
+    trans = np.stack([m.translation for m in motions])
+    for r, t in ((rot[0], trans[0]), (rot, trans)):
+        res = _residuals(r, t, a, b)
+        sq = _squared_residuals(r, t, a.T, b.T)
+        for x in res.ravel()[:40].tolist():
+            for thr in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                assert np.array_equal(sq <= _squared_gate(thr), res <= thr)
 
 
 def test_required_iterations_frozen_values():
