@@ -27,7 +27,9 @@ from lidarreg import (
 )
 from lidarreg.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="lidarreg_demo_"))
+# removed at the end of the demo, or at exit if the demo fails first
+tmp = tempfile.TemporaryDirectory(prefix="lidarreg_demo_")
+workdir = Path(tmp.name)
 print("working in", workdir)
 
 # Generate a scene and persist it: clouds as ASCII PLY, descriptors in
@@ -65,3 +67,5 @@ code = main(["register",
 row = json.loads((workdir / "result.jsonl").read_text())
 print(f"cli call: exit={code} refined TE={row['refined']['te_m']:.4f} m "
       f"over {row['n_filtered']} filtered matches")
+
+tmp.cleanup()

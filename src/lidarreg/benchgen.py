@@ -14,11 +14,15 @@ Overlap between two frames is the fraction of source points whose nearest
 neighbor in the target cloud, after applying the ground-truth alignment,
 lies within ``overlap_tau`` meters.  Clouds are expected to be voxel
 downsampled (0.3 m) beforehand so that point density does not skew the
-measure; this is a documented convention, not an enforced check.
+measure; this is a documented convention, not an enforced check.  The
+pool only needs to know which pairs exceed ``min_overlap``, so it settles
+that test from as few points as decide it, and measures the full overlap
+only for the pairs it draws.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -130,7 +134,7 @@ def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
     """Fraction of source points with a target neighbor within tau after gt.
 
     Asymmetric by construction (source side only).  The candidate pool
-    computes the same measure through the same routine, ``_overlaps``.
+    reports each drawn pair's overlap through this function.
     """
     src = np.asarray(src, dtype=np.float64)
     tgt = np.asarray(tgt, dtype=np.float64)
@@ -138,7 +142,10 @@ def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
         raise ValueError("overlap needs two nonempty clouds")
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    return float(_overlaps([apply(gt, src)], tgt, tau, min_overlap=0.0)[0])
+    src = apply(gt, src)
+    (pts,) = _inside([src], tgt, tau)
+    hits = int(np.count_nonzero(SpatialIndex(tgt).within(pts, tau))) if len(pts) else 0
+    return hits / len(src)
 
 
 # ---------------------------------------------------------------------------
@@ -157,38 +164,69 @@ def _near_sources(centers: NDArray[F64], radii: NDArray[F64],
     # the sources whose world-frame bounding sphere comes within tau of
     # target ti's: clouds whose spheres clear tau apart cannot overlap at
     # all.  The pad keeps a pair that rounding puts just past the limit;
-    # _overlaps then decides every kept pair exactly.
+    # _qualifies then decides every kept pair exactly.
     limit = _pad(radii[sources] + radii[ti] + tau)
     dist = np.sqrt(_squared_norms(centers[sources] - centers[ti]))
     return sources[(dist <= limit) & (sources != ti)]
 
 
-def _overlaps(srcs: list[Points], tgt: Points, tau: float, min_overlap: float) -> NDArray[F64]:
-    """Overlap of every source cloud, already mapped into the target
-    frame, with the target cloud, from one within-tau query.
-
-    A source whose share of points inside the target cloud's sphere,
-    widened by tau, is at most min_overlap gets 0.0 without a query: its
-    overlap cannot exceed that share, so it could never qualify.  At
-    min_overlap 0 only a source with no point inside that sphere is
-    skipped, and its overlap is exactly 0.
-    """
+def _inside(srcs: list[Points], tgt: Points, tau: float) -> list[Points]:
+    # the points of each source, already mapped into the target frame, that
+    # lie inside the target cloud's sphere widened by tau: no other point
+    # has a target neighbor within tau
     center, radius = _sphere(tgt)
     reach = _pad(radius + tau)
-    out = np.zeros(len(srcs))
-    kept, parts = [], []
-    for j, src in enumerate(srcs):
-        pts = src[_squared_norms(src - center) <= reach * reach]
-        if len(pts) / len(src) > min_overlap:
-            kept.append(j)
-            parts.append(pts)
-    if not kept:
-        return out
-    hits = SpatialIndex(tgt).within(np.concatenate(parts), tau)
-    owner = np.repeat(np.arange(len(kept)), [len(p) for p in parts])
-    counts = np.bincount(owner[hits], minlength=len(kept))
-    # the same float as np.mean over the source's hit vector
-    out[kept] = counts / np.array([len(srcs[j]) for j in kept])
+    return [src[_squared_norms(src - center) <= reach * reach] for src in srcs]
+
+
+def _qualifies(srcs: list[Points], tgt: Points, tau: float,
+               min_overlap: float) -> NDArray[np.bool_]:
+    """Whether the overlap of each source cloud, already mapped into the
+    target frame, with the target cloud exceeds min_overlap.
+
+    Each source's points inside the target's widened sphere are queried in
+    pieces, all open sources' pieces in one within-tau query, until the
+    hits so far settle the test: ``hits / n > min_overlap`` passes it, and
+    ``(hits + unqueried) / n <= min_overlap`` fails it, with n the source's
+    size.  The full count lies between the two, so the answer is the one
+    the full count gives.  A source's first piece holds the fewest points
+    that could settle its test; later pieces scale what is still needed by
+    the hit and miss rates seen so far.
+    """
+    parts = _inside(srcs, tgt, tau)
+    sizes = [len(src) for src in srcs]
+    hits = [0] * len(srcs)
+    done = [0] * len(srcs)
+    out = np.zeros(len(srcs), dtype=bool)
+    # a source with too few points inside the sphere is settled unqueried
+    open_ = [j for j, pts in enumerate(parts) if len(pts) / sizes[j] > min_overlap]
+    index = SpatialIndex(tgt) if open_ else None
+    while open_:
+        pieces = []
+        for j in open_:
+            # the hits, or misses, that would settle the test, rounded to
+            # whole points; the float tests below decide, this only sizes
+            bar = int(min_overlap * sizes[j])
+            need_hits = bar + 1 - hits[j]
+            need_misses = hits[j] + len(parts[j]) - done[j] - bar
+            if done[j]:
+                misses = done[j] - hits[j]
+                need_hits = need_hits * done[j] / hits[j] if hits[j] else math.inf
+                need_misses = need_misses * done[j] / misses if misses else math.inf
+            step = max(math.ceil(min(need_hits, need_misses)), 1)
+            pieces.append(parts[j][done[j]:done[j] + step])
+        found = index.within(np.concatenate(pieces), tau)
+        starts = np.cumsum([0] + [len(p) for p in pieces[:-1]])
+        counts = np.add.reduceat(found.astype(np.int64), starts).tolist()
+        still = []
+        for j, piece, count in zip(open_, pieces, counts):
+            hits[j] += count
+            done[j] += len(piece)
+            if hits[j] / sizes[j] > min_overlap:
+                out[j] = True
+            elif (hits[j] + len(parts[j]) - done[j]) / sizes[j] > min_overlap:
+                still.append(j)
+        open_ = still
     return out
 
 
@@ -198,8 +236,11 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
     frames of the same sequence whose overlap with it exceeds min_overlap.
     Sources with no qualifying target are skipped.
 
-    Overlaps are computed one target at a time, batching every source
-    whose bounding sphere can reach it into a single within-tau query.
+    Targets qualify one at a time, every source whose bounding sphere can
+    reach the target tested together, each from only as many of its points
+    as settle the test.  The draw reads only how many targets qualify and
+    their frame order, so the exact overlap is computed, by ``overlap``,
+    for the drawn target alone.
     """
     rng = np.random.default_rng([cfg.seed, 0])
     pool: list[CandidatePair] = []
@@ -215,19 +256,19 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
         radii = np.array([r for _, r in bounds])
         sources = np.arange(0, len(frames), cfg.k)
         # per source, its qualifying targets in frame order
-        qualifying: list[list[tuple[PosedFrame, float]]] = [[] for _ in sources]
+        qualifying: list[list[PosedFrame]] = [[] for _ in sources]
         for ti, tgt in enumerate(frames):
             near = _near_sources(centers, radii, sources, ti, cfg.overlap_tau)
             mapped = [apply(alignment_motion(frames[si].pose, tgt.pose), frames[si].cloud)
                       for si in near]
-            ovs = _overlaps(mapped, tgt.cloud, cfg.overlap_tau, cfg.min_overlap)
-            for si, ov in zip(near, ovs):
-                if ov > cfg.min_overlap:
-                    qualifying[si // cfg.k].append((tgt, float(ov)))
+            for si in near[_qualifies(mapped, tgt.cloud, cfg.overlap_tau, cfg.min_overlap)]:
+                qualifying[si // cfg.k].append(tgt)
         for src, cands in zip(frames[::cfg.k], qualifying):
             if not cands:
                 continue
-            tgt, ov = cands[int(rng.integers(len(cands)))]
+            tgt = cands[int(rng.integers(len(cands)))]
+            ov = overlap(src.cloud, tgt.cloud, alignment_motion(src.pose, tgt.pose),
+                         cfg.overlap_tau)
             pool.append(CandidatePair(src=src, tgt=tgt, overlap=ov))
     return pool
 

@@ -16,13 +16,15 @@ Hypotheses are evaluated in blocks that grow with the run: the first
 holds ``_BLOCK`` iterations, and each later one as many as have run so
 far, up to ``_MAX_BLOCK``, so short runs keep small blocks and long runs
 pay the per-block numpy overhead rarely.  A block's minimal samples are
-drawn in one call, screened by elc one edge at a time, fitted with one
-stacked SVD, and scored ``_SCORE_CHUNK`` models per residual pass.  The
-survivors are then walked in iteration order, so local optimization,
-adaptive stopping and the reported counters (``iterations_run``,
-``hypotheses_rejected_fast``, ``best_history``) are exactly those of a
-loop that handles one sample per iteration and stops at the same
-iteration.
+drawn in one call and screened by elc one edge at a time.  The survivors
+are then walked in iteration order and scored ``_SCORE_CHUNK`` models per
+residual pass, each fitted by a stacked SVD just before its chunk is
+scored: one chunk first, then every survivor up to the current adaptive
+bound, so a run that stops early fits little past its stopping iteration.
+Local optimization, adaptive stopping and the reported counters
+(``iterations_run``, ``hypotheses_rejected_fast``, ``best_history``) are
+exactly those of a loop that handles one sample per iteration and stops
+at the same iteration.
 
 Scoring counts correspondences whose post-transform residual is within
 ``inlier_threshold``.  It compares squared residuals with a squared gate,
@@ -42,6 +44,7 @@ hypothesis at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -323,21 +326,26 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float) -> Hypoth
     ``_LO_ANNEAL`` step on the correspondences within that multiple of
     ``threshold`` of the previous fit.  The last fit wins if it has more
     inliers than ``best``; a gate of fewer than three points, or of
-    collinear ones, leaves ``best`` as it is.
+    collinear ones, leaves ``best`` as it is.  A step whose gate equals
+    the one the model was fitted on keeps that model and its residuals,
+    since a re-fit would return the same floats.
     """
     gate = best.inlier_mask
     if np.count_nonzero(gate) < _LO_MIN_SAMPLE:
         return best
     try:
+        # motion is always the fit on gate, and sq its squared residuals
         motion = kabsch(a[gate], b[gate])
+        sq = _squared_residuals(motion.rotation, motion.translation, a.T, b.T)
         for mult in _LO_ANNEAL:
-            gate = _squared_residuals(motion.rotation, motion.translation, a.T, b.T) \
-                <= _squared_gate(mult * threshold)
-            motion = kabsch(a[gate], b[gate])
+            new = sq <= _squared_gate(mult * threshold)
+            if not np.array_equal(new, gate):
+                motion = kabsch(a[new], b[new])
+                sq = _squared_residuals(motion.rotation, motion.translation, a.T, b.T)
+            gate = new
     except ValueError:
         return best
-    mask = _squared_residuals(motion.rotation, motion.translation, a.T, b.T) \
-        <= _squared_gate(threshold)
+    mask = sq <= _squared_gate(threshold)
     count = int(np.count_nonzero(mask))
     return Hypothesis(motion, count, mask) if count > best.inlier_count else best
 
@@ -436,17 +444,35 @@ def ransac_register(src_points: Points, dst_points: Points,
         # iterations t+1 .. t+size; block position i is iteration t+1+i
         size = min(max(_BLOCK, t), _MAX_BLOCK, cfg.max_iterations - t, required - t)
         idx = _sample_block(growth, n, t + 1, size, sample_rng)
-        live = _elc_live(a, b, idx, cfg.elc_tolerance) \
+        pending = _elc_live(a, b, idx, cfg.elc_tolerance) \
             if cfg.rejection == "elc" else np.arange(size)
-        pick = idx[live]
-        rot, trans, ok = _fit_rigid(a[pick], b[pick])
-        live, rot, trans = live[ok], rot[ok], trans[ok]
+        # the fitted survivors with a proper fit, in iteration order
+        live = np.empty(0, dtype=np.int64)
+        rot, trans = np.empty((0, 3, 3)), np.empty((0, 3))
 
-        # walk the survivors in iteration order, scoring them chunk by chunk
+        def fit(count):
+            # fit the next count elc survivors, keeping the proper fits
+            nonlocal pending, live, rot, trans
+            pick, pending = pending[:count], pending[count:]
+            if not len(pick):
+                return
+            r, tr, ok = _fit_rigid(a[idx[pick]], b[idx[pick]])
+            live = np.concatenate([live, pick[ok]])
+            rot, trans = np.concatenate([rot, r[ok]]), np.concatenate([trans, tr[ok]])
+
+        # walk the survivors in iteration order, scoring them chunk by chunk;
+        # a survivor is fitted only once a chunk needs it: one chunk first,
+        # then every survivor up to the current bound, then past the bound
+        # only what completes a chunk that starts within it
         last_gain = t
-        for c in range(0, len(live), _SCORE_CHUNK):
-            if t + 1 + live[c] > required:
+        fit(_SCORE_CHUNK)
+        for c in itertools.count(0, _SCORE_CHUNK):
+            if len(live) < c + _SCORE_CHUNK:
+                fit(int(np.searchsorted(pending, required - t)))
+            if c >= len(live) or t + 1 + live[c] > required:
                 break
+            while len(live) < c + _SCORE_CHUNK and len(pending):
+                fit(c + _SCORE_CHUNK - len(live))
             chunk = slice(c, c + _SCORE_CHUNK)
             masks = _squared_residuals(rot[chunk], trans[chunk], a.T, bt) <= gate
             for k, count in enumerate(masks.sum(axis=1).tolist()):

@@ -274,6 +274,69 @@ def test_pool_equals_a_nearest_neighbor_reference_above_the_skip_share(monkeypat
     frames = generate_trajectory(TrajectorySpec(
         profile="random", n_frames=24, frame_spacing=5.0, sensor_range=20.0,
         seed=3))
+    queried = {}
+    within = SpatialIndex.within
+
+    def spy(self, queries, r):
+        # the rows queried against each target cloud
+        queried.setdefault(self._points.tobytes(), set()).update(
+            row.tobytes() for row in np.asarray(queries))
+        return within(self, queries, r)
+
+    monkeypatch.setattr(SpatialIndex, "within", spy)
+    cfg = SelectorConfig(k=10, overlap_tau=0.6, min_overlap=0.6, seed=3)
+    got = build_candidate_pool([frames], cfg)
+    skipped = 0
+    for si in range(0, len(frames), cfg.k):
+        for ti, tgt in enumerate(frames):
+            mapped = apply(alignment_motion(frames[si].pose, tgt.pose), frames[si].cloud)
+            (inside,) = benchgen_module._inside([mapped], tgt.cloud, cfg.overlap_tau)
+            if ti == si or not 0 < len(inside) / len(mapped) <= cfg.min_overlap:
+                continue
+            skipped += 1
+            rows = queried.get(tgt.cloud.tobytes(), set())
+            assert not any(p.tobytes() in rows for p in inside), (si, ti)
+    assert skipped > 0
+    want = _reference_pool(frames, cfg)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.src is b.src and a.tgt is b.tgt
+        assert a.overlap == b.overlap
+
+
+@pytest.mark.parametrize("hits, min_overlap", [(1, 0.2), (2, 0.2), (2, 0.4), (3, 0.4)])
+def test_pool_at_exactly_min_overlap(hits, min_overlap):
+    # five source points, all inside the target's sphere, of which `hits`
+    # have a target neighbor within tau: hits / 5 == min_overlap must not
+    # qualify, one more hit must
+    src = np.array([[0.0, 0, 0], [2, 0, 0], [4, 0, 0], [6, 0, 0], [8, 0, 0]])
+    tgt = np.array([[4.0, 5, 0], [4, -5, 0]] + [[2.0 * i, 0, 0.3] for i in range(hits)])
+    frames = [_frame("s", 0, src), _frame("s", 1, tgt)]
+    cfg = SelectorConfig(k=1, min_overlap=min_overlap, overlap_tau=0.6, seed=0)
+    got = build_candidate_pool([frames], cfg)
+    want = _reference_pool(frames, cfg)
+    assert [(c.src, c.tgt, c.overlap) for c in got] \
+        == [(c.src, c.tgt, c.overlap) for c in want]
+    assert (frames[0], hits / 5) in [(c.src, c.overlap) for c in got] \
+        or hits / 5 <= min_overlap
+
+
+def _drive():
+    return generate_trajectory(TrajectorySpec(
+        profile="random", n_frames=60, frame_spacing=5.0, sensor_range=30.0, seed=7))
+
+
+def test_pool_queries_fewer_points_than_it_prefilters(monkeypatch):
+    # a test settled by its first hits, or misses, reads no further points
+    frames = _drive()
+    cfg = SelectorConfig(k=1, seed=7)
+    prefiltered = 0
+    for si, src in enumerate(frames):
+        for ti, tgt in enumerate(frames):
+            mapped = apply(alignment_motion(src.pose, tgt.pose), src.cloud)
+            (inside,) = benchgen_module._inside([mapped], tgt.cloud, cfg.overlap_tau)
+            if ti != si and len(inside) / len(mapped) > cfg.min_overlap:
+                prefiltered += len(inside)
     queried = []
     within = SpatialIndex.within
 
@@ -282,17 +345,23 @@ def test_pool_equals_a_nearest_neighbor_reference_above_the_skip_share(monkeypat
         return within(self, queries, r)
 
     monkeypatch.setattr(SpatialIndex, "within", spy)
-    cfg = SelectorConfig(k=10, overlap_tau=0.6, min_overlap=0.6, seed=3)
-    got = build_candidate_pool([frames], cfg)
-    skipping = sum(queried)
-    queried.clear()
-    build_candidate_pool([frames], replace(cfg, min_overlap=1e-9))
-    assert skipping < sum(queried)
-    want = _reference_pool(frames, cfg)
-    assert len(got) == len(want) > 0
-    for a, b in zip(got, want):
-        assert a.src is b.src and a.tgt is b.tgt
-        assert a.overlap == b.overlap
+    assert len(build_candidate_pool([frames], cfg)) > 0
+    assert sum(queried) < prefiltered
+
+
+def test_pool_computes_one_exact_overlap_per_entry(monkeypatch):
+    calls = []
+    exact = benchgen_module.overlap
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(benchgen_module, "overlap", spy)
+    pool = build_candidate_pool([_drive()], SelectorConfig(k=1, seed=7))
+    assert len(pool) == len(calls) > 0
+    for c, (src, tgt, gt, tau) in zip(pool, calls):
+        assert src is c.src.cloud and tgt is c.tgt.cloud
 
 
 def test_pool_rejects_decreasing_timestamps():

@@ -195,6 +195,20 @@ def test_stacked_fit_equals_kabsch_per_sample():
         assert abs(np.linalg.det(rot[i]) - 1.0) < 1e-12, i
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_fit_rows_do_not_depend_on_the_stack(seed):
+    # the engine fits a block's survivors in pieces as scoring reaches
+    # them; every row must come out as it does from the whole stack
+    rng = np.random.default_rng([seed, 50])
+    s = int(rng.integers(1, 4097))
+    p, q = random_triangle_pairs(rng, s)
+    whole = _fit_rigid(p, q)
+    cuts = np.unique(np.concatenate([[0, s], rng.integers(0, s + 1, 5), [1]]))
+    pieces = [_fit_rigid(p[i:j], q[i:j]) for i, j in zip(cuts[:-1], cuts[1:])]
+    for w, got in zip(whole, zip(*pieces)):
+        assert np.concatenate(got).tobytes() == w.tobytes()
+
+
 def test_stacked_elc_equals_elc_check_per_row():
     rng = np.random.default_rng(41)
     p, q = random_triangle_pairs(rng, 400)
@@ -584,6 +598,26 @@ def test_lo_leaves_a_hypothesis_it_cannot_fit_unchanged():
         assert _lo_step(scattered, a, b, 1e-6) is scattered
 
 
+def test_lo_keeps_the_fit_of_a_gate_that_does_not_change(monkeypatch):
+    # noiseless inliers and far outliers: every annealed gate holds the
+    # same correspondences as the first, so one fit serves all of them
+    rng = np.random.default_rng(51)
+    src, dst, corrs, labels, truth = make_planted(rng, n=300, frac=0.5, offset=5.0)
+    a, b = src[corrs.src], dst[corrs.dst]
+    start = Hypothesis(truth, int(labels.sum()), labels.copy())
+    want = replay_lo(start, a, b, 0.6)
+    calls = []
+
+    def counting(p, q):
+        calls.append(len(p))
+        return kabsch(p, q)
+
+    monkeypatch.setattr(ransac_module, "kabsch", counting)
+    got = _lo_step(start, a, b, 0.6)
+    assert calls == [int(labels.sum())]
+    assert got is start and want is start
+
+
 # ---------------------------------------------------------------------------
 # the full estimator
 # ---------------------------------------------------------------------------
@@ -855,6 +889,25 @@ def test_blocks_start_at_the_first_size_and_stay_bounded(monkeypatch):
     assert res.iterations_run == sum(counts) == 50_000
     assert counts[0] <= _BLOCK
     assert max(counts) == _MAX_BLOCK     # the run is long enough to reach it
+
+
+def test_engine_fits_only_the_survivors_it_scores(monkeypatch):
+    # a run that stops near 100 iterations fits the elc survivors up to
+    # the stop, plus at most one chunk past it, not its whole first block
+    rows = []
+
+    def counting(p, q):
+        rows.append(len(p))
+        return _fit_rigid(p, q)
+
+    monkeypatch.setattr(ransac_module, "_fit_rigid", counting)
+    src, dst, corrs, labels, truth = make_planted(
+        np.random.default_rng(52), n=400, frac=0.4, sigma=0.05)
+    res = ransac_register(src, dst, corrs, engine_cfg(use_lo=False))
+    assert res.converged_by == "early_stop"
+    assert 50 <= res.iterations_run <= 150
+    survivors = res.iterations_run - res.hypotheses_rejected_fast
+    assert survivors <= sum(rows) <= survivors + ransac_module._SCORE_CHUNK
 
 
 def test_engine_requires_three_correspondences():
