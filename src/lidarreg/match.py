@@ -15,24 +15,29 @@ output reproducible.
 The search is an exact brute force done as one blocked matrix product
 that serves both directions.  Both sets are shifted by one common vector,
 and each block of source rows gets a float32 estimate of every squared
-distance, |q|^2 + |r|^2 - 2 q.r, from one GEMM.  From each block come the
-forward candidates, entries within a proven rounding-error window of
-their source row's second-best estimate, and the reverse candidates,
-entries within a window of their target row's running minimum.  The
-running minimum only falls, so one pass finds every reverse candidate.
-All candidates are re-measured with the arithmetic of a plain scan,
-``sqrt(sum((r - q)**2))``, and ranked by (distance, row index); each
-target row keeps its best source row over the blocks seen.  The
-windows always hold the scan's nearest and second-nearest rows, so the
-output equals the scan's bit for bit; the bound is derived in
-``_nearest``.
+distance, |q|^2 + |r|^2 - 2 q.r, from one GEMM.  Per source row, argmin
+finds the best and the second-best estimate; the forward candidates are
+entries within a proven rounding-error window of the second best: those
+two, and the further entries of the rare rows whose third best lies in
+the window too.  Per target row, each block lowers a running bound on
+its nearest squared distance by the block's column minimum, and records
+the rows whose minimum lies within a window of the bound.  After the
+last block the bound is final, and each block is estimated again at its
+recorded rows still within their window; the entries within it are the
+reverse candidates.  All candidates are re-measured with the arithmetic
+of a plain scan, ``sqrt(sum((r - q)**2))``, and ranked by (distance, row
+index).  The windows always hold the scan's nearest and second-nearest
+rows, so the output equals the scan's bit for bit; the bound is derived
+in ``_nearest``.
 
 Two cases use float64 estimates, whose windows are 2**29 times narrower:
 the whole search, when the centered values would overflow or underflow
-float32, and, from the first block whose float32 windows keep more than
-four candidates per query row and target row, the rest of it.  Candidates
-are re-measured and ranked in batches of whole blocks, about a block's
-entries each, so working memory is bounded by the block size and the
+float32, and the rest of it from the first block whose float32 windows
+keep more than four forward candidates per query row and target row, or
+whose reverse pass keeps more than four per query row and recorded row.
+Candidates are re-measured and ranked in batches of about a block's
+entries, and the records are settled under the running bound once they
+outgrow a block, so working memory is bounded by the block size and the
 row counts, not by N x M.
 """
 
@@ -79,14 +84,17 @@ _BLOCK_ENTRIES = 1 << 18
 # top and fault it back in on the next call: 500-700 minor faults, a third
 # of a 700 x 700 match's time.
 _PIECE_ENTRIES = 1 << 12
-# A float32 block that keeps more than this many candidates per query row
-# and per target row is estimated again in float64, whose windows are 2**29
+# A float32 block that keeps more than this many forward candidates per
+# query row and target row, or whose reverse pass keeps more per query row
+# and recorded row, is estimated again in float64, whose windows are 2**29
 # times narrower, and so is every block after it, since the windows scale
-# with the largest norms.  Blocks keep about two per query row and, in the
-# first block, one per target row.  At the budget, re-measuring costs about
-# as much as a float64 block (2.5 against 1.5 ms at 5k x 5k rows).  One far
-# row widens every float32 window; a 5k x 5k search then took 0.11-0.14 s
-# with the fallback and 5-12 s without.
+# with the largest norms.  Blocks keep about two forward candidates per
+# query row and one reverse candidate per target row.  At the budget,
+# re-measuring costs about as much as a float64 block (2.5 against 1.5 ms
+# at 5k x 5k rows).  One far row widens every float32 window of the other
+# set: at 5k x 5k (2-vCPU host, one BLAS thread) the search took 0.11-0.14 s
+# with the fallback and 5-12 s without, and with one far source row it
+# took 0.12 s with the reverse pass's fallback and 4.1 s without.
 _CANDIDATES_PER_ROW = 4
 # Float32 estimates are used while the largest squared centered norms,
 # summed over both sets, lie in this range; outside it they could overflow,
@@ -119,33 +127,39 @@ def _errors(q_norm, r_norm, dim, dtype, pad):
     return k * (q_norm + r_norm.max() + pad) + tiny, k * (q_norm.max() + r_norm + pad) + tiny
 
 
-def _candidates(est, q_window, r_err, r_reach, r_upper, masks, budget):
-    """One block's candidates: (query, row, is forward, is reverse).
+def _candidates(est, q_window, r_err, r_reach, r_upper, mask, budget):
+    """One block's forward candidates and the rows its reverse pass records.
 
     Query indices are local to the block.  Forward candidates lie within
-    ``q_window`` of their query's second-best estimate.  ``r_upper`` bounds
+    ``q_window`` of their query's second-best estimate: the best and the
+    second-best entry, found by argmin, and the entries of the rare queries
+    whose third-best estimate lies in the window too.  ``r_upper`` bounds
     each row's nearest squared distance over the queries seen, and is first
-    lowered by this block's estimates plus ``r_err``; reverse candidates
-    lie within ``r_reach`` of it.  Returns None if there are more than
-    ``budget`` candidates.
+    lowered by this block's estimates plus ``r_err``; the rows whose least
+    estimate in the block lies within ``r_reach`` of it are recorded.
+    Returns (query, row) of the forward candidates and (row, least
+    estimate) of the recorded rows, or None if there are more than
+    ``budget`` forward candidates.  Each query's two best entries of
+    ``est`` are left at inf.
     """
-    at = (np.arange(len(est)), est.argmin(axis=1))
-    best = est[at]
-    est[at] = np.inf
-    q_limit = est.min(axis=1) + q_window
-    est[at] = best
-    np.minimum(r_upper, est.min(axis=0) + r_err, out=r_upper)
-    r_limit = (r_upper + r_reach).astype(est.dtype)
-    keep, rev = masks[0][:len(est)], masks[1][:len(est)]
-    np.less_equal(est, q_limit[:, None], out=keep)
-    keep |= np.less_equal(est, r_limit, out=rev)
+    least = est.min(axis=0)
+    np.minimum(r_upper, least + r_err, out=r_upper)
+    recorded = np.flatnonzero(least <= (r_upper + r_reach).astype(est.dtype))
+    at = np.arange(len(est))
+    first = est.argmin(axis=1)
+    est[at, first] = np.inf
+    second = est.argmin(axis=1)
+    q_limit = est[at, second] + q_window
+    est[at, second] = np.inf
+    more = np.flatnonzero(est.min(axis=1) <= q_limit)
     # flat indices and divmod: 2-D np.nonzero is several times slower here
-    flat = np.flatnonzero(keep)
-    if len(flat) > budget:
+    flat = np.flatnonzero(np.less_equal(est[more], q_limit[more, None],
+                                        out=mask[:len(more)]))
+    if 2 * len(est) + len(flat) > budget:
         return None
-    e = est.ravel()[flat]
     qi, rj = np.divmod(flat, est.shape[1])
-    return qi, rj, e <= q_limit[qi], e <= r_limit[rj]
+    return (np.concatenate((at, at, more[qi])), np.concatenate((first, second, rj)),
+            recorded, least[recorded])
 
 
 def _distances(rows, queries, rj, qi):
@@ -198,13 +212,32 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     # best estimate, and its second nearest within as much of the second
     # best (of any two distinct rows, one is at least as far as the second
     # nearest).  Each query's candidates all come from its own block, so
-    # settling whole blocks ranks them.  Reverse: est + err over the
-    # queries seen bounds a row's nearest X from above, and an entry whose
-    # est - err lies more than the slack above that bound ranks after a
-    # query already seen.  The bound only falls, so the scan's nearest
-    # query is kept when its block is processed, and the best re-measured
-    # candidate over all blocks is that query.  Both hold whatever dtype
-    # each estimate has, so float32 and float64 blocks mix freely.
+    # one batch ranks them.
+    #
+    # Reverse: est + err over the queries seen bounds a row's nearest X
+    # from above, and an entry whose est - err lies more than the slack
+    # above that bound ranks after the query that set it.  So the reverse
+    # candidates are the entries within err + slack of the bound.
+    # * The bound only falls, so the final bound is at most every running
+    #   bound: a block whose column minimum lies beyond the window under
+    #   the running bound holds no candidate under the final one either,
+    #   and recording under the running bound misses none.
+    # * A block estimated again, in another summation order or in float64,
+    #   obeys the same error bound, which holds in any order.
+    # * Each estimate + err is at least the least X, and so is the final
+    #   bound B; with C the row's least estimate over all blocks, B is
+    #   C + err when all blocks share a dtype.  The scan's nearest query q
+    #   has an X within the scan's rounding of the least X, which the
+    #   slack covers, so every estimate of its entry, first or again, lies
+    #   within B + err + slack (C + 2 err + slack): its block's minimum lies
+    #   within the window under every bound, and so does the entry.
+    # So the block is recorded and its entry for q is re-measured, and
+    # records settled early under a running bound keep a superset.  The
+    # best re-measured candidate is q: ties go to the lower query within a
+    # batch, and across batches to the earlier one, which holds the lower
+    # queries.  All of this holds whatever dtype each estimate has, so
+    # float32 and float64 blocks mix freely and a bound lowered by float64
+    # estimates serves float32 windows too.
     low, high = _FLOAT32_SCALES
     dtype = np.float32 if low <= scale <= high else np.float64
     pad = 2.0 ** -40 * scale
@@ -222,29 +255,32 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
         return schemes[dtype]
 
     r_upper = np.full(m, np.inf)
-    # two masks serve every block, like the estimate buffers: fresh
+    # one mask serves every block, like the estimate buffers: fresh
     # block-sized arrays cost a page fault per 4 KB, which doubled the time
     # of a 700 x 700 match
-    masks = (np.empty((min(step, n), m), dtype=bool), np.empty((min(step, n), m), dtype=bool))
+    mask = np.empty((min(step, n), m), dtype=bool)
     # per query, the nearest and second-nearest distance and the nearest
     # row; per row, the distance to its nearest query over the batches
     # settled, and that query
     d1, d2, i1 = np.full(n, np.inf), np.full(n, np.inf), np.full(n, m)
     j_dist, j1 = np.full(m, np.inf), np.full(m, n)
 
-    def settle(qi, rj, fwd, rev):
-        """Re-measure whole blocks' candidates and take the least into the outputs.
+    def settle(qi, rj, fwd):
+        """Re-measure candidates and take the least into the outputs.
 
-        Ties go to the lowest index: np.minimum.at over the indices of the
-        entries at the least distance.
+        The forward ones hold all of each query's candidates, and the
+        reverse ones come in query order over the batches.  Ties go to the
+        lowest index: np.minimum.at over the indices of the entries at the
+        least distance.
         """
         d = _distances(rows, queries, rj, qi)
-        qi_f, rj_f, d_f = qi[fwd], rj[fwd], d[fwd]     # all of each query's
+        qi_f, rj_f, d_f = qi[fwd], rj[fwd], d[fwd]
         np.minimum.at(d1, qi_f, d_f)
         least = d_f == d1[qi_f]
         np.minimum.at(i1, qi_f[least], rj_f[least])
         rest = ~least | (rj_f != i1[qi_f])      # all but the nearest entry
         np.minimum.at(d2, qi_f[rest], d_f[rest])
+        rev = ~fwd
         qi_r, rj_r, d_r = qi[rev], rj[rev], d[rev]
         before = j_dist[rj_r]
         np.minimum.at(j_dist, rj_r, d_r)
@@ -253,9 +289,68 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
         j1[rj_r[won]] = n
         np.minimum.at(j1, rj_r[won], qi_r[won])
 
-    # blocks are settled in batches of about a block's entries, which
+    # candidates are settled in batches of about a block's entries, which
     # bounds memory and spreads the per-call costs over several blocks
     pending, held = [], 0
+
+    def hold(qi, rj, fwd):
+        nonlocal pending, held
+        pending.append((qi, rj, np.full(len(qi), fwd)))
+        held += len(qi)
+        if held >= _BLOCK_ENTRIES:
+            flush()
+
+    def flush():
+        nonlocal pending, held
+        if pending:
+            batch = [np.concatenate(part) for part in zip(*pending)]
+            pending, held = [], 0       # freed before the re-measure
+            settle(*batch)
+
+    # per block, the rows whose least estimate lay within their reverse
+    # window, and those estimates
+    records, recorded = [], 0
+
+    def limits(cols, dtype):
+        """Reverse limits of rows ``cols`` under the current bound, in ``dtype``."""
+        return (r_upper[cols] + scheme(dtype)[4][cols]).astype(dtype)
+
+    def estimate(lo, hi, cols, dtype):
+        """Estimates of block lo:hi at rows ``cols``, in the block buffer."""
+        q_aug, r_aug, *_, buf = scheme(dtype)
+        size = (hi - lo) * len(cols)
+        return np.matmul(q_aug[lo:hi], r_aug[cols].T,
+                         out=buf.reshape(-1)[:size].reshape(hi - lo, len(cols)))
+
+    def reverse():
+        """Hold the recorded blocks' reverse candidates under the current bound.
+
+        Each block is estimated again at its recorded rows still within
+        their window, in block order and in the search's dtype.  A float32
+        block over the budget is estimated again in float64, and the rest
+        of the search runs in float64; the bound is then as loose as the
+        float32 windows, so it is first lowered by float64 estimates of
+        this and every later recorded block.
+        """
+        nonlocal dtype
+        for i, (lo, hi, block_dtype, cols, least) in enumerate(records):
+            live = cols[least <= limits(cols, block_dtype)]
+            h, k = hi - lo, len(live)
+            for dtype in (dtype, np.float64):
+                keep = np.less_equal(estimate(lo, hi, live, dtype), limits(live, dtype),
+                                     out=mask.reshape(-1)[:h * k].reshape(h, k))
+                flat = np.flatnonzero(keep)
+                if dtype is np.float64 or len(flat) <= _CANDIDATES_PER_ROW * (h + k):
+                    break
+                r_err = scheme(np.float64)[3]
+                for lo_, hi_, dtype_, cols_, least_ in records[i:]:
+                    live_ = cols_[least_ <= limits(cols_, dtype_)]
+                    low_ = estimate(lo_, hi_, live_, np.float64).min(axis=0)
+                    r_upper[live_] = np.minimum(r_upper[live_], low_ + r_err[live_])
+            qi, j = np.divmod(flat, k)
+            hold(qi + lo, live[j], False)
+        records.clear()
+
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         # a block over budget is estimated again in float64; the loop
@@ -264,16 +359,20 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
             q_aug, r_aug, q_window, r_err, r_reach, buf = scheme(dtype)
             est = np.matmul(q_aug[lo:hi], r_aug.T, out=buf[:hi - lo])
             budget = _CANDIDATES_PER_ROW * (hi - lo + m) if dtype is np.float32 else np.inf
-            found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, masks, budget)
+            found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, mask, budget)
             if found is not None:
                 break
-        qi, rj, fwd, rev = found
-        pending.append((qi + lo, rj, fwd, rev))
-        held += len(qi)
-        if held >= _BLOCK_ENTRIES or hi == n:
-            batch = [np.concatenate(part) for part in zip(*pending)]
-            pending, held = [], 0       # freed before the re-measure
-            settle(*batch)
+        qi, rj, cols, least = found
+        hold(qi + lo, rj, True)
+        records.append((lo, hi, dtype, cols, least))
+        recorded += len(cols)
+        # records past a block's entries are settled under the running
+        # bound, which keeps a superset of the candidates
+        if recorded > _BLOCK_ENTRIES:
+            reverse()
+            recorded = 0
+    reverse()
+    flush()
     return d1, i1, d2, j1
 
 

@@ -423,3 +423,79 @@ def test_nearest_source_in_the_last_block_after_near_ties(monkeypatch, per_row):
     assert np.sum(nearest_src < 300) > 150
     _assert_equals_oracle(src, dst)
     _assert_equals_oracle(dst, src)
+
+
+# ---------------------------------------------------------------------------
+# re-measured entries and the deferred reverse pass
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def remeasured(monkeypatch):
+    """The number of entries the matcher re-measures, summed over calls."""
+    count = [0]
+    distances = match._distances
+
+    def spy(rows, queries, rj, qi):
+        count[0] += len(rj)
+        return distances(rows, queries, rj, qi)
+
+    monkeypatch.setattr(match, "_distances", spy)
+    return count
+
+
+def test_random_sets_re_measure_about_two_entries_per_query_and_one_per_row(remeasured):
+    # each query re-measures its two best entries and each target row, once
+    # the last block has fixed its bound, about one entry: 6003 here, where
+    # settling the reverse candidates block by block re-measured 9161
+    rng = np.random.default_rng(21)
+    src, dst = rng.normal(size=(2000, 16)), rng.normal(size=(2000, 16))
+    match_features(src, dst)
+    assert remeasured[0] <= 2 * len(src) + len(dst) + 100
+
+
+def test_near_tie_extras_take_the_per_row_path(monkeypatch):
+    # on an integer grid many queries have a third-best entry within the
+    # window of their second best; those rows add their further entries
+    extras = []
+    scan = match._candidates
+
+    def spy(est, *args):
+        found = scan(est, *args)
+        extras.append(len(found[0]) - 2 * len(est))
+        return found
+
+    monkeypatch.setattr(match, "_candidates", spy)
+    rng = np.random.default_rng(19)
+    src = rng.integers(-2, 3, (500, 6)).astype(np.float64)
+    dst = rng.integers(-2, 3, (400, 6)).astype(np.float64)
+    _assert_equals_oracle(src, dst)
+    assert len(extras) == 1 and extras[0] > 0
+
+
+def test_one_far_query_sends_the_search_to_float64_after_a_reverse_pass(
+        monkeypatch, estimate_dtypes, remeasured):
+    # one far query widens every float32 reverse window and the bound the
+    # float32 estimates give; when the records outgrow a block's entries,
+    # the reverse pass goes over budget, lowers the bound by float64
+    # estimates and sends the later blocks to float64
+    monkeypatch.setattr(match, "_BLOCK_ENTRIES", 3000)
+    rng = np.random.default_rng(20)
+    src, dst = rng.normal(size=(400, 8)), rng.normal(size=(300, 8))
+    src[5] *= 1e3
+    _assert_equals_oracle(src, dst)
+    first = estimate_dtypes.index(np.dtype(np.float64))
+    assert 1 < first < len(estimate_dtypes) - 1
+    assert set(estimate_dtypes[first:]) == {np.dtype(np.float64)}
+    assert remeasured[0] < 4 * (len(src) + len(dst))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_pair(), st.sampled_from([1, 7, 100]), st.sampled_from([0, 4]))
+def test_property_small_blocks_and_budgets_equal_the_oracle(pair, block_entries, per_row):
+    # a budget of 0 sends every block to float64 and 4 keeps most in
+    # float32, so the reverse pass settles both dtypes under their own
+    # limits; 1 and 7 entries settle the records under the running bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(match, "_BLOCK_ENTRIES", block_entries)
+        mp.setattr(match, "_CANDIDATES_PER_ROW", per_row)
+        _assert_equals_oracle(*pair)
