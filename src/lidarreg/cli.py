@@ -7,14 +7,17 @@ builds a balanced registration set from pose and cloud directories.
 ``synth`` writes generated scenes or trajectories in the standard formats
 so the whole chain can run from files alone.
 
-Every flag that sets a config field takes its default and choices from
-the config dataclass: ``PipelineConfig`` and its sections for
-``register``, ``SelectorConfig`` for ``benchgen``, ``SceneSpec`` and
-``TrajectorySpec`` for ``synth``.  Option precedence for ``register`` is
-flags over config file over those defaults; the config file holds flat
-``key=value`` lines named after the long flags.  With a fixed ``--seed``
-and ``--threads 1`` (plus ``--timing off``, since wall clocks are
-measurements, not outputs) every emitted byte is reproducible.
+Each config's flags are declared once, in one table per config:
+``PipelineConfig`` (and its sections) for ``register``,
+``SelectorConfig`` for ``benchgen``, ``SceneSpec`` for ``synth scene`` and
+``TrajectorySpec`` for ``synth trajectory``; each ``synth`` mode takes
+only its own flags.  A flag's type, choices and the default ``--help``
+shows come from the config, and a flag left out keeps the config's value.
+Option precedence for ``register`` is flags over config file over those
+defaults; the config file holds flat ``key=value`` lines named after the
+long flags.  With a fixed ``--seed`` and ``--threads 1`` (plus ``--timing
+off``, since wall clocks are measurements, not outputs) every emitted
+byte is reproducible.
 
 Exit codes: 0 all pairs processed, 1 empty result (the benchgen candidate
 pool is empty), 2 bad usage, unreadable or malformed input, or a value
@@ -25,11 +28,12 @@ three correspondences).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from multiprocessing import Pool
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,62 +83,67 @@ from .synth import (
 DEFAULT_CLOUD_PATTERN = "{seq}/{frame:06d}.ply"
 DEFAULT_DESC_PATTERN = "{seq}/{frame:06d}.fdsc"
 
-# register's estimator options by flag dest: (PipelineConfig section, field),
-# section None for PipelineConfig's own fields.  Their defaults are the
-# dataclass field defaults.
-_PIPELINE_FIELDS: dict[str, tuple[str | None, str]] = {
-    "max_iters": ("ransac", "max_iterations"),
-    "confidence": ("ransac", "confidence"),
-    "inlier_thresh": ("ransac", "inlier_threshold"),
-    "sampler": ("ransac", "use_prosac"),
-    "reject": ("ransac", "rejection"),
-    "lo": ("ransac", "use_lo"),
-    "seed": ("ransac", "seed"),
-    "filter": (None, "correspondence_filter"),
-    "gpf": ("gpf", "phi"),
-    "grid_m": ("gpf", "grid_m"),
-    "refine": (None, "refine"),
-    "icp_thresh": ("icp", "threshold"),
-    "elc_tol": ("ransac", "elc_tolerance"),
+_Table = dict[str, tuple[str, str]]
+
+# One table per config, flag: (field, help); a field of a PipelineConfig
+# section is dotted.  A config's error message starts with the field's
+# name, which names the flag in the CLI's message.
+_PIPELINE_FLAGS: _Table = {
+    "max-iters": ("ransac.max_iterations", "RANSAC iteration cap"),
+    "confidence": ("ransac.confidence", "RANSAC stopping confidence"),
+    "inlier-thresh": ("ransac.inlier_threshold", "RANSAC inlier gate, meters"),
+    "sampler": ("ransac.use_prosac", "minimal-sample sampler"),
+    "reject": ("ransac.rejection", "sample rejection before fitting"),
+    "lo": ("ransac.use_lo", "local optimization of each new best model"),
+    "seed": ("ransac.seed", "RANSAC seed; each listed pair derives its own"),
+    "filter": ("correspondence_filter", "correspondence filter"),
+    "gpf": ("gpf.phi", "GPF match budget per mutual pair"),
+    "grid-m": ("gpf.grid_m", "GPF grid cells per axis"),
+    "refine": ("refine", "refinement of the RANSAC motion"),
+    "icp-thresh": ("icp.threshold", "ICP pairing gate, meters"),
+    "elc-tol": ("ransac.elc_tolerance", "ELC edge-length tolerance"),
 }
 
-# the words for the two bool fields, (False, True)
-_BOOL_WORDS: dict[str, tuple[str, str]] = {
-    "sampler": ("uniform", "prosac"),
-    "lo": ("off", "on"),
+_SELECTOR_FLAGS: _Table = {
+    "k": ("k", "source frame stride"),
+    "min-overlap": ("min_overlap", "least overlap of a candidate pair"),
+    "r": ("r", "selection radius in the normalized motion cube"),
+    "target-count": ("target_count", "pairs to select"),
+    "tau": ("overlap_tau", "nearest-neighbor gate for the overlap measure"),
+    "seed": ("seed", "selection seed"),
 }
 
-_REGISTER_CHOICES: dict[str, tuple[str, ...]] = {
-    **_BOOL_WORDS, "reject": REJECTIONS, "filter": FILTERS,
-    "refine": REFINERS, "timing": ("wall", "off"),
+_SCENE_FLAGS: _Table = {
+    "n": ("n_points", "points per cloud"),
+    "extent": ("extent", "half-width of the source point box, meters"),
+    "inlier-fraction": ("inlier_fraction", "share of planted inliers"),
+    "sigma": ("noise_sigma", "inlier noise, meters"),
+    "dim": ("descriptor_dim", "descriptor width"),
+    "qc": ("quality_correlation", "descriptor quality correlation"),
+    "seed": ("seed", "generator seed"),
 }
 
-
-# every command's flags by the config field each sets; a config's error
-# message starts with the field's name
-_FLAG_OF_FIELD: dict[str, str] = {
-    "k": "k", "min_overlap": "min-overlap", "r": "r", "overlap_tau": "tau",
-    "target_count": "target-count", "n_points": "n", "extent": "extent",
-    "inlier_fraction": "inlier-fraction", "noise_sigma": "sigma",
-    "descriptor_dim": "dim", "quality_correlation": "qc",
-    "n_frames": "frames", "frame_spacing": "spacing", "sensor_range": "range",
-    "sequence_id": "sequence-id",
-    **{name: dest.replace("_", "-")
-       for dest, (_, name) in _PIPELINE_FIELDS.items()},
+_TRAJECTORY_FLAGS: _Table = {
+    "frames": ("n_frames", "frames in the drive"),
+    "spacing": ("frame_spacing", "meters between frames (unused when stationary)"),
+    "profile": ("profile", "heading change from frame to frame"),
+    "range": ("sensor_range", "sensor range, meters"),
+    "sequence-id": ("sequence_id", "drive name in the file names"),
+    "seed": ("seed", "generator seed"),
 }
 
+# register's options that set no config field, at their defaults
+_RUN = SimpleNamespace(threads=1, timing="wall")
+_RUN_FLAGS: _Table = {
+    "threads": ("threads", "worker processes for a pair list"),
+    "timing": ("timing", "off writes every wall time as 0.0"),
+}
 
-def _field_word(cfg: PipelineConfig, dest: str) -> object:
-    section, name = _PIPELINE_FIELDS[dest]
-    value = getattr(cfg if section is None else getattr(cfg, section), name)
-    return _BOOL_WORDS[dest][value] if dest in _BOOL_WORDS else value
-
-
-# every register option's default; a config file value takes its type
-_REGISTER_DEFAULTS: dict[str, object] = {
-    **{dest: _field_word(PipelineConfig(), dest) for dest in _PIPELINE_FIELDS},
-    "threads": 1,
-    "timing": "wall",
+# a bool field's flag words, (False, True), and the other flags' choices
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "sampler": ("uniform", "prosac"), "lo": ("off", "on"),
+    "reject": REJECTIONS, "filter": FILTERS, "refine": REFINERS,
+    "timing": ("wall", "off"), "profile": PROFILES,
 }
 
 
@@ -156,57 +165,77 @@ def _motion_reals(m: RigidMotion) -> list[float]:
     return [float(v) for v in m.matrix34().ravel()]
 
 
-def _merge_register_options(args: argparse.Namespace) -> dict[str, object]:
-    merged = dict(_REGISTER_DEFAULTS)
-    if args.config is not None:
-        for key, value in read_config(args.config).items():
-            dest = key.replace("-", "_")
-            if dest not in _REGISTER_DEFAULTS:
-                raise FormatError(args.config, f"unknown option {key!r}")
-            try:
-                merged[dest] = type(_REGISTER_DEFAULTS[dest])(value)
-            except ValueError as e:
-                raise FormatError(args.config,
-                                  f"bad value for {key!r}: {value!r}") from e
-    for dest in _REGISTER_DEFAULTS:
-        flag_value = getattr(args, dest)
-        if flag_value is not None:
-            merged[dest] = flag_value
-    for dest, allowed in _REGISTER_CHOICES.items():
-        if merged[dest] not in allowed:
-            raise ValueError(f"{dest.replace('_', '-')} must be one of "
-                             f"{', '.join(allowed)}")
+def _defaults(table: _Table, config) -> dict[str, object]:
+    """``config``'s value of each of ``table``'s flags, a bool as its word."""
+    values = {flag: attrgetter(field)(config) for flag, (field, _) in table.items()}
+    return {flag: _CHOICES[flag][v] if isinstance(v, bool) else v
+            for flag, v in values.items()}
+
+
+def _add_flags(parser: argparse.ArgumentParser, table: _Table, config) -> None:
+    """Adds ``table``'s flags, typed and shown at ``config``'s values.  Each
+    parses under its own name, as None when left out."""
+    for flag, default in _defaults(table, config).items():
+        parser.add_argument("--" + flag, dest=flag, type=type(default),
+                            choices=_CHOICES.get(flag),
+                            help=f"{table[flag][1]} (default: {default})")
+
+
+def _build(config, table: _Table, values: dict[str, object]):
+    """``config`` with the values of ``table``'s flags that are not None,
+    section by section; a value the config rejects raises ``ValueError``
+    naming its flag."""
+    by_section: dict[str, dict[str, object]] = {}
+    for flag, (field, _) in table.items():
+        if (value := values.get(flag)) is not None:
+            if isinstance(attrgetter(field)(config), bool):
+                value = value == _CHOICES[flag][True]
+            section, _, name = field.rpartition(".")
+            by_section.setdefault(section, {})[name] = value
+    own = by_section.pop("", {})
+    try:
+        return replace(config, **own, **{
+            section: replace(getattr(config, section), **fields)
+            for section, fields in by_section.items()})
+    except ValueError as e:
+        name = str(e).split(" ", 1)[0]
+        for flag, (field, _) in table.items():
+            if field.rpartition(".")[2] == name:
+                raise ValueError(f"{flag}: {e}") from e
+        raise
+
+
+def _register_options(args: argparse.Namespace) -> dict[str, object]:
+    """Every register option by flag: flags over config file over the
+    defaults."""
+    merged = _defaults(_PIPELINE_FLAGS, PipelineConfig()) | _defaults(_RUN_FLAGS, _RUN)
+    for key, value in ({} if args.config is None else read_config(args.config)).items():
+        flag = key.replace("_", "-")
+        if flag not in merged:
+            raise FormatError(args.config, f"unknown option {key!r}")
+        try:
+            merged[flag] = type(merged[flag])(value)
+        except ValueError as e:
+            raise FormatError(args.config, f"bad value for {key!r}: {value!r}") from e
+    merged |= {flag: v for flag in merged if (v := vars(args)[flag]) is not None}
+    for flag, allowed in _CHOICES.items():
+        if flag in merged and merged[flag] not in allowed:
+            raise ValueError(f"{flag} must be one of {', '.join(allowed)}")
     if merged["threads"] < 1:
         raise ValueError("threads must be >= 1")
     return merged
 
 
-def _from_flags(make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a ``ValueError`` that names a field is
-    re-raised naming the flag that sets it."""
+def _pattern_paths(flag: str, root, pattern: str):
+    """``(seq, frame) -> root / pattern.format(seq=seq, frame=frame)``;
+    raises ``ValueError`` naming ``flag`` unless the pattern formats with
+    only ``seq`` and ``frame``."""
     try:
-        return make(*args, **kwargs)
-    except ValueError as e:
-        flag = _FLAG_OF_FIELD.get(str(e).split(" ", 1)[0])
-        if flag is None:
-            raise
-        raise ValueError(f"{flag}: {e}") from e
-
-
-def _pipeline_config(opt: dict[str, object]) -> PipelineConfig:
-    """The merged options as a config; a value the config rejects raises
-    ``ValueError`` naming its option."""
-    by_section: dict[str | None, dict[str, object]] = {}
-    for dest, (section, name) in _PIPELINE_FIELDS.items():
-        value = opt[dest]
-        if dest in _BOOL_WORDS:
-            value = value == _BOOL_WORDS[dest][True]
-        by_section.setdefault(section, {})[name] = value
-    own = by_section.pop(None)
-    default = PipelineConfig()
-    return _from_flags(lambda: PipelineConfig(**own, **{
-        section: replace(getattr(default, section), **fields)
-        for section, fields in by_section.items()}))
+        pattern.format(seq="seq", frame=0)
+    except (LookupError, ValueError, AttributeError, TypeError) as e:
+        raise ValueError(f"{flag}: {pattern!r} is not a path pattern over "
+                         f"{{seq}} and {{frame}} ({type(e).__name__}: {e})") from e
+    return lambda seq, frame: Path(root) / pattern.format(seq=seq, frame=frame)
 
 
 def _stage_dict(est: RigidMotion, gt: RigidMotion | None,
@@ -257,14 +286,6 @@ def _pair_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _emit_rows(rows, out_path) -> None:
-    if out_path is None or out_path == "-":
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    else:
-        write_jsonl(out_path, rows)
-
-
 # ---------------------------------------------------------------------------
 # register
 # ---------------------------------------------------------------------------
@@ -281,9 +302,9 @@ def _pair_meta(record: PairRecord) -> dict:
 
 
 def _cmd_register(args: argparse.Namespace) -> int:
-    opt = _merge_register_options(args)
-    cfg = _pipeline_config(opt)
-    timing = str(opt["timing"])
+    opt = _register_options(args)
+    cfg = _build(PipelineConfig(), _PIPELINE_FLAGS, opt)
+    timing = opt["timing"]
     single = args.src is not None
     listed = args.pairs is not None
     if single == listed:
@@ -308,27 +329,23 @@ def _cmd_register(args: argparse.Namespace) -> int:
     else:
         if args.cloud_dir is None or args.desc_dir is None:
             raise ValueError("--cloud-dir and --desc-dir are required with --pairs")
-        records = read_pair_list(args.pairs)
-        for i, rec in enumerate(records):
-            cloud = Path(args.cloud_dir)
-            desc = Path(args.desc_dir)
-            paths = [cloud / args.cloud_pattern.format(seq=rec.sequence_id, frame=rec.src),
-                     cloud / args.cloud_pattern.format(seq=rec.sequence_id, frame=rec.tgt),
-                     desc / args.desc_pattern.format(seq=rec.sequence_id, frame=rec.src),
-                     desc / args.desc_pattern.format(seq=rec.sequence_id, frame=rec.tgt)]
+        cloud = _pattern_paths("cloud-pattern", args.cloud_dir, args.cloud_pattern)
+        desc = _pattern_paths("desc-pattern", args.desc_dir, args.desc_pattern)
+        for i, rec in enumerate(read_pair_list(args.pairs)):
+            paths = [cloud(rec.sequence_id, rec.src), cloud(rec.sequence_id, rec.tgt),
+                     desc(rec.sequence_id, rec.src), desc(rec.sequence_id, rec.tgt)]
             seed = _pair_seed(cfg.ransac.seed, i)
             jobs.append((_pair_meta(rec), *map(str, paths), rec.motion,
                          replace(cfg, ransac=replace(cfg.ransac, seed=seed)),
                          timing))
 
-    threads = int(opt["threads"])
-    if threads > 1 and len(jobs) > 1:
-        with Pool(threads) as pool:
+    if opt["threads"] > 1 and len(jobs) > 1:
+        with Pool(opt["threads"]) as pool:
             rows = pool.map(_register_job, jobs)
     else:
         rows = [_register_job(j) for j in jobs]
 
-    _emit_rows(rows, args.out)
+    write_jsonl(args.out, rows)
     return 0
 
 
@@ -337,6 +354,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_sequences(args: argparse.Namespace):
+    cloud_path = _pattern_paths("cloud-pattern", args.cloud_dir, args.cloud_pattern)
     pose_dir = Path(args.pose_dir)
     pose_files = sorted(pose_dir.glob("*.poses"))
     if not pose_files:
@@ -353,9 +371,7 @@ def _load_sequences(args: argparse.Namespace):
                                           f"{len(poses)} poses")
         frames = []
         for i, pose in enumerate(poses):
-            cloud_path = Path(args.cloud_dir) / args.cloud_pattern.format(
-                seq=seq, frame=i)
-            cloud = _read_cloud(cloud_path)
+            cloud = _read_cloud(cloud_path(seq, i))
             if args.voxel > 0.0:
                 cloud = voxel_downsample(cloud, args.voxel)
             frames.append(PosedFrame(sequence_id=seq, frame_index=i,
@@ -366,9 +382,7 @@ def _load_sequences(args: argparse.Namespace):
 
 
 def _cmd_benchgen(args: argparse.Namespace) -> int:
-    cfg = _from_flags(SelectorConfig, k=args.k, min_overlap=args.min_overlap,
-                      r=args.r, target_count=args.target_count,
-                      overlap_tau=args.tau, seed=args.seed)
+    cfg = _build(SelectorConfig(), _SELECTOR_FLAGS, vars(args))
     if not 0.0 <= args.voxel < np.inf:
         raise ValueError(f"voxel must be nonnegative and finite, got {args.voxel}")
     pool = build_candidate_pool(_load_sequences(args), cfg)
@@ -445,35 +459,30 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_scene(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    if args.mode == "scene":
-        spec = _from_flags(SceneSpec, n_points=args.n, extent=args.extent,
-                           true_motion=RigidMotion.identity() if args.identity else None,
-                           inlier_fraction=args.inlier_fraction,
-                           noise_sigma=args.sigma,
-                           descriptor_dim=args.dim,
-                           quality_correlation=args.qc, seed=args.seed)
-        scene = generate_scene(spec)
-        files = {"src.ply": scene.src, "dst.ply": scene.dst,
-                 "src.fdsc": scene.src_desc, "dst.fdsc": scene.dst_desc}
-        # the writers' own float32 check, on every array before any is written
-        for name, values in files.items():
-            _float32(out / name, values, "cloud" if name.endswith(".ply") else "descriptors")
-        out.mkdir(parents=True, exist_ok=True)
-        for name, values in files.items():
-            (write_cloud_ply if name.endswith(".ply") else write_descriptors)(out / name, values)
-        write_poses(out / "gt.txt", [scene.true_motion])
-        return 0
+    spec = _build(SceneSpec(true_motion=RigidMotion.identity() if args.identity else None),
+                  _SCENE_FLAGS, vars(args))
+    scene = generate_scene(spec)
+    files = {"src.ply": scene.src, "dst.ply": scene.dst,
+             "src.fdsc": scene.src_desc, "dst.fdsc": scene.dst_desc}
+    # the writers' own float32 check, on every array before any is written
+    for name, values in files.items():
+        _float32(out / name, values, "cloud" if name.endswith(".ply") else "descriptors")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, values in files.items():
+        (write_cloud_ply if name.endswith(".ply") else write_descriptors)(out / name, values)
+    write_poses(out / "gt.txt", [scene.true_motion])
+    return 0
 
-    spec = _from_flags(TrajectorySpec, n_frames=args.frames,
-                       frame_spacing=args.spacing, profile=args.profile,
-                       sensor_range=args.range, seed=args.seed,
-                       sequence_id=args.sequence_id)
-    # no frames: only checks the width, before the drive is built
-    _from_flags(frame_descriptors, [], dim=args.dim)
+
+def _cmd_trajectory(args: argparse.Namespace) -> int:
+    spec = _build(TrajectorySpec(), _TRAJECTORY_FLAGS, vars(args))
+    # --dim is the scene's flag, checked there before the drive is built
+    dim = _build(SceneSpec(), _SCENE_FLAGS, {"dim": args.dim}).descriptor_dim
     frames = generate_trajectory(spec)
-    descs = frame_descriptors(frames, dim=args.dim, seed=args.seed)
+    descs = frame_descriptors(frames, dim=dim, seed=spec.seed)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for frame, desc in zip(frames, descs):
         cloud_path = out / DEFAULT_CLOUD_PATTERN.format(
@@ -506,36 +515,28 @@ def _build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--pairs", help="pair-list CSV")
     reg.add_argument("--cloud-dir", help="cloud root for pair-list mode")
     reg.add_argument("--desc-dir", help="descriptor root for pair-list mode")
-    reg.add_argument("--cloud-pattern", default=DEFAULT_CLOUD_PATTERN)
-    reg.add_argument("--desc-pattern", default=DEFAULT_DESC_PATTERN)
+    reg.add_argument("--cloud-pattern", default=DEFAULT_CLOUD_PATTERN,
+                     help="cloud path under --cloud-dir (default: %(default)s)")
+    reg.add_argument("--desc-pattern", default=DEFAULT_DESC_PATTERN,
+                     help="descriptor path under --desc-dir (default: %(default)s)")
     reg.add_argument("--config", help="key=value option file")
     reg.add_argument("--out", help="output JSONL path (default: stdout)")
-    for dest, default in _REGISTER_DEFAULTS.items():
-        field = ".".join(filter(None, _PIPELINE_FIELDS.get(dest, ())))
-        reg.add_argument("--" + dest.replace("_", "-"), dest=dest,
-                         type=type(default),
-                         choices=_REGISTER_CHOICES.get(dest),
-                         help=f"{field} (default: {default})" if field
-                         else f"default: {default}")
+    _add_flags(reg, _PIPELINE_FLAGS, PipelineConfig())
+    _add_flags(reg, _RUN_FLAGS, _RUN)
     reg.set_defaults(func=_cmd_register)
 
     bg = sub.add_parser("benchgen", help="build a balanced registration set")
     bg.add_argument("--cloud-dir", required=True)
     bg.add_argument("--pose-dir", required=True,
                     help="directory of {seq}.poses files (optional {seq}.times)")
-    bg.add_argument("--cloud-pattern", default=DEFAULT_CLOUD_PATTERN)
+    bg.add_argument("--cloud-pattern", default=DEFAULT_CLOUD_PATTERN,
+                    help="cloud path under --cloud-dir (default: %(default)s)")
     bg.add_argument("--out-pairs", required=True, help="pair-list CSV to write")
     bg.add_argument("--out-dist", help="directory for distribution CSVs")
-    bg.add_argument("--k", type=int, default=SelectorConfig.k, help="source frame stride")
-    bg.add_argument("--min-overlap", type=float, default=SelectorConfig.min_overlap)
-    bg.add_argument("--r", type=float, default=SelectorConfig.r,
-                    help="selection radius in the normalized motion cube")
-    bg.add_argument("--target-count", type=int, default=SelectorConfig.target_count)
-    bg.add_argument("--tau", type=float, default=SelectorConfig.overlap_tau,
-                    help="nearest-neighbor gate for the overlap measure")
     bg.add_argument("--voxel", type=float, default=0.3,
-                    help="downsample resolution before overlap (0 disables)")
-    bg.add_argument("--seed", type=int, default=SelectorConfig.seed)
+                    help="downsample resolution before overlap, 0 disables "
+                         "(default: %(default)s)")
+    _add_flags(bg, _SELECTOR_FLAGS, SelectorConfig())
     bg.set_defaults(func=_cmd_benchgen)
 
     ev = sub.add_parser("eval", help="aggregate register output")
@@ -544,27 +545,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=_cmd_eval)
 
     sy = sub.add_parser("synth", help="generate synthetic data files")
-    sy.add_argument("mode", choices=("scene", "trajectory"))
-    sy.add_argument("--out-dir", required=True)
-    sy.add_argument("--seed", type=int, default=SceneSpec.seed)
-    sy.add_argument("--n", type=int, default=SceneSpec.n_points, help="scene: points")
-    sy.add_argument("--extent", type=float, default=SceneSpec.extent)
-    sy.add_argument("--inlier-fraction", type=float, default=SceneSpec.inlier_fraction)
-    sy.add_argument("--sigma", type=float, default=SceneSpec.noise_sigma)
-    sy.add_argument("--qc", type=float, default=SceneSpec.quality_correlation,
-                    help="descriptor quality correlation")
-    sy.add_argument("--identity", action="store_true",
-                    help="scene: use the identity as the true motion")
-    sy.add_argument("--dim", type=int, default=SceneSpec.descriptor_dim, help="descriptor width")
-    sy.add_argument("--profile", default=TrajectorySpec.profile, choices=PROFILES)
-    sy.add_argument("--frames", type=int, default=TrajectorySpec.n_frames)
-    sy.add_argument("--spacing", type=float, default=TrajectorySpec.frame_spacing,
-                    help="trajectory: meters between frames (unused when stationary)")
-    sy.add_argument("--range", type=float, default=TrajectorySpec.sensor_range)
-    sy.add_argument("--sequence-id", default=TrajectorySpec.sequence_id,
-                    dest="sequence_id")
-    sy.set_defaults(func=_cmd_synth)
-
+    modes = sy.add_subparsers(dest="mode", required=True)
+    scene = modes.add_parser("scene", help="one planted pair and its motion")
+    scene.add_argument("--out-dir", required=True)
+    _add_flags(scene, _SCENE_FLAGS, SceneSpec())
+    scene.add_argument("--identity", action="store_true",
+                       help="use the identity as the true motion")
+    scene.set_defaults(func=_cmd_scene)
+    traj = modes.add_parser("trajectory", help="a posed drive, frame by frame")
+    traj.add_argument("--out-dir", required=True)
+    _add_flags(traj, _TRAJECTORY_FLAGS, TrajectorySpec())
+    _add_flags(traj, {"dim": _SCENE_FLAGS["dim"]}, SceneSpec())
+    traj.set_defaults(func=_cmd_trajectory)
     return parser
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -367,9 +369,10 @@ def read_jsonl(path) -> list[dict]:
 
 
 def write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    """One sorted-key JSON line per row; a ``path`` of None or "-" is stdout."""
+    with (nullcontext(sys.stdout) if path in (None, "-") else
+          open(path, "w", encoding="ascii", newline="\n")) as f:
+        f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:

@@ -118,7 +118,7 @@ class SceneSpec:
             # every source point must have a reachable outlier target in the box
             raise ValueError("extent is too small for OUTLIER_MIN_OFFSET")
         if self.descriptor_dim < 1:
-            raise ValueError("descriptor_dim must be at least 1")
+            raise ValueError(f"descriptor_dim must be at least 1, got {self.descriptor_dim}")
         if not 0.0 <= self.quality_correlation <= 1.0:
             raise ValueError("quality_correlation must lie in [0, 1]")
 
