@@ -42,6 +42,17 @@ def _as_f64(a) -> NDArray[F64]:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+def _cloud(a, what: str, row_ok: bool = False) -> Points:
+    """``a`` as a float64 (N, 3) cloud; a ValueError naming the shape for
+    any other shape.  With ``row_ok`` a single (3,) row reads as (1, 3)."""
+    a = _as_f64(a)
+    if row_ok and a.shape == (3,):
+        return a[None]
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"{what} must have shape (N, 3), got {a.shape}")
+    return a
+
+
 def _squared_norms(d: NDArray[F64]) -> NDArray[F64]:
     """Squared norms over the last axis of ``d``, x*x + y*y + z*z.
 
@@ -201,10 +212,12 @@ class SpatialIndex:
     """
 
     def __init__(self, points: Points):
-        self._points = _as_f64(points).reshape(-1, 3)
+        self._points = _cloud(points, "points")
         if len(self._points) == 0:
             raise ValueError("SpatialIndex needs at least one point")
-        self._tree = cKDTree(self._points)
+        # no median splits and no node shrinking: about half the build time,
+        # and the answers do not depend on the tree's layout
+        self._tree = cKDTree(self._points, balanced_tree=False, compact_nodes=False)
 
     def _brute(self, idx, q: NDArray[F64]) -> NDArray[F64]:
         # the distances a brute-force linear scan would compute
@@ -217,34 +230,33 @@ class SpatialIndex:
         distance inf and index -1, and every other row the same answer as
         an unbounded search.
         """
-        queries = np.atleast_2d(_as_f64(queries))
+        queries = _cloud(queries, "queries", row_ok=True)
+        _check_radius(r)
         n = len(self._points)
         probe = min(2, n)
         out_d = np.full(len(queries), np.inf)
         out_i = np.full(len(queries), -1, dtype=np.int64)
-        _, i = self._tree.query(queries, k=probe, distance_upper_bound=_pad(r))
-        i = i.reshape(len(queries), probe)
-        # only rows whose padded search found a point are re-measured
+        dt, i = self._tree.query(queries, k=probe, distance_upper_bound=_pad(r))
+        dt, i = dt.reshape(len(queries), probe), i.reshape(len(queries), probe)
+        # only rows whose padded search found a point are re-measured, with
+        # the brute-force scan's arithmetic
         rows = np.flatnonzero(i[:, 0] < n)
-        i, q = i[rows], queries[rows]
-        found = i < n
-        # recompute distances the same way the brute-force scan would, then
-        # re-sort so equal distances come out in index order
-        d = np.where(found, self._brute(np.where(found, i, 0), q[:, None, :]), np.inf)
-        order = np.lexsort((i, d), axis=1)
-        d = np.take_along_axis(d, order, axis=1)
-        i = np.take_along_axis(i, order, axis=1)
-        best_d, best_i = d[:, 0].copy(), i[:, 0].copy()
+        best_i = i[rows, 0]
+        best_d = self._brute(best_i, queries[rows])
         if probe > 1:
-            # a tie with the runner-up: pull everything within that distance
-            # and re-rank by (distance, index); the pad keeps boundary points
-            # in even if the tree's internal arithmetic rounds the other way
-            for row in np.flatnonzero((d[:, 0] >= d[:, 1]) & (d[:, 0] <= r)):
-                cand = np.asarray(self._tree.query_ball_point(q[row], _pad(d[row, 0])),
+            # the tree's and the scan's distances lie within a pad of each
+            # other either way, so a runner-up beyond _pad(_pad(dt0)) leaves
+            # every other point farther than the first in the scan's
+            # arithmetic too; closer than that, rounding may hide a tie or
+            # swap the order: pull everything within the first point's padded
+            # scan distance and rank by (distance, index)
+            for k in np.flatnonzero(dt[rows, 1] <= _pad(_pad(dt[rows, 0]))):
+                q = queries[rows[k]]
+                cand = np.asarray(self._tree.query_ball_point(q, _pad(best_d[k])),
                                   dtype=np.int64)
-                cd = self._brute(cand, q[row])
+                cd = self._brute(cand, q)
                 j = np.lexsort((cand, cd))[0]
-                best_d[row], best_i[row] = cd[j], cand[j]
+                best_d[k], best_i[k] = cd[j], cand[j]
         far = best_d > r
         best_d[far], best_i[far] = np.inf, -1
         out_d[rows], out_i[rows] = best_d, best_i
@@ -256,7 +268,8 @@ class SpatialIndex:
         Equal to ``any(sqrt(sum((p - q)**2)) <= r)`` over the points p, as
         a brute-force scan computes it; a point at exactly r counts.
         """
-        queries = _as_f64(queries).reshape(-1, 3)
+        queries = _cloud(queries, "queries", row_ok=True)
+        _check_radius(r)
         pad = _pad(r)
         d, i = self._tree.query(queries, k=1, distance_upper_bound=pad)
         # a tree distance this far inside r is within r however either side
@@ -273,6 +286,11 @@ class SpatialIndex:
             cand = self._tree.query_ball_point(queries[row], pad)
             out[row] = bool((self._brute(cand, queries[row]) <= r).any())
         return out
+
+
+def _check_radius(r: float) -> None:
+    if np.isnan(r):
+        raise ValueError("search radius must not be NaN")
 
 
 def _pad(r: float) -> float:

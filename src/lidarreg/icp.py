@@ -6,6 +6,14 @@ than the gate threshold, and re-fits a rigid motion on what remains.
 An update that would raise the gated RMSE is rejected and the loop stops,
 so the recorded RMSE sequence is nonincreasing and the returned motion is
 never worse than the initialization under the gate.
+
+Only the first search, from the initial motion, asks about every source
+point; it reaches 1.5 gates and leaves each point a lower bound on its
+distance to the target cloud.  Each later search, at the gate, asks only
+about the points whose bound, less how far the point has moved since,
+can still reach the gate.  By the triangle inequality the others have no
+target point within the gate, the answer a gated search of every point
+gives them, so every result equals that of a full search each iteration.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Points, RigidMotion, SpatialIndex, apply
+from .geom import (Points, RigidMotion, SpatialIndex, _cloud, _pad, _shrink, _squared_norms,
+                   apply)
 from .ransac import SAMPLE_SIZE, DegenerateSampleError, kabsch
 
 __all__ = ["IcpConfig", "IcpResult", "icp_refine"]
@@ -23,6 +32,7 @@ __all__ = ["IcpConfig", "IcpResult", "icp_refine"]
 _MAX_ITERATIONS = 30
 _RMSE_DELTA_TOL = 1e-6
 _TRANSFORM_DELTA_TOL = 1e-6
+_REACH = 1.5      # the first search's radius, in gates
 
 
 @dataclass(frozen=True)
@@ -59,14 +69,27 @@ def icp_refine(src_points: Points, dst_points: Points, init: RigidMotion,
     ``_RMSE_DELTA_TOL`` and Frobenius change of the update below
     ``_TRANSFORM_DELTA_TOL``), or as soon as an update stops helping.
     """
-    src = np.asarray(src_points, dtype=np.float64).reshape(-1, 3)
-    dst = np.asarray(dst_points, dtype=np.float64).reshape(-1, 3)
+    src = _cloud(src_points, "src_points")
+    dst = _cloud(dst_points, "dst_points")
     if len(src) == 0 or len(dst) == 0:
         raise ValueError("both clouds must be non-empty")
     index = SpatialIndex(dst)
 
     cur = init
-    d, nn = index.nearest(apply(cur, src), cfg.threshold)
+    reach = _REACH * cfg.threshold
+    first = apply(cur, src)
+    d, nn = index.nearest(first, reach)
+    # The skip rule.  The scan's float distances lie within a few ulps of
+    # the true ones, far inside a pad.  So each row's true distance to every
+    # target point is at least ``bound``: its nearest scan distance, or
+    # reach when none lies within reach, shrunk.  A row whose float move
+    # from ``first`` is ``move`` has moved at most _pad(move), so its true
+    # distance to every target point is now at least bound - _pad(move);
+    # and a scan distance within the gate needs a true one within
+    # _pad(gate).  One pad covers both terms and the rounding of their sum:
+    # a row with bound > _pad(move + gate) has no target point within the
+    # gate, and the gated search would give it inf and -1.
+    bound = _shrink(np.minimum(d, reach))
     gate = d <= cfg.threshold
     if not gate.any():
         return IcpResult(init, math.inf, 0, False, True, ())
@@ -83,7 +106,12 @@ def icp_refine(src_points: Points, dst_points: Points, init: RigidMotion,
             new = kabsch(src[gate], dst[nn[gate]])
         except DegenerateSampleError:
             break
-        d, nn = index.nearest(apply(new, src), cfg.threshold)
+        moved = apply(new, src)
+        move = np.sqrt(_squared_norms(moved - first))
+        rows = np.flatnonzero(bound <= _pad(move + cfg.threshold))
+        d = np.full(len(src), np.inf)
+        nn = np.full(len(src), -1, dtype=np.int64)
+        d[rows], nn[rows] = index.nearest(moved[rows], cfg.threshold)
         new_gate = d <= cfg.threshold
         if not new_gate.any():
             break

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaln
 
-from .geom import Points, RigidMotion
+from .geom import Points, RigidMotion, _cloud
 from .gpf import priority_order
 from .match import Correspondences
 
@@ -89,8 +89,8 @@ def kabsch(src_pts: Points, dst_pts: Points) -> RigidMotion:
         When the centered source points span less than two dimensions
         (coincident or collinear sample); the rotation is then not unique.
     """
-    p = np.asarray(src_pts, dtype=np.float64).reshape(-1, 3)
-    q = np.asarray(dst_pts, dtype=np.float64).reshape(-1, 3)
+    p = _cloud(src_pts, "src_pts")
+    q = _cloud(dst_pts, "dst_pts")
     if len(p) != len(q):
         raise ValueError(f"point counts differ: {len(p)} vs {len(q)}")
     if len(p) < SAMPLE_SIZE:

@@ -412,3 +412,88 @@ def test_nearest_on_a_one_point_index():
     assert d[0] == 0.8 and d[1] == np.inf
     d, i = index.nearest(np.array([1.0, 0.0, 3.0]))
     assert i.tolist() == [0] and d.tolist() == [3.0]
+
+
+def test_nearest_matches_brute_force_on_duplicates_grid_ties_and_ulp_gaps():
+    rng = np.random.default_rng(16)
+    grid = _integer_grid(4)
+    # four points a few ulps either side of 0.7 from each of 50 queries 10
+    # apart, so the tree's two nearest lie within rounding of each other
+    queries = _integer_grid(4)[:50] * 10.0 + rng.uniform(-1.0, 1.0, (50, 3))
+    u = rng.normal(size=(50, 4, 3))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    near = (queries[:, None, :] + 0.7 * u).reshape(-1, 3)
+    pts = np.concatenate([grid, grid[::-1], near, near[:20]])
+    index = SpatialIndex(pts)
+    # grid points (duplicated), cell centres equidistant from eight points,
+    # edge midpoints equidistant from two, and the ulp-gap queries
+    all_queries = np.concatenate([grid, grid[:27] + 0.5, grid + [0.5, 0.0, 0.0],
+                                  queries])
+    d = np.sqrt(np.sum((near.reshape(50, 4, 3) - queries[:, None, :]) ** 2, axis=2))
+    assert (d.max(axis=1) - d.min(axis=1) > 0).sum() > 25
+    for r in (np.inf, 0.5, np.nextafter(0.5, 0.0), 0.7, np.nextafter(0.7, 0.0),
+              np.nextafter(0.7, 1.0), np.sqrt(0.75)):
+        got_d, got_i = index.nearest(all_queries, r)
+        bd, bi = _brute_nearest(pts, all_queries, r)
+        assert np.array_equal(got_d, bd) and np.array_equal(got_i, bi), r
+
+
+class _SkewedPairTree(_SkewedTree):
+    """The skewed stand-in answering k=2 queries too, so its first and
+    second points can come in the other order from the scan's."""
+
+    def query(self, queries, k, distance_upper_bound):
+        d = np.stack([self._d(q) for q in queries])
+        i = np.argsort(d, axis=1, kind="stable")[:, :k]
+        best = np.take_along_axis(d, i, axis=1)
+        out = best >= distance_upper_bound
+        i[out] = len(self.points)
+        best[out] = np.inf
+        return (best[:, 0], i[:, 0]) if k == 1 else (best, i)
+
+
+def test_nearest_when_tree_and_scan_order_the_two_nearest_differently():
+    rng = np.random.default_rng(17)
+    r = 2.5
+    queries = _integer_grid(8)[:400] * 10.0 + rng.uniform(-1.0, 1.0, (400, 3))
+    u = rng.normal(size=(400, 4, 3))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    scale = r * (1.0 + rng.integers(-300, 300, (400, 4, 1)) * 2.0 ** -52)
+    pts = (queries[:, None, :] + scale * u).reshape(-1, 3)
+    index = SpatialIndex(pts)
+    tree = index._tree = _SkewedPairTree(pts, rng)
+    for rr in (np.inf, r, np.nextafter(r, 0.0)):
+        d, i = index.nearest(queries, rr)
+        bd, bi = _brute_nearest(pts, queries, rr)
+        assert np.array_equal(d, bd) and np.array_equal(i, bi), rr
+    # the tree's first point is not the scan's nearest on many rows
+    _, first = tree.query(queries, 1, np.inf)
+    assert (first != _brute_nearest(pts, queries, np.inf)[1]).sum() > 50
+
+
+def test_spatial_index_refuses_arrays_that_are_not_n_by_3():
+    with pytest.raises(ValueError, match=r"\(150, 2\)"):
+        SpatialIndex(np.zeros((150, 2)))
+    with pytest.raises(ValueError, match=r"\(300,\)"):
+        SpatialIndex(np.zeros(300))
+    index = SpatialIndex(_integer_grid(2))
+    for bad in (np.zeros((4, 6)), np.zeros(6), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            index.nearest(bad)
+        with pytest.raises(ValueError, match="shape"):
+            index.within(bad, 1.0)
+    # a single (3,) row is one query
+    assert index.within(np.zeros(3), 0.0).tolist() == [True]
+    assert index.nearest(np.zeros(3))[1].tolist() == [0]
+
+
+def test_a_nan_radius_is_refused_and_a_negative_one_finds_nothing():
+    index = SpatialIndex(_integer_grid(2))
+    queries = _integer_grid(2)
+    with pytest.raises(ValueError, match="NaN"):
+        index.nearest(queries, float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        index.within(queries, np.nan)
+    d, i = index.nearest(queries, -1.0)
+    assert np.isinf(d).all() and (i == -1).all()
+    assert not index.within(queries, -1.0).any()

@@ -11,6 +11,7 @@ import lidarreg.icp as icp_module
 from lidarreg.geom import RigidMotion, SpatialIndex, apply, compose
 from lidarreg.icp import IcpConfig, IcpResult, icp_refine
 from lidarreg.metrics import rotation_error, translation_error
+from lidarreg.ransac import SAMPLE_SIZE, DegenerateSampleError, kabsch
 
 from test_geom import random_motion
 from test_ransac import random_rotation_small
@@ -115,7 +116,8 @@ def test_config_rejects_nan_threshold():
 
 def test_gated_search_gives_the_unbounded_result(monkeypatch):
     # two partly overlapping clouds: most source points have no target
-    # point within the gate, which the gated search answers with inf
+    # point within the gate, which the gated search answers with inf; the
+    # first search reaches past the gate, every later one stops at it
     rng = np.random.default_rng(9)
     cloud = dense_cloud(rng, n=3000)
     truth = random_motion(rng, translation_scale=3.0)
@@ -131,7 +133,7 @@ def test_gated_search_gives_the_unbounded_result(monkeypatch):
 
     monkeypatch.setattr(SpatialIndex, "nearest", spy)
     got = icp_refine(cloud, dst, init, cfg)
-    assert set(radii) == {0.5} and got.iterations > 1
+    assert min(radii) == 0.5 and got.iterations > 1
     monkeypatch.setattr(SpatialIndex, "nearest",
                         lambda self, queries, r=math.inf: unbounded(self, queries))
     want = icp_refine(cloud, dst, init, cfg)
@@ -140,3 +142,111 @@ def test_gated_search_gives_the_unbounded_result(monkeypatch):
     assert (got.rmse, got.iterations, got.converged, got.no_overlap,
             got.rmse_history) == (want.rmse, want.iterations, want.converged,
                                   want.no_overlap, want.rmse_history)
+
+
+def reference_icp(src, dst, init, threshold):
+    """The ICP loop with an unbounded search of every source row each
+    iteration, gated afterwards."""
+    index = SpatialIndex(dst)
+
+    def pairs(motion):
+        d, nn = index.nearest(apply(motion, src))
+        return d, nn, d <= threshold
+
+    def rmse_of(d, gate):
+        return float(np.sqrt(np.mean(d[gate] ** 2)))
+
+    cur = init
+    d, nn, gate = pairs(cur)
+    if not gate.any():
+        return IcpResult(init, math.inf, 0, False, True, ())
+    rmse = rmse_of(d, gate)
+    history, iterations, converged = [rmse], 0, False
+    for _ in range(icp_module._MAX_ITERATIONS):
+        if int(gate.sum()) < SAMPLE_SIZE:
+            break
+        iterations += 1
+        try:
+            new = kabsch(src[gate], dst[nn[gate]])
+        except DegenerateSampleError:
+            break
+        d, nn, new_gate = pairs(new)
+        if not new_gate.any():
+            break
+        new_rmse = rmse_of(d, new_gate)
+        change = math.sqrt(np.sum((new.rotation - cur.rotation) ** 2)
+                           + np.sum((new.translation - cur.translation) ** 2))
+        within_tol = abs(new_rmse - rmse) < icp_module._RMSE_DELTA_TOL \
+            and change < icp_module._TRANSFORM_DELTA_TOL
+        if new_rmse > rmse:
+            converged = within_tol
+            break
+        cur, gate, rmse = new, new_gate, new_rmse
+        history.append(rmse)
+        if within_tol:
+            converged = True
+            break
+    return IcpResult(cur, rmse, iterations, converged, False, tuple(history))
+
+
+def assert_same_result(got: IcpResult, want: IcpResult):
+    assert got.motion.rotation.tobytes() == want.motion.rotation.tobytes()
+    assert got.motion.translation.tobytes() == want.motion.translation.tobytes()
+    assert (got.rmse, got.iterations, got.converged, got.no_overlap,
+            got.rmse_history) == (want.rmse, want.iterations, want.converged,
+                                  want.no_overlap, want.rmse_history)
+
+
+def icp_case(seed: int, kind: str):
+    """A seeded pair of clouds, an initial motion and a gate."""
+    rng = np.random.default_rng(seed)
+    cloud = dense_cloud(rng, n=int(rng.integers(300, 900)), extent=8.0)
+    truth = random_motion(rng, translation_scale=2.0)
+    if kind == "partial":
+        dst = apply(truth, cloud[cloud[:, 0] > rng.uniform(-4.0, 4.0)])
+        dst = dst + rng.normal(scale=0.02, size=dst.shape)
+    elif kind == "grid":
+        # rounded coordinates on both sides: many exact distance ties
+        cloud = np.round(cloud * 2.0) / 2.0
+        dst = np.round(apply(truth, cloud) * 4.0) / 4.0
+    else:
+        dst = apply(truth, cloud)
+    init = perturbed(truth, trans=rng.uniform(0.05, 0.6), deg=rng.uniform(0.5, 4.0))
+    return cloud, dst, init, float(rng.uniform(0.2, 3.0))
+
+
+@pytest.mark.parametrize("kind", ["partial", "grid", "noiseless"])
+@pytest.mark.parametrize("seed", range(8))
+def test_equals_a_full_unbounded_search_every_iteration(seed, kind):
+    src, dst, init, threshold = icp_case(100 + seed, kind)
+    got = icp_refine(src, dst, init, IcpConfig(threshold=threshold))
+    assert_same_result(got, reference_icp(src, dst, init, threshold))
+
+
+def test_later_iterations_search_only_rows_that_can_reach_the_gate(monkeypatch):
+    rng = np.random.default_rng(9)
+    cloud = dense_cloud(rng, n=3000)
+    truth = random_motion(rng, translation_scale=3.0)
+    dst = apply(truth, cloud[cloud[:, 0] > 5.0])
+    init = perturbed(truth, trans=0.3, deg=3.0)
+    rows = []
+    search = SpatialIndex.nearest
+
+    def spy(self, queries, r=math.inf):
+        rows.append(len(queries))
+        return search(self, queries, r)
+
+    monkeypatch.setattr(SpatialIndex, "nearest", spy)
+    got = icp_refine(cloud, dst, init, IcpConfig(threshold=0.5))
+    assert got.iterations > 1 and rows[0] == len(cloud)
+    assert sum(rows) < (got.iterations + 1) * len(cloud)
+
+
+def test_refuses_clouds_that_are_not_n_by_3():
+    rng = np.random.default_rng(10)
+    flat = rng.uniform(-5.0, 5.0, (150, 2))
+    with pytest.raises(ValueError, match=r"\(150, 2\)"):
+        icp_refine(flat, flat, RigidMotion.identity())
+    cloud = dense_cloud(rng, n=150)
+    with pytest.raises(ValueError, match=r"\(450,\)"):
+        icp_refine(cloud.ravel(), cloud, RigidMotion.identity())

@@ -932,3 +932,11 @@ def test_config_validation():
 def test_config_rejects_nan_thresholds(name):
     with pytest.raises(ValueError, match=name):
         RansacConfig(**{name: float("nan")})
+
+
+def test_kabsch_refuses_arrays_that_are_not_n_by_3():
+    p = np.arange(12, dtype=float).reshape(6, 2)
+    with pytest.raises(ValueError, match=r"\(6, 2\)"):
+        kabsch(p, p)
+    with pytest.raises(ValueError, match=r"\(4, 3, 1\)"):
+        kabsch(np.ones((4, 3)), np.ones((4, 3, 1)))
