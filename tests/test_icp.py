@@ -117,31 +117,25 @@ def test_config_rejects_nan_threshold():
 def test_gated_search_gives_the_unbounded_result(monkeypatch):
     # two partly overlapping clouds: most source points have no target
     # point within the gate, which the gated search answers with inf; the
-    # first search reaches past the gate, every later one stops at it
+    # first search reaches past the gate, every later one stops at it; the
+    # result must equal a loop that searches every row unbounded
     rng = np.random.default_rng(9)
     cloud = dense_cloud(rng, n=3000)
     truth = random_motion(rng, translation_scale=3.0)
     dst = apply(truth, cloud[cloud[:, 0] > 5.0])
     init = perturbed(truth, trans=0.3, deg=3.0)
-    cfg = IcpConfig(threshold=0.5)
+    want = reference_icp(cloud, dst, init, 0.5)
     radii = []
-    unbounded = SpatialIndex.nearest
+    search = SpatialIndex.nearest
 
     def spy(self, queries, r=math.inf):
         radii.append(r)
-        return unbounded(self, queries, r)
+        return search(self, queries, r)
 
     monkeypatch.setattr(SpatialIndex, "nearest", spy)
-    got = icp_refine(cloud, dst, init, cfg)
+    got = icp_refine(cloud, dst, init, IcpConfig(threshold=0.5))
     assert min(radii) == 0.5 and got.iterations > 1
-    monkeypatch.setattr(SpatialIndex, "nearest",
-                        lambda self, queries, r=math.inf: unbounded(self, queries))
-    want = icp_refine(cloud, dst, init, cfg)
-    assert np.array_equal(got.motion.rotation, want.motion.rotation)
-    assert np.array_equal(got.motion.translation, want.motion.translation)
-    assert (got.rmse, got.iterations, got.converged, got.no_overlap,
-            got.rmse_history) == (want.rmse, want.iterations, want.converged,
-                                  want.no_overlap, want.rmse_history)
+    assert_same_result(got, want)
 
 
 def reference_icp(src, dst, init, threshold):
