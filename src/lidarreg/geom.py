@@ -182,7 +182,7 @@ def voxel_downsample(points: Points, voxel_size: float) -> Points:
     """
     if voxel_size <= 0.0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    points = _as_f64(points).reshape(-1, 3)
+    points = _cloud(points, "points")
     if len(points) == 0:
         return points.copy()
     keys = np.floor(points / voxel_size).astype(np.int64)

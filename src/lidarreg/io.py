@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .geom import F64, Points, RigidMotion, rotation_is_valid
+from .geom import F64, Points, RigidMotion, _cloud, rotation_is_valid
 from .metrics import Histogram, PairRecord
 
 __all__ = [
@@ -204,7 +204,7 @@ def _float32(path, values, what: str) -> NDArray[np.float32]:
 
 
 def write_cloud_ply(path, points: Points) -> None:
-    pts = _float32(path, points, "cloud").reshape(-1, 3)
+    pts = _float32(path, _cloud(points, f"{path}: cloud"), "cloud")
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {len(pts)}\n")
@@ -229,7 +229,7 @@ def read_cloud_bin(path) -> Points:
 
 
 def write_cloud_bin(path, points: Points, intensity=None) -> None:
-    pts = _float32(path, np.asarray(points, dtype=np.float64), "cloud").reshape(-1, 3)
+    pts = _float32(path, _cloud(points, f"{path}: cloud"), "cloud")
     rows = np.zeros((len(pts), 4), dtype="<f4")
     rows[:, :3] = pts
     if intensity is not None:

@@ -30,15 +30,16 @@ index).  The windows always hold the scan's nearest and second-nearest
 rows, so the output equals the scan's bit for bit; the bound is derived
 in ``_nearest``.
 
-Two cases use float64 estimates, whose windows are 2**29 times narrower:
-the whole search, when the centered values would overflow or underflow
-float32, and the rest of it from the first block whose float32 windows
-keep more than four forward candidates per query row and target row, or
-whose reverse pass keeps more than four per query row and recorded row.
-Candidates are re-measured and ranked in batches of about a block's
-entries, and the records are settled under the running bound once they
-outgrow a block, so working memory is bounded by the block size and the
-row counts, not by N x M.
+Each search runs in one dtype.  It runs in float64, whose windows are
+2**29 times narrower, when the centered values would overflow or
+underflow float32, and again from the first block when a float32 block
+keeps more than four forward candidates per query row and target row,
+or a reverse pass more than four per query row and recorded row; the
+float32 search is then dropped with all it found.  Candidates are
+re-measured and ranked in batches of about a block's entries, and the
+records are settled under the running bound once they outgrow a block,
+so working memory is bounded by the block size and the row counts, not
+by N x M.
 """
 
 from __future__ import annotations
@@ -84,17 +85,17 @@ _BLOCK_ENTRIES = 1 << 18
 # top and fault it back in on the next call: 500-700 minor faults, a third
 # of a 700 x 700 match's time.
 _PIECE_ENTRIES = 1 << 12
-# A float32 block that keeps more than this many forward candidates per
-# query row and target row, or whose reverse pass keeps more per query row
-# and recorded row, is estimated again in float64, whose windows are 2**29
-# times narrower, and so is every block after it, since the windows scale
-# with the largest norms.  Blocks keep about two forward candidates per
-# query row and one reverse candidate per target row.  At the budget,
-# re-measuring costs about as much as a float64 block (2.5 against 1.5 ms
-# at 5k x 5k rows).  One far row widens every float32 window of the other
-# set: at 5k x 5k (2-vCPU host, one BLAS thread) the search took 0.11-0.14 s
-# with the fallback and 5-12 s without, and with one far source row it
-# took 0.12 s with the reverse pass's fallback and 4.1 s without.
+# A float32 search stops at the first block that keeps more than this many
+# forward candidates per query row and target row, or reverse pass that
+# keeps more per query row and recorded row, and runs again from the first
+# block in float64, whose windows are 2**29 times narrower.  Blocks keep
+# about two forward candidates per query row and one reverse candidate per
+# target row.  At the budget, re-measuring costs about as much as a float64
+# block (2.5 against 1.5 ms at 5k x 5k rows).  One far row widens every
+# float32 window of the other set: at 5k x 5k 16-D rows (2-vCPU host, one
+# BLAS thread) the search took 72-76 ms with one far target row and
+# 90-114 ms with one far source row, rerun in float64, and 4.0-4.4 s
+# without a budget.
 _CANDIDATES_PER_ROW = 4
 # Float32 estimates are used while the largest squared centered norms,
 # summed over both sets, lie in this range; outside it they could overflow,
@@ -181,7 +182,6 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     are computed as ``sqrt(sum((r - q)**2))``, the arithmetic of a
     brute-force scan, so the output equals that scan's bit for bit.
     """
-    n, m, dim = len(queries), len(rows), rows.shape[1]
     center = (rows.mean(axis=0) + queries.mean(axis=0)) / 2.0
     q_norm, r_norm = (np.einsum("ij,ij->i", c, c) for c in (x - center for x in (queries, rows)))
     scale = q_norm.max() + r_norm.max()
@@ -222,42 +222,52 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     #   bound: a block whose column minimum lies beyond the window under
     #   the running bound holds no candidate under the final one either,
     #   and recording under the running bound misses none.
-    # * A block estimated again, in another summation order or in float64,
-    #   obeys the same error bound, which holds in any order.
+    # * A block estimated again, in another summation order, obeys the
+    #   same error bound, which holds in any order.
     # * Each estimate + err is at least the least X, and so is the final
-    #   bound B; with C the row's least estimate over all blocks, B is
-    #   C + err when all blocks share a dtype.  The scan's nearest query q
-    #   has an X within the scan's rounding of the least X, which the
-    #   slack covers, so every estimate of its entry, first or again, lies
-    #   within B + err + slack (C + 2 err + slack): its block's minimum lies
-    #   within the window under every bound, and so does the entry.
+    #   bound B = C + err, with C the row's least estimate over all
+    #   blocks.  The scan's nearest query q has an X within the scan's
+    #   rounding of the least X, which the slack covers, so every estimate
+    #   of its entry, first or again, lies within B + err + slack
+    #   (C + 2 err + slack): its block's minimum lies within the window
+    #   under every bound, and so does the entry.
     # So the block is recorded and its entry for q is re-measured, and
     # records settled early under a running bound keep a superset.  The
     # best re-measured candidate is q: ties go to the lower query within a
     # batch, and across batches to the earlier one, which holds the lower
-    # queries.  All of this holds whatever dtype each estimate has, so
-    # float32 and float64 blocks mix freely and a bound lowered by float64
-    # estimates serves float32 windows too.
+    # queries.
     low, high = _FLOAT32_SCALES
-    dtype = np.float32 if low <= scale <= high else np.float64
     pad = 2.0 ** -40 * scale
+    if low <= scale <= high:
+        found = _search(rows, queries, center, q_norm, r_norm, pad, np.float32)
+        if found is not None:
+            return found
+    return _search(rows, queries, center, q_norm, r_norm, pad, np.float64)
+
+
+def _search(rows, queries, center, q_norm, r_norm, pad, dtype):
+    """``_nearest``'s output from estimates in ``dtype``, or None.
+
+    Each block of queries is estimated against every row, its forward
+    candidates are held and the rows its reverse pass needs recorded.  A
+    float32 search stops and returns None at the first block, or deferred
+    reverse pass, whose windows keep more than ``_CANDIDATES_PER_ROW``
+    candidates per query row and target (or recorded) row; ``_nearest``
+    then runs it again from the first block in float64, which has no
+    budget.
+    """
+    n, m, dim = len(queries), len(rows), rows.shape[1]
     q_slack, r_slack = (2.0 * err for err in _errors(q_norm, r_norm, dim, np.float64, pad))
+    q_err, r_err = _errors(q_norm, r_norm, dim, dtype, pad)
+    q_aug, r_aug = _augmented(queries, rows, center, q_norm, r_norm, dtype)
+    q_window, r_reach = (2.0 * q_err + q_slack).astype(dtype), r_err + r_slack
+    per_row = _CANDIDATES_PER_ROW if dtype is np.float32 else np.inf
     step = max(1, _BLOCK_ENTRIES // m)
-    schemes = {}
-
-    def scheme(dtype):
-        """Augmented rows, windows and a block buffer for estimates in ``dtype``."""
-        if dtype not in schemes:
-            q_err, r_err = _errors(q_norm, r_norm, dim, dtype, pad)
-            schemes[dtype] = (*_augmented(queries, rows, center, q_norm, r_norm, dtype),
-                              (2.0 * q_err + q_slack).astype(dtype), r_err,
-                              r_err + r_slack, np.empty((min(step, n), m), dtype=dtype))
-        return schemes[dtype]
-
     r_upper = np.full(m, np.inf)
-    # one mask serves every block, like the estimate buffers: fresh
-    # block-sized arrays cost a page fault per 4 KB, which doubled the time
-    # of a 700 x 700 match
+    # one buffer and one mask serve every block: fresh block-sized arrays
+    # cost a page fault per 4 KB, which doubled the time of a 700 x 700
+    # match
+    buf = np.empty((min(step, n), m), dtype=dtype)
     mask = np.empty((min(step, n), m), dtype=bool)
     # per query, the nearest and second-nearest distance and the nearest
     # row; per row, the distance to its nearest query over the batches
@@ -311,67 +321,47 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     # window, and those estimates
     records, recorded = [], 0
 
-    def limits(cols, dtype):
-        """Reverse limits of rows ``cols`` under the current bound, in ``dtype``."""
-        return (r_upper[cols] + scheme(dtype)[4][cols]).astype(dtype)
-
-    def estimate(lo, hi, cols, dtype):
-        """Estimates of block lo:hi at rows ``cols``, in the block buffer."""
-        q_aug, r_aug, *_, buf = scheme(dtype)
-        size = (hi - lo) * len(cols)
-        return np.matmul(q_aug[lo:hi], r_aug[cols].T,
-                         out=buf.reshape(-1)[:size].reshape(hi - lo, len(cols)))
-
     def reverse():
-        """Hold the recorded blocks' reverse candidates under the current bound.
+        """Hold the recorded blocks' reverse candidates under the current
+        bound; False if a block keeps more than the budget.
 
         Each block is estimated again at its recorded rows still within
-        their window, in block order and in the search's dtype.  A float32
-        block over the budget is estimated again in float64, and the rest
-        of the search runs in float64; the bound is then as loose as the
-        float32 windows, so it is first lowered by float64 estimates of
-        this and every later recorded block.
+        their window, in block order, into the block buffer.
         """
-        nonlocal dtype
-        for i, (lo, hi, block_dtype, cols, least) in enumerate(records):
-            live = cols[least <= limits(cols, block_dtype)]
+        for lo, hi, cols, least in records:
+            live = cols[least <= (r_upper[cols] + r_reach[cols]).astype(dtype)]
             h, k = hi - lo, len(live)
-            for dtype in (dtype, np.float64):
-                keep = np.less_equal(estimate(lo, hi, live, dtype), limits(live, dtype),
-                                     out=mask.reshape(-1)[:h * k].reshape(h, k))
-                flat = np.flatnonzero(keep)
-                if dtype is np.float64 or len(flat) <= _CANDIDATES_PER_ROW * (h + k):
-                    break
-                r_err = scheme(np.float64)[3]
-                for lo_, hi_, dtype_, cols_, least_ in records[i:]:
-                    live_ = cols_[least_ <= limits(cols_, dtype_)]
-                    low_ = estimate(lo_, hi_, live_, np.float64).min(axis=0)
-                    r_upper[live_] = np.minimum(r_upper[live_], low_ + r_err[live_])
+            est = np.matmul(q_aug[lo:hi], r_aug[live].T,
+                            out=buf.reshape(-1)[:h * k].reshape(h, k))
+            keep = np.less_equal(est, (r_upper[live] + r_reach[live]).astype(dtype),
+                                 out=mask.reshape(-1)[:h * k].reshape(h, k))
+            flat = np.flatnonzero(keep)
+            if len(flat) > per_row * (h + k):
+                return False
             qi, j = np.divmod(flat, k)
             hold(qi + lo, live[j], False)
         records.clear()
+        return True
 
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        # a block over budget is estimated again in float64; the loop
-        # variable keeps float64 for every later block
-        for dtype in (dtype, np.float64):
-            q_aug, r_aug, q_window, r_err, r_reach, buf = scheme(dtype)
-            est = np.matmul(q_aug[lo:hi], r_aug.T, out=buf[:hi - lo])
-            budget = _CANDIDATES_PER_ROW * (hi - lo + m) if dtype is np.float32 else np.inf
-            found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, mask, budget)
-            if found is not None:
-                break
+        est = np.matmul(q_aug[lo:hi], r_aug.T, out=buf[:hi - lo])
+        found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, mask,
+                            per_row * (hi - lo + m))
+        if found is None:
+            return None
         qi, rj, cols, least = found
         hold(qi + lo, rj, True)
-        records.append((lo, hi, dtype, cols, least))
+        records.append((lo, hi, cols, least))
         recorded += len(cols)
         # records past a block's entries are settled under the running
         # bound, which keeps a superset of the candidates
         if recorded > _BLOCK_ENTRIES:
-            reverse()
+            if not reverse():
+                return None
             recorded = 0
-    reverse()
+    if not reverse():
+        return None
     flush()
     return d1, i1, d2, j1
 

@@ -215,8 +215,10 @@ def elc_check(src_tri: Points, dst_tri: Points, tolerance: float) -> bool:
     A rigid motion preserves edge lengths, so a sample whose triangles
     disagree cannot be all-inlier and is not worth fitting.
     """
-    p = np.asarray(src_tri, dtype=np.float64).reshape(3, 3)
-    q = np.asarray(dst_tri, dtype=np.float64).reshape(3, 3)
+    p = np.asarray(src_tri, dtype=np.float64)
+    q = np.asarray(dst_tri, dtype=np.float64)
+    if p.shape != (3, 3) or q.shape != (3, 3):
+        raise ValueError(f"triangles must have shape (3, 3), got {p.shape} and {q.shape}")
     return len(_elc_live(p, q, np.arange(3)[None], tolerance)) == 1
 
 

@@ -201,6 +201,13 @@ def test_voxel_rejects_bad_size():
         voxel_downsample(np.zeros((4, 3)), 0.0)
 
 
+@pytest.mark.parametrize("shape", [(150, 2), (100, 4), (300,), (3,), (2, 3, 3)])
+def test_voxel_refuses_points_of_the_wrong_shape(shape):
+    # a (150, 2) array once re-cut into 100 points
+    with pytest.raises(ValueError, match=rf"got \({shape[0]},"):
+        voxel_downsample(np.zeros(shape), 0.5)
+
+
 _MAGNITUDES = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)
 
 

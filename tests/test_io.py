@@ -53,6 +53,17 @@ def test_ply_empty_cloud_round_trips(tmp_path):
         assert read_cloud_ply(p).shape == (0, 3)
 
 
+@pytest.mark.parametrize("write", [write_cloud_ply, write_cloud_bin], ids=["ply", "bin"])
+@pytest.mark.parametrize("shape", [(150, 2), (100, 4), (300,), (0,)])
+def test_cloud_writers_refuse_the_wrong_shape_before_creating_the_file(
+        tmp_path, write, shape):
+    # a (150, 2) array was once written as a 100-point cloud
+    p = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"cloud must have shape \(N, 3\), got \("):
+        write(p, np.ones(shape))
+    assert not p.exists()
+
+
 def test_bin_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.uniform(-80, 80, (300, 3)).astype(np.float32).astype(np.float64)

@@ -489,6 +489,32 @@ def test_one_far_query_sends_the_search_to_float64_after_a_reverse_pass(
     assert remeasured[0] < 4 * (len(src) + len(dst))
 
 
+def test_a_float32_search_over_its_budget_reruns_whole_in_float64(
+        monkeypatch, estimate_dtypes):
+    # the far query above: when a float32 reverse pass goes over budget,
+    # the search starts again in float64 from the first block and drops
+    # all it found in float32, shown here by sending every float32 forward
+    # candidate to row 0
+    monkeypatch.setattr(match, "_BLOCK_ENTRIES", 3000)
+    scan = match._candidates
+
+    def misplaced(est, *args):
+        found = scan(est, *args)
+        if found is not None and est.dtype == np.float32:
+            qi, rj, cols, least = found
+            found = qi, np.zeros_like(rj), cols, least
+        return found
+
+    monkeypatch.setattr(match, "_candidates", misplaced)
+    rng = np.random.default_rng(20)
+    src, dst = rng.normal(size=(400, 8)), rng.normal(size=(300, 8))
+    src[5] *= 1e3
+    _assert_equals_oracle(src, dst)
+    first = estimate_dtypes.index(np.dtype(np.float64))
+    assert first > 1
+    assert estimate_dtypes[first:] == [np.dtype(np.float64)] * -(-400 // (3000 // 300))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tie_heavy_pair(), st.sampled_from([1, 7, 100]), st.sampled_from([0, 4]))
 def test_property_small_blocks_and_budgets_equal_the_oracle(pair, block_entries, per_row):

@@ -356,6 +356,15 @@ def test_elc_checks_all_three_edges():
         assert not elc_check(tri, bad, tolerance=0.5), corner
 
 
+@pytest.mark.parametrize("shape", [(9,), (1, 9), (3, 2, 3), (9, 1)])
+def test_elc_refuses_triangles_of_the_wrong_shape(shape):
+    tri = np.eye(3)
+    bad = np.ones(shape)
+    for pair in ((bad, tri), (tri, bad)):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+            elc_check(*pair, tolerance=0.5)
+
+
 # ---------------------------------------------------------------------------
 # progressive sampler
 # ---------------------------------------------------------------------------
