@@ -59,6 +59,6 @@ print("per sequence:", dict(sorted(per_seq.items())))
 # for each motion parameter of the final set.
 report = set_distribution_report(result.records)
 yaw = report["yaw"]
-occupied = int((yaw.counts > 0).sum())
-print(f"yaw histogram occupies {occupied} of {len(yaw.counts)} bins")
-print("distance counts:", report["distance"].counts.tolist())
+occupied = int((yaw > 0).sum())
+print(f"yaw histogram occupies {occupied} of {len(yaw)} bins")
+print("distance counts:", report["distance"].tolist())

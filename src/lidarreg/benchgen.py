@@ -23,7 +23,6 @@ only for the pairs it draws.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,11 +345,7 @@ def select_balanced(pool, cfg: SelectorConfig) -> SelectionResult:
         records.append(_record_of(pool[pick]))
         draws.append(u)
 
-    exhausted = len(records) < cfg.target_count
-    if exhausted:
-        warnings.warn(
-            f"selection stopped at {len(records)}/{cfg.target_count} pairs "
-            f"after {attempts} attempts", RuntimeWarning, stacklevel=2)
     draw_arr = np.stack(draws) if draws else np.zeros((0, 6), dtype=np.float64)
     return SelectionResult(records=tuple(records), draws=draw_arr,
-                           attempts=attempts, exhausted=exhausted)
+                           attempts=attempts,
+                           exhausted=len(records) < cfg.target_count)

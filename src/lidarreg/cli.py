@@ -38,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .benchgen import PosedFrame, SelectorConfig, build_candidate_pool, select_balanced
-from .geom import GimbalLockError, RigidMotion, voxel_downsample
+from .geom import RigidMotion, voxel_downsample
 from .io import (
     FormatError,
     _float32,
@@ -60,7 +60,6 @@ from .io import (
 )
 from .metrics import (
     DEFAULT_BIN_EDGES,
-    FailureHistogram,
     PairRecord,
     failure_histogram,
     is_success,
@@ -291,14 +290,8 @@ def _pair_seed(base: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _pair_meta(record: PairRecord) -> dict:
-    meta = {"sequence_id": record.sequence_id, "src": record.src,
-            "tgt": record.tgt}
-    for name in DEFAULT_BIN_EDGES:
-        try:
-            meta[name] = float(record.parameter(name))
-        except GimbalLockError:
-            pass    # at gimbal lock no angle is defined
-    return meta
+    return {"sequence_id": record.sequence_id, "src": record.src,
+            "tgt": record.tgt} | record.parameters()
 
 
 def _cmd_register(args: argparse.Namespace) -> int:
@@ -393,7 +386,8 @@ def _cmd_benchgen(args: argparse.Namespace) -> int:
     result = select_balanced(pool, cfg)
     if result.exhausted:
         print(f"warning: selected only {len(result.records)} of "
-              f"{cfg.target_count} requested pairs", file=sys.stderr)
+              f"{cfg.target_count} requested pairs after {result.attempts} "
+              "attempts", file=sys.stderr)
 
     out_pairs = Path(args.out_pairs)
     out_pairs.parent.mkdir(parents=True, exist_ok=True)
@@ -402,8 +396,9 @@ def _cmd_benchgen(args: argparse.Namespace) -> int:
     if args.out_dist is not None:
         dist_dir = Path(args.out_dist)
         dist_dir.mkdir(parents=True, exist_ok=True)
-        for name, hist in set_distribution_report(result.records).items():
-            write_histogram_csv(dist_dir / f"dist_{name}.csv", hist)
+        for name, counts in set_distribution_report(result.records).items():
+            write_histogram_csv(dist_dir / f"dist_{name}.csv",
+                                DEFAULT_BIN_EDGES[name], {"count": counts})
     return 0
 
 
@@ -419,16 +414,6 @@ def _final_stage(row: dict, path) -> dict:
         raise FormatError(path, "record carries no ground truth "
                                 "(no success field); eval needs gt pairs")
     return stage
-
-
-def _write_failure_csv(path, fh: FailureHistogram) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("bin_lo,bin_hi,successes,failures,failure_ratio\n")
-        ratios = fh.failure_ratio
-        for i in range(len(fh.edges) - 1):
-            f.write(f"{repr(float(fh.edges[i]))},{repr(float(fh.edges[i + 1]))},"
-                    f"{int(fh.success_counts[i])},{int(fh.failure_counts[i])},"
-                    f"{repr(float(ratios[i]))}\n")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -450,8 +435,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                       "omitted", file=sys.stderr)
                 continue
             values = [float(row[name]) for row in rows]
-            _write_failure_csv(out / f"failure_{name}.csv",
-                               failure_histogram(name, values, success))
+            write_histogram_csv(out / f"failure_{name}.csv", DEFAULT_BIN_EDGES[name],
+                                failure_histogram(name, values, success))
     return 0
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geom import F64, Points, RigidMotion, _cloud, rotation_is_valid
-from .metrics import Histogram, PairRecord
+from .metrics import PairRecord
 
 __all__ = [
     "FormatError",
@@ -375,11 +375,18 @@ def write_jsonl(path, rows) -> None:
         f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def write_histogram_csv(path, hist: Histogram) -> None:
+def write_histogram_csv(path, edges, columns) -> None:
+    """One row per bin: ``bin_lo,bin_hi``, then one value from each of
+    ``columns`` (name: one value per bin), in their order.  Integers are
+    written as integers and floats as shortest round-trip text.  A column
+    that is not one value per bin raises ``ValueError`` before the file is
+    created."""
+    edges = np.asarray(edges, dtype=np.float64)
+    cells = [np.asarray(c).tolist() for c in (edges[:-1], edges[1:], *columns.values())]
+    rows = [",".join(map(str, row)) + "\n" for row in zip(*cells, strict=True)]
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("bin_lo,bin_hi,count\n")
-        for lo, hi, n in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-            f.write(f"{repr(float(lo))},{repr(float(hi))},{int(n)}\n")
+        f.write(",".join(["bin_lo", "bin_hi", *columns]) + "\n")
+        f.writelines(rows)
 
 
 def read_config(path) -> dict[str, str]:

@@ -8,15 +8,15 @@ succeeds when RE < 5 degrees and TE < 0.6 meters (both strict).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .geom import EulerAngles, RigidMotion, inverse, to_euler
+from .geom import GimbalLockError, RigidMotion, inverse, to_euler
 
 __all__ = [
-    "PairRecord", "Histogram", "FailureHistogram", "DEFAULT_BIN_EDGES",
+    "PairRecord", "DEFAULT_BIN_EDGES",
     "rotation_error", "translation_error", "is_success", "recall", "histogram",
     "failure_histogram", "set_distribution_report",
 ]
@@ -79,30 +79,24 @@ class PairRecord:
     overlap: float
     dt: float
 
-    @property
-    def distance(self) -> float:
-        """Sensor displacement between the two frames, meters."""
-        return float(np.linalg.norm(self.motion.translation))
+    def parameters(self) -> dict[str, float]:
+        """The pair's six parameters by name, in ``DEFAULT_BIN_EDGES`` order.
 
-    def euler(self) -> EulerAngles:
-        """Relative attitude of the target frame seen from the source.
-
-        Computed from the inverse of ``motion`` (the target pose expressed
-        in source axes), which is the natural sign convention for asking
-        "how did the vehicle turn between these frames".
+        ``distance`` is the sensor displacement between the two frames,
+        meters.  Yaw, pitch and roll are the relative attitude of the
+        target frame seen from the source, computed from the inverse of
+        ``motion`` (the target pose expressed in source axes), which is the
+        natural sign convention for asking "how did the vehicle turn
+        between these frames".  At gimbal lock no angle is defined and the
+        three are left out.
         """
-        return to_euler(inverse(self.motion).rotation)
-
-    def parameter(self, name: str) -> float:
-        if name == "distance":
-            return self.distance
-        if name == "overlap":
-            return self.overlap
-        if name == "dt":
-            return self.dt
-        if name in ("roll", "pitch", "yaw"):
-            return getattr(self.euler(), name)
-        raise KeyError(f"unknown pair parameter {name!r}")
+        try:
+            e = to_euler(inverse(self.motion).rotation)
+            angles = {"yaw": e.yaw, "pitch": e.pitch, "roll": e.roll}
+        except GimbalLockError:
+            angles = {}
+        return {"distance": float(np.linalg.norm(self.motion.translation)),
+                "overlap": float(self.overlap), **angles, "dt": float(self.dt)}
 
 
 def recall(success) -> float:
@@ -117,64 +111,47 @@ def recall(success) -> float:
 # histograms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Histogram:
+def histogram(values, edges) -> NDArray[np.int64]:
     """Per-bin counts over fixed edges; bin i covers [edges[i], edges[i+1])
     with the last bin closed on the right.  Values outside the range are
-    clipped into the boundary bins so totals always equal the input size."""
-
-    edges: NDArray[np.float64]
-    counts: NDArray[np.int64]
-
-
-def _bin_of(values: NDArray[np.float64], edges: NDArray[np.float64]) -> NDArray[np.int64]:
-    idx = np.searchsorted(edges, values, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2)
-
-
-def histogram(values, edges) -> Histogram:
+    clipped into the boundary bins so the counts sum to the input size."""
     values = np.asarray(values, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.float64)
-    counts = np.bincount(_bin_of(values, edges), minlength=len(edges) - 1)
-    return Histogram(edges, counts.astype(np.int64))
+    bins = np.searchsorted(edges, values, side="right") - 1
+    counts = np.bincount(np.clip(bins, 0, len(edges) - 2), minlength=len(edges) - 1)
+    return counts.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class FailureHistogram:
-    parameter: str
-    edges: NDArray[np.float64]
-    success_counts: NDArray[np.int64]
-    failure_counts: NDArray[np.int64]
-
-    @property
-    def failure_ratio(self) -> NDArray[np.float64]:
-        """failures / (successes + failures); empty bins report 0."""
-        total = self.success_counts + self.failure_counts
-        out = np.zeros(len(total))
-        np.divide(self.failure_counts, total, out=out, where=total > 0)
-        return out
-
-
-def failure_histogram(parameter: str, values, success) -> FailureHistogram:
+def failure_histogram(parameter: str, values, success) -> dict[str, NDArray]:
     """Bin one pair parameter's values over its ``DEFAULT_BIN_EDGES`` and
-    split the counts by success."""
+    split the counts by success: the columns ``successes``, ``failures``
+    and ``failure_ratio``, failures / (successes + failures), in that
+    order.  An empty bin reports a ratio of 0."""
     edges = DEFAULT_BIN_EDGES[parameter]
     values = np.asarray(values, dtype=np.float64)
     ok = np.asarray(success, dtype=bool)
-    return FailureHistogram(parameter, edges, histogram(values[ok], edges).counts,
-                            histogram(values[~ok], edges).counts)
+    successes = histogram(values[ok], edges)
+    failures = histogram(values[~ok], edges)
+    total = successes + failures
+    ratio = np.zeros(len(total))
+    np.divide(failures, total, out=ratio, where=total > 0)
+    return {"successes": successes, "failures": failures, "failure_ratio": ratio}
 
 
-def set_distribution_report(pairs) -> dict[str, Histogram]:
-    """Histogram of each motion parameter over a registration set.
+def set_distribution_report(pairs) -> dict[str, NDArray[np.int64]]:
+    """Counts of each pair parameter over a registration set.
 
     Covers sensor displacement, overlap, relative yaw/pitch/roll, and the
     timestamp gap, using the default edges.  This is the summary used to
-    compare how balanced different registration sets are.
+    compare how balanced different registration sets are.  A pair at
+    gimbal lock raises ``GimbalLockError``, since its angles have no bin.
     """
-    pairs = list(pairs)
-    out = {}
-    for name, edges in DEFAULT_BIN_EDGES.items():
-        values = [p.parameter(name) for p in pairs]
-        out[name] = histogram(values, edges)
-    return out
+    values = []
+    for p in pairs:
+        v = p.parameters()
+        if len(v) < len(DEFAULT_BIN_EDGES):
+            raise GimbalLockError(f"pair {p.sequence_id} {p.src}->{p.tgt} is at "
+                                  "gimbal lock; its roll, pitch and yaw are undefined")
+        values.append(v)
+    return {name: histogram([v[name] for v in values], edges)
+            for name, edges in DEFAULT_BIN_EDGES.items()}

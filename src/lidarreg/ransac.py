@@ -153,13 +153,6 @@ def _squared_residuals(rotation, translation, at, bt) -> NDArray[np.float64]:
     return sq
 
 
-def _residuals(rotation, translation, a: Points, b: Points) -> NDArray[np.float64]:
-    """Residual norms of ``a`` mapped onto ``b``, as ``_squared_residuals``
-    gives their squares."""
-    sq = _squared_residuals(rotation, translation, a.T, b.T)
-    return np.sqrt(sq, out=sq)
-
-
 def _squared_gate(t: float) -> float:
     """The largest float64 x with sqrt(x) <= t, for t > 0.
 

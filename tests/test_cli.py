@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lidarreg.benchgen import SelectorConfig
 from lidarreg.cli import main
-from lidarreg.geom import RigidMotion
+from lidarreg.geom import EulerAngles, GimbalLockError, RigidMotion, from_euler
 from lidarreg.io import (
     read_cloud_ply,
     read_descriptors,
     read_pair_list,
     read_poses,
+    write_pair_list,
 )
+from lidarreg.metrics import set_distribution_report
 from lidarreg.synth import SceneSpec, TrajectorySpec
 
 # Small scenes keep these tests quick; the heavy statistical checks live
@@ -232,6 +236,25 @@ def test_benchgen_is_deterministic(traj_dir, pair_list, tmp_path):
                  "--k", "1", "--min-overlap", "0.3", "--r", "0.5",
                  "--target-count", "6", "--seed", "2"]) == 0
     assert again.read_bytes() == pair_list.read_bytes()
+
+
+def test_benchgen_shortfall_is_one_warning_line_and_exits_0(traj_dir, tmp_path,
+                                                           capsys):
+    # with runtime warnings as errors, a shortfall is still only reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["benchgen", "--cloud-dir", str(traj_dir),
+                     "--pose-dir", str(traj_dir),
+                     "--out-pairs", str(tmp_path / "p.csv"),
+                     "--k", "1", "--r", "1.0", "--target-count", "100",
+                     "--seed", "2"]) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning:")]
+    assert len(warned) == 1
+    shortfall = re.fullmatch(r"warning: selected only (\d+) of 100 requested "
+                             r"pairs after \d+ attempts", warned[0])
+    assert shortfall
+    assert len(read_pair_list(tmp_path / "p.csv")) == int(shortfall[1]) < 100
 
 
 def test_benchgen_empty_pool_exits_1(traj_dir, tmp_path, capsys):
@@ -465,6 +488,37 @@ def test_eval_warns_and_omits_missing_parameters(scene_dir, tmp_path,
     err = capsys.readouterr().err
     assert "histogram" in err and "omitted" in err
     assert list(report.glob("*.csv")) == []
+
+
+def test_gimbal_lock_row_reports_only_its_defined_parameters(
+        traj_dir, pair_list, tmp_path, capsys):
+    # a relative pitch of 90 degrees leaves roll, pitch and yaw undefined
+    first, second = read_pair_list(pair_list)[:2]
+    locked = replace(first, motion=RigidMotion(
+        from_euler(EulerAngles(0.0, 90.0, 0.0)), first.motion.translation))
+    with pytest.raises(GimbalLockError):
+        set_distribution_report([locked, second])
+    pairs = tmp_path / "pairs.csv"
+    write_pair_list(pairs, [locked, second])
+    records = tmp_path / "records.jsonl"
+    assert main(["register", "--pairs", str(pairs),
+                 "--cloud-dir", str(traj_dir), "--desc-dir", str(traj_dir),
+                 "--seed", "7", "--timing", "off",
+                 "--out", str(records)]) == 0
+    rows = [json.loads(line) for line in records.read_text().splitlines()]
+    angles = {"roll", "pitch", "yaw"}
+    assert {"distance", "overlap", "dt"} <= set(rows[0])
+    assert not angles & set(rows[0])
+    assert angles <= set(rows[1])
+    report = tmp_path / "report"
+    assert main(["eval", "--records", str(records),
+                 "--out-dir", str(report)]) == 0
+    assert sorted(p.name for p in report.glob("*.csv")) == [
+        "failure_distance.csv", "failure_dt.csv", "failure_overlap.csv"]
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning:")]
+    assert warned == [f"warning: some records lack {name!r}; histogram omitted"
+                      for name in ("yaw", "pitch", "roll")]
 
 
 def test_eval_empty_records_exits_2(tmp_path, capsys):

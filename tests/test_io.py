@@ -28,7 +28,7 @@ from lidarreg.io import (
     write_poses,
     write_times,
 )
-from lidarreg.metrics import Histogram, PairRecord
+from lidarreg.metrics import PairRecord
 
 from test_geom import random_motion
 
@@ -219,14 +219,27 @@ def test_writers_refuse_values_not_finite_at_float32(tmp_path, write, shape, bad
 
 
 def test_histogram_csv_layout(tmp_path):
-    hist = Histogram(edges=np.array([0.0, 1.0, 2.0]),
-                     counts=np.array([3, 4]))
+    edges = np.array([0.0, 1.0, 2.0])
     p = tmp_path / "h.csv"
-    write_histogram_csv(p, hist)
+    write_histogram_csv(p, edges, {"count": np.array([3, 4])})
     lines = p.read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
     assert lines[1] == "0.0,1.0,3"
     assert lines[2] == "1.0,2.0,4"
+    # success split: counts as integers, ratios as shortest round-trip floats
+    write_histogram_csv(p, edges, {"successes": np.array([1, 0]),
+                                   "failures": np.array([2, 0]),
+                                   "failure_ratio": np.array([2 / 3, 0.0])})
+    assert p.read_text() == ("bin_lo,bin_hi,successes,failures,failure_ratio\n"
+                             "0.0,1.0,1,2,0.6666666666666666\n"
+                             "1.0,2.0,0,0,0.0\n")
+
+
+def test_histogram_csv_column_of_the_wrong_length_writes_nothing(tmp_path):
+    p = tmp_path / "h.csv"
+    with pytest.raises(ValueError):
+        write_histogram_csv(p, [0.0, 1.0, 2.0], {"count": [3, 4, 5]})
+    assert not p.exists()
 
 
 def test_config_parsing(tmp_path):

@@ -123,7 +123,7 @@ def test_recall_empty_is_error():
 
 def test_pair_distance_is_translation_norm():
     m = RigidMotion(np.eye(3), np.array([3.0, 4.0, 0.0]))
-    assert make_pair(motion=m).distance == 5.0
+    assert make_pair(motion=m).parameters()["distance"] == 5.0
 
 
 def test_pair_euler_uses_inverse_convention():
@@ -134,17 +134,24 @@ def test_pair_euler_uses_inverse_convention():
     pose_tgt = RigidMotion(yaw30, np.array([10.0, 0.0, 0.0]))
     alignment = RigidMotion(yaw30.T, -yaw30.T @ np.array([10.0, 0.0, 0.0]))
     pair = make_pair(motion=alignment)
-    e = pair.euler()
-    assert abs(e.yaw - 30.0) < 1e-9
+    assert abs(pair.parameters()["yaw"] - 30.0) < 1e-9
     assert abs(inverse(pair.motion).translation[0] - 10.0) < 1e-9
 
 
 def test_pair_parameter_dispatch():
     pair = make_pair(overlap=0.42, dt=7.5)
-    assert pair.parameter("overlap") == 0.42
-    assert pair.parameter("dt") == 7.5
+    values = pair.parameters()
+    assert list(values) == list(DEFAULT_BIN_EDGES)
+    assert values["overlap"] == 0.42
+    assert values["dt"] == 7.5
     with pytest.raises(KeyError):
-        pair.parameter("speed")
+        values["speed"]
+
+
+def test_pair_parameters_leave_out_the_angles_at_gimbal_lock():
+    locked = make_pair(motion=RigidMotion(from_euler(EulerAngles(0.0, 90.0, 0.0)),
+                                          np.array([3.0, 4.0, 0.0])))
+    assert locked.parameters() == {"distance": 5.0, "overlap": 0.5, "dt": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +161,27 @@ def test_pair_parameter_dispatch():
 def test_histogram_partition_sums_to_input_size():
     rng = np.random.default_rng(4)
     values = rng.uniform(-50.0, 150.0, 500)   # deliberately out of range
-    h = histogram(values, DEFAULT_BIN_EDGES["distance"])
-    assert h.counts.sum() == 500
+    counts = histogram(values, DEFAULT_BIN_EDGES["distance"])
+    assert counts.sum() == 500
+    assert counts.dtype == np.int64
 
 
 def test_histogram_bin_convention():
     edges = np.array([0.0, 1.0, 2.0])
-    h = histogram([0.0, 0.5, 1.0, 1.5, 2.0], edges)
+    counts = histogram([0.0, 0.5, 1.0, 1.5, 2.0], edges)
     # [0,1): two values; [1,2]: three (right edge closed, clipped into last)
-    assert list(h.counts) == [2, 3]
+    assert list(counts) == [2, 3]
 
 
 def test_failure_histogram_counts_and_ratio():
     fh = failure_histogram("overlap", [0.22, 0.22, 0.23, 0.97],
                            [True, False, False, True])
-    assert fh.success_counts.sum() + fh.failure_counts.sum() == 4
-    assert fh.failure_counts[0] == 2 and fh.success_counts[0] == 1
-    assert np.isclose(fh.failure_ratio[0], 2 / 3)
-    assert fh.failure_ratio[5] == 0.0        # empty bin reports zero
-    assert fh.success_counts[-1] == 1 and fh.failure_ratio[-1] == 0.0
+    assert list(fh) == ["successes", "failures", "failure_ratio"]
+    assert fh["successes"].sum() + fh["failures"].sum() == 4
+    assert fh["failures"][0] == 2 and fh["successes"][0] == 1
+    assert np.isclose(fh["failure_ratio"][0], 2 / 3)
+    assert fh["failure_ratio"][5] == 0.0        # empty bin reports zero
+    assert fh["successes"][-1] == 1 and fh["failure_ratio"][-1] == 0.0
 
 
 def test_failure_histogram_all_parameters_available():
@@ -182,18 +191,18 @@ def test_failure_histogram_all_parameters_available():
              for _ in range(30)]
     success = rng.uniform(size=30) < 0.5
     for name in DEFAULT_BIN_EDGES:
-        fh = failure_histogram(name, [p.parameter(name) for p in pairs],
+        fh = failure_histogram(name, [p.parameters()[name] for p in pairs],
                                success)
-        assert fh.success_counts.sum() == success.sum(), name
-        assert fh.failure_counts.sum() == (~success).sum(), name
+        assert fh["successes"].sum() == success.sum(), name
+        assert fh["failures"].sum() == (~success).sum(), name
 
 
 def test_failure_histogram_of_no_records_is_all_zero():
     fh = failure_histogram("dt", [], [])
     n_bins = len(DEFAULT_BIN_EDGES["dt"]) - 1
-    assert fh.success_counts.tolist() == [0] * n_bins
-    assert fh.failure_counts.tolist() == [0] * n_bins
-    assert fh.success_counts.dtype == fh.failure_counts.dtype == np.int64
+    assert fh["successes"].tolist() == [0] * n_bins
+    assert fh["failures"].tolist() == [0] * n_bins
+    assert fh["successes"].dtype == fh["failures"].dtype == np.int64
 
 
 def test_set_distribution_report_covers_six_parameters():
@@ -203,5 +212,5 @@ def test_set_distribution_report_covers_six_parameters():
              for _ in range(40)]
     report = set_distribution_report(pairs)
     assert set(report) == {"distance", "overlap", "yaw", "pitch", "roll", "dt"}
-    for name, h in report.items():
-        assert h.counts.sum() == 40, name
+    for name, counts in report.items():
+        assert counts.sum() == 40, name

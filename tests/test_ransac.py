@@ -31,7 +31,6 @@ from lidarreg.ransac import (
     _fit_rigid,
     _lo_step,
     _prosac_growth,
-    _residuals,
     _sample_block,
     _squared_gate,
     _squared_residuals,
@@ -265,8 +264,8 @@ def make_planted(rng, n=400, frac=0.5, extent=25.0, sigma=0.0, offset=2.0):
 
 
 def count_inliers(motion, corrs, src, dst, threshold):
-    mask = _residuals(motion.rotation, motion.translation,
-                      src[corrs.src], dst[corrs.dst]) <= threshold
+    mask = np.sqrt(_squared_residuals(motion.rotation, motion.translation,
+                                      src[corrs.src].T, dst[corrs.dst].T)) <= threshold
     return int(mask.sum()), mask
 
 
@@ -298,8 +297,8 @@ def test_squared_scoring_equals_the_residual_gate_at_the_threshold():
     rot = np.stack([m.rotation for m in motions])
     trans = np.stack([m.translation for m in motions])
     for r, t in ((rot[0], trans[0]), (rot, trans)):
-        res = _residuals(r, t, a, b)
         sq = _squared_residuals(r, t, a.T, b.T)
+        res = np.sqrt(sq)
         for x in res.ravel()[:40].tolist():
             for thr in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
                 assert np.array_equal(sq <= _squared_gate(thr), res <= thr)

@@ -15,7 +15,7 @@ from lidarreg.benchgen import SelectorConfig, build_candidate_pool, motion_descr
 from lidarreg.cli import main
 from lidarreg.geom import RigidMotion, apply, compose, inverse
 from lidarreg.match import match_features, mnn_filter
-from lidarreg.ransac import _residuals, kabsch
+from lidarreg.ransac import _squared_residuals, kabsch
 from lidarreg.synth import (
     OUTLIER_MIN_OFFSET,
     Scene,
@@ -89,9 +89,10 @@ def test_three_sigma_gate_recovers_planted_labels_exactly():
     spec = SceneSpec(n_points=2000, inlier_fraction=0.25, noise_sigma=0.05, seed=13)
     scene = generate_scene(spec)
     motion = scene.true_motion
-    mask = _residuals(motion.rotation, motion.translation,
-                      scene.src[scene.corrs.src], scene.dst[scene.corrs.dst]
-                      ) <= 3.0 * spec.noise_sigma + 1e-9
+    res = np.sqrt(_squared_residuals(motion.rotation, motion.translation,
+                                     scene.src[scene.corrs.src].T,
+                                     scene.dst[scene.corrs.dst].T))
+    mask = res <= 3.0 * spec.noise_sigma + 1e-9
     assert mask.sum() == spec.n_inliers
     assert np.array_equal(mask, scene.inlier_labels)
 
