@@ -22,7 +22,12 @@ byte is reproducible.
 Exit codes: 0 all pairs processed, 1 empty result (the benchgen candidate
 pool is empty), 2 bad usage, unreadable or malformed input, or a value
 the estimator rejects (any ``ValueError``, such as a pair with fewer than
-three correspondences).
+three correspondences), 3 ``register --pairs`` finished with error rows.
+In a ``--pairs`` batch a pair that raises a ``ValueError`` (a
+``FormatError`` included) does not end the batch: its row holds the
+pair's metadata, ``status: "error"`` and the ``error`` message, every
+other row is written as usual, and ``eval`` counts the pair as a failure.
+A single ``--src`` pair that fails exits 2.
 """
 
 from __future__ import annotations
@@ -248,7 +253,16 @@ def _stage_dict(est: RigidMotion, gt: RigidMotion | None,
 
 
 def _register_job(job: tuple) -> dict:
-    meta, src_path, dst_path, sdesc_path, ddesc_path, gt, cfg, timing = job
+    """One pair's row; a ``ValueError`` becomes an error row, so a worker
+    never raises."""
+    try:
+        return _register_row(*job)
+    except ValueError as e:  # FormatError included
+        return dict(job[0], status="error", error=str(e))
+
+
+def _register_row(meta, src_path, dst_path, sdesc_path, ddesc_path, gt, cfg,
+                  timing) -> dict:
     src = _read_cloud(src_path)
     dst = _read_cloud(dst_path)
     src_desc = read_descriptors(sdesc_path)
@@ -338,8 +352,14 @@ def _cmd_register(args: argparse.Namespace) -> int:
     else:
         rows = [_register_job(j) for j in jobs]
 
+    errors = [row for row in rows if row.get("status") == "error"]
+    if single and errors:
+        raise ValueError(errors[0]["error"])
     write_jsonl(args.out, rows)
-    return 0
+    for row in errors:
+        print(f"error: pair {row['sequence_id']} {row['src']}->{row['tgt']}: "
+              f"{row['error']}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +426,10 @@ def _cmd_benchgen(args: argparse.Namespace) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _final_stage(row: dict, path) -> dict:
+def _final_stage(row: dict, path) -> dict | None:
+    """The row's last stage, or None for an error row."""
+    if row.get("status") == "error":
+        return None
     stage = row.get("refined", row.get("coarse"))
     if not isinstance(stage, dict):
         raise FormatError(path, "record has neither refined nor coarse stage")
@@ -421,10 +444,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if not rows:
         raise FormatError(args.records, "no records")
     stages = [_final_stage(row, args.records) for row in rows]
-    success = np.array([bool(s["success"]) for s in stages])
-    walls = np.array([float(s.get("wall_time", 0.0)) for s in stages])
+    # an error row is a failed pair; it has no wall time
+    success = np.array([s is not None and bool(s["success"]) for s in stages])
+    walls = [float(s.get("wall_time", 0.0)) for s in stages if s is not None]
     print(f"recall={recall(success):.4f}")
-    print(f"mean_wall_time_s={walls.mean():.4f}")
+    print(f"mean_wall_time_s={np.mean(walls) if walls else 0.0:.4f}")
+    if len(walls) < len(rows):
+        print(f"error_rows={len(rows) - len(walls)}")
 
     if args.out_dir is not None:
         out = Path(args.out_dir)

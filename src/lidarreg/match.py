@@ -104,9 +104,12 @@ _FLOAT32_SCALES = (2.0 ** -60, 2.0 ** 100)
 
 
 def _augmented(queries, rows, center, q_norm, r_norm, dtype):
-    """Centered rows whose products are the squared distances, in ``dtype``.
+    """Centered query rows and target columns, in ``dtype``, whose products
+    are the squared distances.
 
     [-2q, |q|^2, 1] . [r, 1, |r|^2] = |q|^2 + |r|^2 - 2 q.r = |r - q|^2.
+    The targets are the columns of one contiguous (D + 2, M) array, the
+    layout the block products read fastest.
     """
     n, m, dim = len(queries), len(rows), rows.shape[1]
     q_aug = np.empty((n, dim + 2), dtype=dtype)
@@ -114,10 +117,10 @@ def _augmented(queries, rows, center, q_norm, r_norm, dtype):
     q_aug[:, :dim] *= -2.0
     q_aug[:, dim] = q_norm
     q_aug[:, dim + 1] = 1.0
-    r_aug = np.empty((m, dim + 2), dtype=dtype)
-    np.subtract(rows, center, out=r_aug[:, :dim], casting="same_kind")
-    r_aug[:, dim] = 1.0
-    r_aug[:, dim + 1] = r_norm
+    r_aug = np.empty((dim + 2, m), dtype=dtype)
+    np.subtract(rows.T, center[:, None], out=r_aug[:dim], casting="same_kind")
+    r_aug[dim] = 1.0
+    r_aug[dim + 1] = r_norm
     return q_aug, r_aug
 
 
@@ -331,7 +334,7 @@ def _search(rows, queries, center, q_norm, r_norm, pad, dtype):
         for lo, hi, cols, least in records:
             live = cols[least <= (r_upper[cols] + r_reach[cols]).astype(dtype)]
             h, k = hi - lo, len(live)
-            est = np.matmul(q_aug[lo:hi], r_aug[live].T,
+            est = np.matmul(q_aug[lo:hi], r_aug[:, live],
                             out=buf.reshape(-1)[:h * k].reshape(h, k))
             keep = np.less_equal(est, (r_upper[live] + r_reach[live]).astype(dtype),
                                  out=mask.reshape(-1)[:h * k].reshape(h, k))
@@ -345,7 +348,7 @@ def _search(rows, queries, center, q_norm, r_norm, pad, dtype):
 
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        est = np.matmul(q_aug[lo:hi], r_aug.T, out=buf[:hi - lo])
+        est = np.matmul(q_aug[lo:hi], r_aug, out=buf[:hi - lo])
         found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, mask,
                             per_row * (hi - lo + m))
         if found is None:

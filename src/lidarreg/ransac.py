@@ -18,18 +18,28 @@ far, up to ``_MAX_BLOCK``, so short runs keep small blocks and long runs
 pay the per-block numpy overhead rarely.  A block's minimal samples are
 drawn in one call and screened by elc one edge at a time.  The survivors
 are then walked in iteration order and scored ``_SCORE_CHUNK`` models per
-residual pass, each fitted by a stacked SVD just before its chunk is
-scored: one chunk first, then every survivor up to the current adaptive
-bound, so a run that stops early fits little past its stopping iteration.
+product, each fitted by a stacked SVD just before its chunk is scored:
+one chunk first, then every survivor up to the current adaptive bound,
+so a run that stops early fits little past its stopping iteration.
 Local optimization, adaptive stopping and the reported counters
 (``iterations_run``, ``hypotheses_rejected_fast``, ``best_history``) are
 exactly those of a loop that handles one sample per iteration and stops
 at the same iteration.
 
 Scoring counts correspondences whose post-transform residual is within
-``inlier_threshold``.  It compares squared residuals with a squared gate,
-the largest float whose square root is within the threshold, so it counts
-the same correspondences without taking a square root.  Elc sums each
+``inlier_threshold``.  It compares squared residuals, as
+``_squared_residuals`` computes them, with a squared gate, the largest
+float whose square root is within the threshold, so it counts the same
+correspondences without taking a square root.  The hypothesis loop
+estimates a chunk's squared residuals from one matrix product: each
+fitted model gets a row of coefficients, and the run one table of
+per-correspondence products.  A window around the gate, derived in
+``_coefficients``, covers the rounding of that estimate and of
+``_squared_residuals`` on any BLAS kernel, so an estimate outside it
+decides its entry as the residual pass would.  A chunk whose models can
+hold no more inliers than the best so far is settled by the window's
+upper side alone; otherwise an estimate within the window sends the chunk
+to the residual pass, which also scores local optimization.  Elc sums each
 edge from the coordinate rows ``a.T``, one coordinate at a time, to the
 same float as a sum over the point's row.  With a fixed seed the whole
 run is deterministic.
@@ -135,9 +145,11 @@ def _squared_residuals(rotation, translation, at, bt) -> NDArray[np.float64]:
     the coordinate rows ``at``, ``bt`` (3, n): (n,) for one motion, or
     (S, n) for stacked rotations (S, 3, 3) and translations (S, 3).
 
-    The product with ``at`` goes through BLAS, whose kernel, and so the
-    last bit of a residual, depends on the operand's layout: callers pass
-    ``a.T`` of a C-ordered (n, 3) ``a``.
+    These residuals define the inlier counts.  Local optimization scores
+    with them, and the hypothesis loop when its estimate cannot decide a
+    chunk (``_scored``).  The product with ``at`` goes through BLAS,
+    whose kernel, and so the last bit of a residual, depends on the
+    operand's layout: callers pass ``a.T`` of a C-ordered (n, 3) ``a``.
     """
     # one coordinate at a time keeps every temporary a contiguous (S, n),
     # and one of them serves all three
@@ -169,6 +181,114 @@ def _squared_gate(t: float) -> float:
     while g < sys.float_info.max and math.sqrt(math.nextafter(g, math.inf)) <= t:
         g = math.nextafter(g, math.inf)
     return g
+
+
+# The hypothesis loop's scoring product.  F holds one column per
+# correspondence: |b|^2; b_i a_0, b_i a_1, b_i a_2, b_i for i = 0, 1, 2; a;
+# the six a_j a_k of _J, _K; and 1.  A model's row holds the coefficients
+# of |R a + t - b|^2 = |b|^2 - 2 b.(R a + t) + 2 (R^T t).a + a^T R^T R a
+# + |t|^2, exact for any matrix R: 1, -2 [R | t] row by row, then the
+# Gram entries of [R | t] in _GRAM order times _GRAM_SCALE.
+_J, _K = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+_GRAM = ((0, 3), (1, 3), (2, 3)) + tuple(zip(_J, _K)) + ((3, 3),)
+# the flat [R | t] positions whose products, summed over i, are the Gram
+# entries, for i = 0, 1, 2 in turn
+_GRAM_LEFT, _GRAM_RIGHT = (np.array([[4 * i + g[side] for g in _GRAM] for i in range(3)])
+                           .ravel() for side in (0, 1))
+_GRAM_SCALE = np.array([2.0] * 3 + [1.0] * 3 + [2.0] * 3 + [1.0])
+# Coordinates past this bound could overflow the estimate's products, so
+# such a run scores every chunk with ``_squared_residuals``.
+_ESTIMATE_RANGE = 2.0 ** 500
+
+
+def _features(a: Points, b: Points) -> NDArray[np.float64]:
+    """The (23, n) table F of the scoring product."""
+    at, bt = a.T, b.T
+    f = np.empty((23, len(a)))
+    f[0] = bt[0] * bt[0] + bt[1] * bt[1] + bt[2] * bt[2]
+    rows = f[1:13].reshape(3, 4, -1)
+    rows[:, :3] = bt[:, None] * at
+    rows[:, 3] = bt
+    f[13:16] = at
+    f[16:22] = at[_J, :] * at[_K, :]
+    f[22] = 1.0
+    return f
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _coefficients(rot, trans, reach: NDArray[np.float64], b_reach: float,
+                  gate: float) -> NDArray[np.float64]:
+    """(S, 24): per model, the 23 coefficients c of F, c @ F estimating its
+    squared residuals, and the half-width W of its window around ``gate``.
+
+    ``reach`` holds (max|a_0|, max|a_1|, max|a_2|, 1) three times, and
+    ``b_reach`` is max|b_0| + max|b_1| + max|b_2|.  Beyond
+    ``_ESTIMATE_RANGE``, or at an infinite gate, the values may overflow;
+    the run does not use the former, and an infinite or NaN window decides
+    nothing.
+    """
+    s = len(rot)
+    p = np.concatenate([rot, trans[:, :, None]], axis=2).reshape(s, 12)
+    out = np.empty((s, 24))
+    out[:, 0] = 1.0
+    np.multiply(p, -2.0, out=out[:, 1:13])
+    gram = p[:, _GRAM_LEFT]
+    gram *= p[:, _GRAM_RIGHT]
+    np.multiply(gram.reshape(s, 3, 10).sum(axis=1), _GRAM_SCALE, out=out[:, 13:23])
+    # The window.  Let u = 2**-53, gamma_k = ku/(1 - ku), g = gate, X the
+    # exact |R a + t - b|^2 of the float R, t, a, b, and per model
+    # V = |R| max|a| + |t| + max|b|, per axis, and N = |V|, at most the
+    # largest |[R | t]| . reach + b_reach of the models fitted together.
+    # * The estimate E: c @ F errs from the exact sum of the rounded
+    #   products by gamma_23 sum|c_k||f_k| in any summation order, with or
+    #   without FMA (Higham, ch. 3).  Each f_k, and each c_k, is exact or
+    #   within gamma_3 of its exact value, relative to the same sums over
+    #   |a|, |b|, |R| and |t|.  Over those absolute values the expansion
+    #   sums to | |R||a| + |t| + |b| |^2 <= N^2, so |E - X| <= gamma_30 N^2
+    #   <= 31u N^2.
+    # * Today's T (``_squared_residuals``, any BLAS kernel): each
+    #   coordinate d_i = (R a)_i + t_i - b_i errs by gamma_5 V_i, so
+    #   |d - D| <= e1 = gamma_5 N for the exact residual D, and the squares
+    #   and sums put T within gamma_3 of |d|^2.
+    # E <= g - W gives X <= g - W + 31u N^2 and T <= (1 + gamma_3)
+    # (sqrt(X) + e1)^2, which is at most g when W >= 31u N^2 + 3.01u g +
+    # 10.1u N sqrt(g) + e1^2 (if e1 > sqrt(g), this W exceeds g plus the
+    # estimate's error, and no E is that low).  E > g + W gives
+    # T >= (1 - gamma_3)(sqrt(X) - e1)^2 > g under the same W.  That W is
+    # at most 32u N^2 + 4u g + 11u N sqrt(g); twice it, at most
+    # 80u (N^2 + g), covers computing W and the limits in float64, and
+    # tiny, with that slack, covers underflow.
+    n = float((np.abs(p) @ reach).max(initial=0.0)) + b_reach
+    out[:, 23] = 80.0 * 2.0 ** -53 * (n * n + gate) + sys.float_info.min
+    return out
+
+
+def _scored(rot, trans, models, feats, at, bt, gate: float, floor: int):
+    """Inlier masks and counts of a chunk of models, (S, n) and (S,).
+
+    A count above ``floor`` and its mask are those of
+    ``_squared_residuals(rot, trans, at, bt) <= gate``; a count at or below
+    it bounds the exact count from above.  They come from the scoring
+    product ``models @ feats`` of the models' ``_coefficients`` rows,
+    decided with the widest window of the chunk, which decides less than
+    each model's own.  All of a model's inliers estimate at or below
+    gate + W, so if no model has more than ``floor`` such entries, those
+    are returned.  Otherwise, if no estimate lies within the window, the
+    entries at or below gate - W are exactly the inliers; if one does, or
+    ``feats`` is None, the chunk is scored with ``_squared_residuals``.
+    """
+    if feats is not None:
+        est = models[:, :23] @ feats
+        w = float(models[:, 23].max())
+        masks = est <= gate + w
+        counts = masks.view(np.uint8).sum(axis=1, dtype=np.uint32)
+        if counts.max() <= floor:
+            return masks, counts
+        masks = est <= gate - w
+        if np.count_nonzero(masks) == counts.sum():
+            return masks, counts
+    masks = _squared_residuals(rot, trans, at, bt) <= gate
+    return masks, masks.sum(axis=1)
 
 
 def required_iterations(confidence: float, inlier_fraction: float,
@@ -424,6 +544,10 @@ def ransac_register(src_points: Points, dst_points: Points,
     # the residuals' target rows, contiguous, and the squared inlier gate
     bt = np.ascontiguousarray(b.T)
     gate = _squared_gate(cfg.inlier_threshold)
+    # the scoring product's table, and the coordinate bounds of its windows
+    a_max, b_max = np.abs(a).max(axis=0), np.abs(b).max(axis=0)
+    feats = _features(a, b) if max(a_max.max(), b_max.max()) <= _ESTIMATE_RANGE else None
+    reach, b_reach = np.tile(np.append(a_max, 1.0), 3), float(b_max.sum())
     sample_rng = np.random.default_rng(cfg.seed).spawn(1)[0]
     # uniform sampling is the empty schedule over unranked input
     growth = _prosac_growth(n) if cfg.use_prosac else np.empty(0, dtype=np.int64)
@@ -441,19 +565,22 @@ def ransac_register(src_points: Points, dst_points: Points,
         idx = _sample_block(growth, n, t + 1, size, sample_rng)
         pending = _elc_live(a, b, idx, cfg.elc_tolerance) \
             if cfg.rejection == "elc" else np.arange(size)
-        # the fitted survivors with a proper fit, in iteration order
+        # the fitted survivors with a proper fit, in iteration order, and
+        # their scoring rows
         live = np.empty(0, dtype=np.int64)
-        rot, trans = np.empty((0, 3, 3)), np.empty((0, 3))
+        rot, trans, models = np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 24))
 
         def fit(count):
             # fit the next count elc survivors, keeping the proper fits
-            nonlocal pending, live, rot, trans
+            nonlocal pending, live, rot, trans, models
             pick, pending = pending[:count], pending[count:]
             if not len(pick):
                 return
             r, tr, ok = _fit_rigid(a[idx[pick]], b[idx[pick]])
+            r, tr = r[ok], tr[ok]
             live = np.concatenate([live, pick[ok]])
-            rot, trans = np.concatenate([rot, r[ok]]), np.concatenate([trans, tr[ok]])
+            rot, trans = np.concatenate([rot, r]), np.concatenate([trans, tr])
+            models = np.concatenate([models, _coefficients(r, tr, reach, b_reach, gate)])
 
         # walk the survivors in iteration order, scoring them chunk by chunk;
         # a survivor is fitted only once a chunk needs it: one chunk first,
@@ -469,8 +596,9 @@ def ransac_register(src_points: Points, dst_points: Points,
             while len(live) < c + _SCORE_CHUNK and len(pending):
                 fit(c + _SCORE_CHUNK - len(live))
             chunk = slice(c, c + _SCORE_CHUNK)
-            masks = _squared_residuals(rot[chunk], trans[chunk], a.T, bt) <= gate
-            for k, count in enumerate(masks.sum(axis=1).tolist()):
+            masks, counts = _scored(rot[chunk], trans[chunk], models[chunk], feats,
+                                    a.T, bt, gate, best.inlier_count)
+            for k, count in enumerate(counts.tolist()):
                 it = t + 1 + int(live[c + k])
                 if it > required:
                     break

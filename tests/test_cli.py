@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from lidarreg.benchgen import SelectorConfig
+from lidarreg import io
 from lidarreg.cli import main
 from lidarreg.geom import EulerAngles, GimbalLockError, RigidMotion, from_euler
 from lidarreg.io import (
@@ -439,10 +441,70 @@ def test_threads_do_not_change_the_output(traj_dir, pair_list,
 
 def test_worker_errors_cross_the_process_boundary(traj_dir, pair_list,
                                                   tmp_path, capsys):
+    # every pair's cloud is unreadable: each becomes an error row, exit 3
+    out = tmp_path / "rows.jsonl"
     assert main(["register", "--pairs", str(pair_list),
                  "--cloud-dir", str(tmp_path), "--desc-dir", str(traj_dir),
-                 "--threads", "2"]) == 2
+                 "--threads", "2", "--out", str(out)]) == 3
     assert "unreadable" in capsys.readouterr().err
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 6
+    assert all(row["status"] == "error" and "unreadable" in row["error"]
+               for row in rows)
+
+
+def test_a_failing_pair_is_an_error_row_and_the_batch_goes_on(
+        traj_dir, pair_list, tmp_path, capsys):
+    # 40 pairs, one of them from a frame that is cut to two points, too
+    # few for RANSAC; the other 39 rows keep the bytes of a run over the
+    # intact frame
+    data = tmp_path / "data"
+    shutil.copytree(traj_dir, data)
+    records = read_pair_list(pair_list)
+    listed = [records[i % len(records)] for i in range(40)]
+    bad = 17
+    frame = data / "drive0" / f"{listed[bad].src:06d}"
+    for suffix in (".ply", ".fdsc"):
+        shutil.copy(frame.with_suffix(suffix), data / "drive0" / f"{99:06d}{suffix}")
+    listed[bad] = replace(listed[bad], src=99)
+    pairs = tmp_path / "pairs.csv"
+    write_pair_list(pairs, listed)
+
+    def run(name):
+        out = tmp_path / name
+        code = main(["register", "--pairs", str(pairs), "--cloud-dir", str(data),
+                     "--desc-dir", str(data), "--seed", "7", "--timing", "off",
+                     "--threads", "2", "--out", str(out)])
+        return code, out.read_bytes().splitlines()
+
+    code, intact = run("intact.jsonl")
+    assert code == 0 and len(intact) == 40
+    io.write_cloud_ply(data / "drive0" / f"{99:06d}.ply", np.zeros((2, 3)))
+    io.write_descriptors(data / "drive0" / f"{99:06d}.fdsc", np.zeros((2, 16)))
+    capsys.readouterr()
+    code, rows = run("cut.jsonl")
+    assert code == 3
+    assert len(rows) == 40
+    assert rows[:bad] + rows[bad + 1:] == intact[:bad] + intact[bad + 1:]
+    row, want = json.loads(rows[bad]), json.loads(intact[bad])
+    assert row.pop("status") == "error"
+    assert row.pop("error") == "need at least 3 correspondences, got 2"
+    assert row == {k: want[k] for k in row}
+    assert set(row) == {"sequence_id", "src", "tgt", "distance", "overlap", "yaw",
+                        "pitch", "roll", "dt"}
+    err = capsys.readouterr().err
+    assert err == (f"error: pair drive0 99->{listed[bad].tgt}: "
+                   "need at least 3 correspondences, got 2\n")
+    # eval counts the error row as a failure and bins it
+    assert main(["eval", "--records", str(tmp_path / "cut.jsonl"),
+                 "--out-dir", str(tmp_path / "report")]) == 0
+    printed = capsys.readouterr().out
+    assert "error_rows=1" in printed
+    assert float(printed.split("recall=")[1].split()[0]) <= 39 / 40
+    lines = (tmp_path / "report" / "failure_overlap.csv").read_text().splitlines()
+    assert sum(int(line.split(",")[3]) for line in lines[1:]) >= 1
+    assert sum(int(line.split(",")[2]) + int(line.split(",")[3])
+               for line in lines[1:]) == 40
 
 
 # ---------------------------------------------------------------------------

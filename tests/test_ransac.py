@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,21 +18,26 @@ from lidarreg.match import Correspondences
 from lidarreg.metrics import rotation_error, translation_error
 from lidarreg.ransac import (
     _BLOCK,
+    _ESTIMATE_RANGE,
     _LO_ANNEAL,
     _LO_MIN_SAMPLE,
     _MAX_BLOCK,
+    _SCORE_CHUNK,
     REJECTIONS,
     SAMPLE_SIZE,
     DegenerateSampleError,
     Hypothesis,
     RansacConfig,
     RegistrationResult,
+    _coefficients,
     _distinct_rows,
     _elc_live,
+    _features,
     _fit_rigid,
     _lo_step,
     _prosac_growth,
     _sample_block,
+    _scored,
     _squared_gate,
     _squared_residuals,
     elc_check,
@@ -948,3 +954,204 @@ def test_kabsch_refuses_arrays_that_are_not_n_by_3():
         kabsch(p, p)
     with pytest.raises(ValueError, match=r"\(4, 3, 1\)"):
         kabsch(np.ones((4, 3)), np.ones((4, 3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the scoring product, its windows and the exact fallback
+# ---------------------------------------------------------------------------
+
+def scoring_inputs(rot, trans, a, b, gate):
+    """The run's feature table and the models' coefficient rows, as
+    ``ransac_register`` makes them."""
+    a_max, b_max = np.abs(a).max(axis=0), np.abs(b).max(axis=0)
+    reach = np.tile(np.append(a_max, 1.0), 3)
+    return _features(a, b), _coefficients(rot, trans, reach, float(b_max.sum()), gate)
+
+
+def mapped_rows(rot, trans, at):
+    """(S, 3, n): each (R a)_i + t_i rounded as ``_squared_residuals`` rounds it."""
+    return np.stack([np.matmul(rot[:, i, :], at) + trans[:, i, None] for i in range(3)],
+                    axis=1)
+
+
+def plant_at_the_gate(seed, offset, per_target=4, background=96):
+    """A chunk of models and correspondences whose squared residuals, as
+    ``_squared_residuals`` computes them, sit exactly at the gate and at
+    the floats on either side of it.
+
+    The source cloud lies about (offset, offset, 0).  For each model, 3 x
+    ``per_target`` entries are planted: a point mapped near z = 0, where
+    the floats are fine enough to step the residual one float at a time,
+    and a target whose residual lands on its target value.  The
+    background holds inliers of model 0, well inside the gate, and
+    outliers.  Returns rot, trans, a, b, the owners, planted entries and
+    their target values.
+    """
+    rng = np.random.default_rng([seed, int(offset)])
+    gate = _squared_gate(0.6)
+    targets = (math.nextafter(gate, 0.0), gate, math.nextafter(gate, math.inf))
+    center = np.array([offset, offset, 0.0])
+    rot = np.stack([random_rotation(rng) for _ in range(_SCORE_CHUNK)])
+    trans = center - rot @ center + rng.normal(scale=0.5, size=(_SCORE_CHUNK, 3))
+    owner = np.repeat(np.arange(_SCORE_CHUNK), 3 * per_target)
+    want = np.tile(np.repeat(targets, per_target), _SCORE_CHUNK)
+    k = len(owner)
+    y = center + rng.uniform(-20.0, 20.0, size=(k, 3))
+    y[:, 2] = rng.uniform(-1.0, 1.0, size=k)
+    a = np.concatenate([np.einsum("kji,kj->ki", rot[owner], y - trans[owner]),
+                        center + rng.uniform(-20.0, 20.0, size=(background, 3))])
+    q = mapped_rows(rot, trans, a.T)
+    b = center + rng.uniform(-20.0, 20.0, size=(len(a), 3))
+    b[k:k + background // 2] = q[0, :, k:k + background // 2].T \
+        + rng.normal(scale=0.1, size=(background // 2, 3))
+    for j in range(k):
+        qj, target = q[owner[j], :, j], float(want[j])
+        while True:
+            # x and y carry all but 0.05**2 of the target; z is then
+            # stepped one float at a time until the rounded sum hits it
+            d = rng.normal(size=2)
+            d *= math.sqrt(target - 0.0025) / np.linalg.norm(d)
+            b01 = qj[:2] - d
+            e01 = qj[:2] - b01
+            s01 = e01[0] * e01[0] + e01[1] * e01[1]
+            start = qj[2] - math.sqrt(target - s01)
+            cands = start + np.arange(-64, 65) * np.spacing(start)
+            e2 = qj[2] - cands
+            hit = np.flatnonzero(s01 + e2 * e2 == target)
+            if len(hit):
+                b[j] = (b01[0], b01[1], cands[hit[0]])
+                break
+    return rot, trans, a, b, owner, np.arange(k), want
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+def test_scoring_at_the_gate_equals_the_residual_pass(offset, monkeypatch):
+    rot, trans, a, b, owner, planted, want = plant_at_the_gate(61, offset)
+    gate = _squared_gate(0.6)
+    bt = np.ascontiguousarray(b.T)
+    sq = _squared_residuals(rot, trans, a.T, bt)
+    assert np.array_equal(sq[owner, planted], want)
+    assert len(np.unique(want)) == 3
+    ref = sq <= gate
+    feats, models = scoring_inputs(rot, trans, a, b, gate)
+    passes = []
+
+    def spy(*args):
+        passes.append(args[0].shape)
+        return _squared_residuals(*args)
+
+    monkeypatch.setattr(ransac_module, "_squared_residuals", spy)
+    # the whole chunk, and each model alone, with every count exact; a
+    # chunk's reference is the residual pass over that chunk, whose BLAS
+    # product may round differently for another number of models
+    for rows in [slice(None)] + [slice(s, s + 1) for s in range(_SCORE_CHUNK)]:
+        want_masks = _squared_residuals(rot[rows], trans[rows], a.T, bt) <= gate
+        passes.clear()
+        masks, counts = _scored(rot[rows], trans[rows], models[rows], feats, a.T, bt,
+                                gate, -1)
+        assert np.array_equal(masks, want_masks)
+        assert np.array_equal(counts, want_masks.sum(axis=1))
+        # planted entries lie within every window, so the chunk is scored
+        # by the residual pass
+        assert passes == [rot[rows].shape]
+    # with a floor above every count, the counts only bound the exact ones
+    passes.clear()
+    masks, counts = _scored(rot, trans, models, feats, a.T, bt, gate, len(a))
+    assert passes == []
+    assert np.all(counts >= ref.sum(axis=1)) and np.all(masks >= ref)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+def test_scoring_away_from_the_gate_needs_no_residual_pass(offset, monkeypatch):
+    # the same chunk with every planted target moved 0.1 m further away
+    rot, trans, a, b, owner, planted, want = plant_at_the_gate(62, offset)
+    q = mapped_rows(rot, trans, a.T)[owner, :, planted]
+    b[planted] = q + (b[planted] - q) * (1.0 + 0.1 / math.sqrt(0.36))
+    gate = _squared_gate(0.6)
+    bt = np.ascontiguousarray(b.T)
+    ref = _squared_residuals(rot, trans, a.T, bt) <= gate
+    feats, models = scoring_inputs(rot, trans, a, b, gate)
+    monkeypatch.setattr(ransac_module, "_squared_residuals", None)
+    masks, counts = _scored(rot, trans, models, feats, a.T, bt, gate, -1)
+    assert np.array_equal(masks, ref)
+    assert np.array_equal(counts, ref.sum(axis=1))
+    assert counts[0] >= 48
+
+
+def offset_scene(seed, offset, frac):
+    src, dst, corrs, labels, truth = make_planted(
+        np.random.default_rng([seed, 63]), n=300, frac=frac, sigma=0.3)
+    shift = np.array([offset, -offset, 0.5 * offset])
+    return src + shift, dst + shift, corrs
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+def test_engine_counts_equal_the_chunk_by_chunk_residual_pass(offset, monkeypatch):
+    # every chunk the engine scores is checked against the residual pass,
+    # and the whole result against a run that scores every chunk with it
+    chunks = []
+
+    def checked(rot, trans, models, feats, at, bt, gate, floor):
+        masks, counts = _scored(rot, trans, models, feats, at, bt, gate, floor)
+        ref = _squared_residuals(rot, trans, at, bt) <= gate
+        exact = ref.sum(axis=1)
+        above = counts > floor
+        assert np.array_equal(masks[above], ref[above])
+        assert np.array_equal(counts[above], exact[above])
+        assert np.all(counts >= exact)
+        chunks.append(above.any())
+        return masks, counts
+
+    for seed, frac in ((0, 0.1), (1, 0.3)):
+        src, dst, corrs = offset_scene(seed, offset, frac)
+        for rejection, prosac, lo in (("elc", True, True), ("none", False, False)):
+            cfg = engine_cfg(max_iterations=3000, seed=seed, rejection=rejection,
+                             use_prosac=prosac, use_lo=lo)
+            with monkeypatch.context() as m:
+                m.setattr(ransac_module, "_scored", checked)
+                got = ransac_register(src, dst, corrs, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(ransac_module, "_ESTIMATE_RANGE", -1.0)
+                want = ransac_register(src, dst, corrs, cfg)
+            assert result_key(got) == result_key(want), (seed, rejection)
+    assert len(chunks) > 100 and any(chunks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coordinates_past_the_estimate_range_are_scored_by_the_residual_pass(
+        monkeypatch):
+    src, dst, corrs = offset_scene(2, 0.0, 0.3)
+    far = 4.0 * _ESTIMATE_RANGE
+    passes = []
+
+    def spy(*args):
+        passes.append(args[0].ndim)
+        return _squared_residuals(*args)
+
+    monkeypatch.setattr(ransac_module, "_squared_residuals", spy)
+    res = ransac_register(src * far, dst * far, corrs,
+                          engine_cfg(inlier_threshold=0.6 * far, elc_tolerance=0.6 * far))
+    assert 3 in passes
+    assert res.inlier_count > 0
+
+
+def test_a_full_block_of_unscreened_models_holds_a_bounded_working_set(monkeypatch):
+    # rejection "none" fits all 4096 samples of one block at once.  The
+    # coefficient rows grow with the models and the scoring product with a
+    # chunk, never with models x correspondences (one (4096, 5000) float64
+    # array alone is 164 MB).  Peak 5.5 MB with numpy 2.4, against 3.1 MB
+    # for scoring by the residual pass alone.
+    monkeypatch.setattr(ransac_module, "_BLOCK", _MAX_BLOCK)
+    src, dst, corrs, labels, truth = make_planted(
+        np.random.default_rng(64), n=5000, frac=0.02, sigma=0.2)
+    cfg = engine_cfg(max_iterations=_MAX_BLOCK, rejection="none", use_prosac=False,
+                     use_lo=False)
+    ransac_register(src, dst, corrs, cfg)       # warm
+    tracemalloc.start()
+    try:
+        res = ransac_register(src, dst, corrs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations_run == _MAX_BLOCK
+    assert peak < 8e6
