@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geom import Points
+from .geom import Points, _cloud
 from .match import Correspondences
 
 __all__ = [
@@ -85,7 +85,7 @@ def grid_assign(src_points: Points, corrs: Correspondences, grid_m: int) -> NDAr
     """
     if grid_m < 1:
         raise ValueError(f"grid_m must be >= 1, got {grid_m}")
-    xy = np.asarray(src_points, dtype=np.float64)[corrs.src][:, :2]
+    xy = _cloud(src_points, "src_points")[corrs.src, :2]
     lo = xy.min(axis=0)
     span = xy.max(axis=0) - lo
     # a zero-extent axis has every offset 0, so any width maps it to 0
@@ -127,6 +127,7 @@ def gpf(src_points: Points, corrs: Correspondences, cfg: GpfConfig) -> Correspon
     match first within each.  When the budget exceeds the number of
     matches the input comes back whole (cell-ordered).
     """
+    src_points = _cloud(src_points, "src_points")
     if len(corrs) == 0:
         raise ValueError("no correspondences to filter")
     r = target_count(corrs, cfg)

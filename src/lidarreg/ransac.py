@@ -18,9 +18,12 @@ far, up to ``_MAX_BLOCK``, so short runs keep small blocks and long runs
 pay the per-block numpy overhead rarely.  A block's minimal samples are
 drawn in one call and screened by elc one edge at a time.  The survivors
 are then walked in iteration order and scored ``_SCORE_CHUNK`` models per
-product, each fitted by a stacked SVD just before its chunk is scored:
-one chunk first, then every survivor up to the current adaptive bound,
-so a run that stops early fits little past its stopping iteration.
+product, each fitted just before its chunk is scored: one chunk first,
+then every survivor up to the current adaptive bound (in one call when
+the block starts with a bound), so a run that stops early fits little
+past its stopping iteration.  The fit is a closed-form Kabsch for three
+points (``_fit_rigid``), elementwise over the stack, with no BLAS or
+LAPACK call, so each model is the same float on any BLAS kernel.
 Local optimization, adaptive stopping and the reported counters
 (``iterations_run``, ``hypotheses_rejected_fast``, ``best_history``) are
 exactly those of a loop that handles one sample per iteration and stops
@@ -43,13 +46,13 @@ to the residual pass, which also scores local optimization.  Elc sums each
 edge from the coordinate rows ``a.T``, one coordinate at a time, to the
 same float as a sum over the point's row.  With a fixed seed the whole
 run is deterministic.
-``Generator.integers`` with array bounds draws its values one after the
-other, row by row, from the bit generator, so a block's draws are the
-next ones of the stream wherever the block starts or ends: the block
-sizes change no result.  The local optimizer draws nothing, so toggling
-it does not change which minimal samples are drawn.  The draws are fixed
-by the seed, but they are not the draws of versions that sampled one
-hypothesis at a time.
+Each index of a sample is drawn from one double of ``Generator.random``,
+row by row, so a block's draws are the next ones of the stream wherever
+the block starts or ends: the block sizes change no result.  The local
+optimizer draws nothing, so toggling it does not change which minimal
+samples are drawn.  The draws are fixed by the seed, but they are not the
+draws of versions that sampled one hypothesis at a time, nor of those
+that drew with ``Generator.integers``.
 """
 
 from __future__ import annotations
@@ -105,35 +108,105 @@ def kabsch(src_pts: Points, dst_pts: Points) -> RigidMotion:
         raise ValueError(f"point counts differ: {len(p)} vs {len(q)}")
     if len(p) < SAMPLE_SIZE:
         raise ValueError(f"need at least {SAMPLE_SIZE} point pairs, got {len(p)}")
-    rot, trans, ok = _fit_rigid(p[None], q[None])
-    if not ok[0]:
+    # the means as one product with uniform weights, not p.mean(), whose
+    # summation rounds differently
+    w = np.full(len(p), 1.0 / len(p))
+    cp, cq = w @ p, w @ q
+    # the proper rotation maximizing tr(R h)
+    u, s, vt = np.linalg.svd((p - cp).T @ ((q - cq) * w[:, None]))
+    if not s[1] > 1e-9 * max(s[0], 1e-300):
         raise DegenerateSampleError("sample covariance has rank < 2")
-    return RigidMotion(rot[0], trans[0])
+    rot = vt.T @ u.T
+    if np.linalg.det(rot) < 0.0:
+        # reflection: negate the axis of the smallest singular value
+        vt[-1] *= -1.0
+        rot = vt.T @ u.T
+    return RigidMotion(rot, cq - rot @ cp)
+
+
+def _outer_sum(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
+    """sum_k x[k] y[k]^T over stacks of columns: x, y (3, 3, S), out[i, j]
+    summed over k = 0, 1, 2 in that order, each row of the stack alone."""
+    prod = x[:, :, None] * y[:, None, :]
+    out = prod[0] + prod[1]
+    out += prod[2]
+    return out
 
 
 def _fit_rigid(p: NDArray[np.float64], q: NDArray[np.float64]):
-    """Stacked Kabsch over S point sets of k points each.
+    """Stacked Kabsch over S three-point samples, in closed form.
 
-    ``p`` and ``q`` are (S, k, 3).  Returns rotations (S, 3, 3),
-    translations (S, 3) and a mask of the fits whose centered source spans
-    at least two dimensions; the other rows hold an arbitrary rotation.
+    ``p`` and ``q`` are (S, 3, 3), one row per corner.  Returns rotations
+    (S, 3, 3), translations (S, 3) and a mask of the fits whose centered
+    source spans at least two dimensions (s2 > 1e-9 s1, as ``kabsch``
+    tests it); the other rows hold the identity and the translation of the
+    means.  The rotation is ``kabsch``'s in real arithmetic, from
+    elementwise products summed in a fixed order over (3, 3, S) component
+    arrays: each row is the same float for any stack it is fitted in, and
+    no BLAS kernel or LAPACK call touches it.
     """
-    # the means as one product with uniform weights, not p.mean(), whose
-    # summation rounds differently
-    w = np.full(p.shape[1], 1.0 / p.shape[1])
-    cp, cq = w @ p, w @ q
-    h = np.swapaxes(p - cp[:, None], 1, 2) @ ((q - cq[:, None]) * w[:, None])
-    # the proper rotations maximizing tr(R h)
-    u, s, vt = np.linalg.svd(h)
-    ok = s[:, 1] > 1e-9 * np.maximum(s[:, 0], 1e-300)
-    ut = np.swapaxes(u, 1, 2)
-    rot = np.swapaxes(vt, 1, 2) @ ut
-    flip = np.linalg.det(rot) < 0.0
-    if flip.any():
-        # reflection: negate the axis of the smallest singular value
-        vt[flip, -1, :] *= -1.0
-        rot[flip] = np.swapaxes(vt[flip], 1, 2) @ ut[flip]
-    return rot, cq - (rot @ cp[..., None])[..., 0], ok
+    # x[0] and x[1] hold the source and target corners, x[., k, i] is
+    # coordinate i of corner k, over the stack
+    x = np.stack([p, q]).transpose(0, 2, 3, 1).copy()
+    xw = x * (1.0 / 3.0)
+    c = xw[:, 0] + xw[:, 1]
+    c += xw[:, 2]
+    x -= c[:, None]
+    # Each sample's centered corners scaled so their largest magnitude is
+    # in [1/2, 1): a power of two, so exact but for entries below 2**-1000
+    # of the largest, which no sum below keeps, and the cubic terms stay in
+    # range at any coordinate scale.  Positive scalings change no rotation.
+    exponent = np.frexp(np.abs(x).max(axis=(1, 2)))[1]
+    x = np.ldexp(x, -exponent[:, None, None])
+    # The closed form.  With p2 = -p0 - p1, the cross-covariance of the
+    # centered corners is H = sum_k p_k q_k^T = [p0 p1] M [q0 q1]^T with
+    # M = [[2, 1], [1, 2]], of rank <= 2: H = U diag(s1, s2, 0) V^T, and
+    # Kabsch's proper rotation maximizing tr(R H) is V diag(1, 1, e) U^T,
+    # e = det(V U^T).
+    # * tau = |H|_F^2 = s1^2 + s2^2, and s1 s2 = det M |n_p| |n_q| = d for
+    #   the triangle normals n_p = p0 x p1 and n_q = q0 x q1.  So
+    #   S = sqrt(tau + 2d) = s1 + s2 and s1^2 = (tau + sqrt(tau^2 - 4d^2))/2.
+    # * (tau + d) H^T - H^T H H^T = V diag(s (tau + d - s^2)) U^T over
+    #   s = s1, s2, 0, that is S d V diag(1, 1, 0) U^T.
+    # * u3 and v3 are the planes' unit normals.  In the bases (p0, p1) and
+    #   (q0, q1), H^T restricted to the source plane is M [p0 p1]^T [p0 p1],
+    #   of determinant 3 |n_p|^2 > 0, so H^T, and with it the in-plane part
+    #   V diag(1, 1, 0) U^T, keeps the orientation that n_p and n_q give
+    #   the planes, and the proper rotation maps n_p onto n_q:
+    #   e v3 u3^T = n_q n_p^T / (|n_q| |n_p|) = 3 S n_q n_p^T / (S d).
+    # R = [(tau + d) H^T - H^T H H^T + 3 S n_q n_p^T] / (S d).  s2 > 1e-9 s1
+    # is d > 1e-9 s1^2; the rows that fail it are the identity.
+    h = _outer_sum(x[0], x[1])
+    ht = h.transpose(1, 0, 2)
+    g = _outer_sum(h, h)                     # H^T H
+    tau = g[0, 0] + g[1, 1]
+    tau += g[2, 2]
+    # n_p and n_q from corners 0 and 1, their coordinates repeated so
+    # that coordinates i + 1 and i + 2 are slices
+    rep = np.concatenate([x[:, :2], x[:, :2, :2]], axis=2)
+    n = rep[:, 0, 1:4] * rep[:, 1, 2:5]
+    n -= rep[:, 0, 2:5] * rep[:, 1, 1:4]
+    sq = n * n
+    norm = sq[:, 0] + sq[:, 1]
+    norm += sq[:, 2]
+    np.sqrt(norm, out=norm)
+    d = 3.0 * norm[0] * norm[1]
+    s = np.sqrt(tau + 2.0 * d)
+    root = tau * tau - 4.0 * d * d
+    np.maximum(root, 0.0, out=root)
+    ok = d > 1e-9 * ((tau + np.sqrt(root)) / 2.0)
+    rot = (tau + d) * ht
+    rot -= _outer_sum(g, ht)
+    rot += (3.0 * s) * n[1][:, None] * n[0][None, :]
+    rot /= np.where(ok, s * d, 1.0)
+    if not ok.all():
+        rot[:, :, ~ok] = np.eye(3)[:, :, None]
+    # t = c_q - R c_p
+    prod = rot * c[0]
+    rc = prod[:, 0] + prod[:, 1]
+    rc += prod[:, 2]
+    return (np.ascontiguousarray(rot.transpose(2, 0, 1)),
+            np.ascontiguousarray((c[1] - rc).T), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +440,18 @@ def _distinct_rows(rng: np.random.Generator, pop: NDArray[np.int64],
     [0, pop[i]).  Rows flagged in ``newest`` start with pop[i] - 1 and draw
     the rest uniformly below it.
 
-    The j-th draw of a row is uniform over the pop[i] - j values not yet
-    taken and is mapped onto them, so no row is ever redrawn.
+    The j-th draw of a row is uniform over the b = pop[i] - j values not
+    yet taken and is mapped onto them, so no row is ever redrawn.  It is
+    floor(u b) of the next double u of ``rng.random``, so a row's draws are
+    the next three values of the stream, wherever its block starts.  u is
+    a multiple of 2**-53 below 1, so each value takes within a few of
+    2**53 / b of them: a bias of order b / 2**53.  For an integer b < 2**53
+    the largest product, (1 - 2**-53) b, lies within half a spacing of the
+    float below b (exactly on it when b is a power of two), so it rounds to
+    that float, and rounding is monotone: every draw is below its bound.
     """
-    rows = rng.integers(0, pop[:, None] - np.arange(SAMPLE_SIZE),
-                        size=(len(pop), SAMPLE_SIZE))
+    bounds = pop[:, None] - np.arange(SAMPLE_SIZE)
+    rows = (rng.random((len(pop), SAMPLE_SIZE)) * bounds).astype(np.int64)
     rows[newest, 0] = pop[newest] - 1
     r0, r1, r2 = rows.T
     r1 += r1 >= r0
@@ -510,8 +590,9 @@ class RegistrationResult:
     evaluated in blocks that grow with the run: samples drawn past the
     stopping iteration are neither counted nor scored, and no field
     depends on the block sizes.  ``wall_time`` is the only field that is
-    not reproducible run to run; the rest is fixed by the seed, though not
-    equal to what versions that drew one sample at a time returned.
+    not reproducible run to run; the rest is fixed by the seed.  It is not
+    what versions that drew one sample at a time, drew with
+    ``Generator.integers`` or fitted hypotheses by SVD returned.
     """
 
     motion: RigidMotion
@@ -533,8 +614,8 @@ def ransac_register(src_points: Points, dst_points: Points,
     if n < SAMPLE_SIZE:
         raise ValueError(f"need at least {SAMPLE_SIZE} correspondences, got {n}")
 
-    a = np.asarray(src_points, dtype=np.float64)[corrs.src]
-    b = np.asarray(dst_points, dtype=np.float64)[corrs.dst]
+    a = _cloud(src_points, "src_points")[corrs.src]
+    b = _cloud(dst_points, "dst_points")[corrs.dst]
     if cfg.use_prosac:
         order = priority_order(corrs)
         a, b = a[order], b[order]
@@ -585,9 +666,12 @@ def ransac_register(src_points: Points, dst_points: Points,
         # walk the survivors in iteration order, scoring them chunk by chunk;
         # a survivor is fitted only once a chunk needs it: one chunk first,
         # then every survivor up to the current bound, then past the bound
-        # only what completes a chunk that starts within it
+        # only what completes a chunk that starts within it.  A block that
+        # starts with a bound fits its first chunk and everything up to the
+        # bound in one call.
         last_gain = t
-        fit(_SCORE_CHUNK)
+        fit(_SCORE_CHUNK if required == cfg.max_iterations
+            else max(_SCORE_CHUNK, int(np.searchsorted(pending, required - t))))
         for c in itertools.count(0, _SCORE_CHUNK):
             if len(live) < c + _SCORE_CHUNK:
                 fit(int(np.searchsorted(pending, required - t)))

@@ -302,3 +302,13 @@ def test_gpf_empty_input_rejected():
     c = make_corrs(0, is_mnn=np.zeros(0, dtype=bool))
     with pytest.raises(ValueError):
         gpf(np.zeros((0, 3)), c, GpfConfig())
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_gpf_refuses_clouds_that_are_not_n_by_3(width):
+    pts = np.random.default_rng(9).uniform(0.0, 10.0, size=(40, width))
+    c = make_corrs(40, is_mnn=np.ones(40, dtype=bool))
+    with pytest.raises(ValueError, match=rf"\(40, {width}\)"):
+        gpf(pts, c, GpfConfig())
+    with pytest.raises(ValueError, match=rf"\(40, {width}\)"):
+        grid_assign(pts, c, 4)

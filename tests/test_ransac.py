@@ -214,6 +214,82 @@ def test_stacked_fit_rows_do_not_depend_on_the_stack(seed):
         assert np.concatenate(got).tobytes() == w.tobytes()
 
 
+def flat_triangle(rng, ratio, centre=(0.0, 0.0, 0.0), extent=10.0):
+    """A triangle (3, 3) whose centered corners have singular values in the
+    ratio sqrt(ratio), so that a rigid copy's cross-covariance has
+    s2/s1 = ratio, in a random orientation."""
+    frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
+    # orthonormal columns orthogonal to (1, 1, 1): the corners are centered
+    corners = np.column_stack([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) \
+        / [math.sqrt(2.0), math.sqrt(6.0)]
+    corners *= [extent, extent * math.sqrt(ratio)]
+    return corners @ frame.T + np.asarray(centre)
+
+
+def singular_ratio(p, q):
+    s = np.linalg.svd((p - p.mean(axis=0)).T @ (q - q.mean(axis=0)), compute_uv=False)
+    return s[1] / s[0]
+
+
+@pytest.mark.parametrize("kind", ["rigid", "noisy", "mirrored"])
+def test_closed_form_fit_equals_the_quaternion_oracle(kind):
+    # the closed form's rounding grows as s1/s2, as any fit's does
+    rng = np.random.default_rng([60, len(kind)])
+    ratios = np.repeat(np.logspace(-2, -8, 7), 20)
+    p = np.stack([flat_triangle(rng, r, centre=rng.uniform(-20.0, 20.0, 3))
+                  for r in ratios])
+    q = np.stack([apply(random_motion(rng), tri) for tri in p])
+    if kind == "noisy":
+        q += rng.normal(scale=1e-3, size=q.shape) * np.sqrt(ratios)[:, None, None]
+    elif kind == "mirrored":
+        q[:, :, 2] *= -1.0
+    rot, trans, ok = _fit_rigid(p, q)
+    assert ok.all()
+    for i in range(len(p)):
+        ratio = singular_ratio(p[i], q[i])
+        assert 0.3 * ratios[i] < ratio < 3.0 * ratios[i], i
+        r_o, t_o = horn_fit(p[i], q[i])
+        tol = 1e-14 / ratio
+        assert np.abs(rot[i] - r_o).max() <= tol, (i, ratio)
+        assert np.abs(trans[i] - t_o).max() <= 50.0 * tol, (i, ratio)
+        assert abs(np.linalg.det(rot[i]) - 1.0) <= 3.0 * tol, (i, ratio)
+
+
+def test_rank_test_splits_triangles_at_one_in_a_billion():
+    rng = np.random.default_rng(61)
+    for ratio, proper in ((0.95e-9, False), (1.05e-9, True)):
+        for _ in range(20):
+            p = flat_triangle(rng, ratio, centre=rng.uniform(-5.0, 5.0, 3))
+            q = apply(random_motion(rng), p)
+            assert abs(singular_ratio(p, q) / ratio - 1.0) < 0.01
+            rot, trans, ok = _fit_rigid(p[None], q[None])
+            assert ok[0] == proper
+            if proper:
+                kabsch(p, q)
+            else:
+                with pytest.raises(DegenerateSampleError):
+                    kabsch(p, q)
+                assert rot[0].tobytes() == np.eye(3).tobytes()
+
+
+@pytest.mark.parametrize("src_scale, dst_scale", [(500, 500), (-500, -500), (500, -500),
+                                                  (-500, 500)])
+def test_fit_at_extreme_scales_gives_finite_rotations(src_scale, dst_scale):
+    # each triangle is scaled on its own, so the rotation of a similar
+    # pair is the rotation that relates their shapes
+    rng = np.random.default_rng(62)
+    truth = [random_motion(rng) for _ in range(50)]
+    base = rng.uniform(-1.0, 1.0, size=(50, 3, 3))
+    p = np.ldexp(base, src_scale)
+    q = np.ldexp(np.stack([apply(m, tri) for m, tri in zip(truth, base)]), dst_scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rot, trans, ok = _fit_rigid(p, q)
+    assert ok.all() and np.isfinite(rot).all() and np.isfinite(trans).all()
+    for r, m in zip(rot, truth):
+        assert np.abs(r - m.rotation).max() < 1e-9
+
+
 def test_stacked_elc_equals_elc_check_per_row():
     rng = np.random.default_rng(41)
     p, q = random_triangle_pairs(rng, 400)
@@ -442,13 +518,33 @@ def test_distinct_rows_map_each_draw_onto_the_values_not_taken():
     # taken, so the rows follow from the raw draws alone
     pop = np.random.default_rng(44).integers(3, 7, size=2000)
     newest = np.arange(2000) % 3 == 0
-    raw = np.random.default_rng(45).integers(0, pop[:, None] - np.arange(3), size=(2000, 3))
+    raw = (np.random.default_rng(45).random((2000, 3))
+           * (pop[:, None] - np.arange(3))).astype(np.int64)
     rows = _distinct_rows(np.random.default_rng(45), pop, newest=newest)
     for row, draws, m, first in zip(rows.tolist(), raw.tolist(), pop.tolist(), newest):
         free = list(range(m))
         want = [free.pop(m - 1 if first else draws[0])]
         want += [free.pop(draws[1]), free.pop(draws[2])]
         assert row == want
+
+
+class LastDouble:
+    """A generator whose every double is the largest below 1."""
+
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0 ** -53)
+
+
+def test_distinct_rows_stay_below_their_bounds():
+    pop = np.array([3, 4, 5, 8, 9, 16, 1000, 1024, 2 ** 20, 2 ** 20 + 1, 2 ** 40,
+                    2 ** 52, 2 ** 52 + 3, 2 ** 53 - 1] * 300)
+    newest = np.arange(len(pop)) % 2 == 0
+    for rng in (np.random.default_rng(46), LastDouble()):
+        rows = _distinct_rows(rng, pop, newest)
+        assert (rows >= 0).all() and (rows < pop[:, None]).all()
+        assert all(len(set(row)) == 3 for row in rows.tolist())
+    # the largest double draws the last value not taken, each time
+    assert (rows == pop[:, None] - np.arange(1, 4)).all()
 
 
 def test_prosac_block_matches_schedule(monkeypatch):
@@ -954,6 +1050,15 @@ def test_kabsch_refuses_arrays_that_are_not_n_by_3():
         kabsch(p, p)
     with pytest.raises(ValueError, match=r"\(4, 3, 1\)"):
         kabsch(np.ones((4, 3)), np.ones((4, 3, 1)))
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_engine_refuses_clouds_that_are_not_n_by_3(width):
+    src, dst, corrs, _, _ = make_planted(np.random.default_rng(63), n=50)
+    with pytest.raises(ValueError, match=rf"src_points .*\({len(src)}, {width}\)"):
+        ransac_register(np.ones((len(src), width)), dst, corrs, engine_cfg())
+    with pytest.raises(ValueError, match=rf"dst_points .*\({len(dst)}, {width}\)"):
+        ransac_register(src, np.ones((len(dst), width)), corrs, engine_cfg())
 
 
 # ---------------------------------------------------------------------------
