@@ -12,19 +12,20 @@ be toggled independently:
   squares polishes it: a re-fit on its inliers, then re-fits on the
   correspondences within a threshold that shrinks to the inlier one.
 
-Hypotheses are evaluated in blocks that grow with the run: the first
-holds ``_BLOCK`` iterations, and each later one as many as have run so
-far, up to ``_MAX_BLOCK``, so short runs keep small blocks and long runs
-pay the per-block numpy overhead rarely.  A block's minimal samples are
-drawn in one call and screened by elc one edge at a time.  The survivors
-are then walked in iteration order and scored ``_SCORE_CHUNK`` models per
-product, each fitted just before its chunk is scored: one chunk first,
-then every survivor up to the current adaptive bound (in one call when
-the block starts with a bound), so a run that stops early fits little
-past its stopping iteration.  The fit is a closed-form Kabsch for three
-points (``_fit_rigid``), elementwise over the stack, with no BLAS or
-LAPACK call, so each model is the same float on any BLAS kernel.
-Local optimization, adaptive stopping and the reported counters
+Hypotheses are evaluated in blocks of at most ``_MAX_BLOCK`` iterations:
+from ``_BLOCK`` on, each as many as have run so far until a model sets
+the adaptive bound, and each up to that bound from then on, so short
+runs keep small blocks and long runs pay the per-block numpy overhead
+rarely.  A block's minimal samples are drawn in one call and screened by
+elc one edge at a time.  The survivors are then walked in iteration
+order and scored ``_SCORE_CHUNK`` models per product, each fitted just
+before its chunk is scored: one chunk first, then every survivor up to
+the current bound (all of a block's in one call when it starts with a
+bound), so a run that stops early fits little past its stopping
+iteration.  The fit is a closed-form Kabsch for three points
+(``_fit_rigid``), elementwise over the stack, with no BLAS or LAPACK
+call, so each model is the same float on any BLAS kernel.  Local
+optimization, adaptive stopping and the reported counters
 (``iterations_run``, ``hypotheses_rejected_fast``, ``best_history``) are
 exactly those of a loop that handles one sample per iteration and stops
 at the same iteration.
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -566,6 +568,9 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, "
+                             f"got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.confidence < 1.0:
@@ -587,12 +592,12 @@ class RegistrationResult:
     ``best_history`` records (iteration, inlier count, motion) at every
     improvement, which makes convergence studies cheap.  The counters are
     those of one hypothesis per iteration even though hypotheses are
-    evaluated in blocks that grow with the run: samples drawn past the
-    stopping iteration are neither counted nor scored, and no field
-    depends on the block sizes.  ``wall_time`` is the only field that is
-    not reproducible run to run; the rest is fixed by the seed.  It is not
-    what versions that drew one sample at a time, drew with
-    ``Generator.integers`` or fitted hypotheses by SVD returned.
+    evaluated in blocks: samples drawn past the stopping iteration are
+    neither counted nor scored, and no field depends on the block sizes.
+    ``wall_time`` is the only field that is not reproducible run to run;
+    the rest is fixed by the seed.  It is not what versions that drew one
+    sample at a time, drew with ``Generator.integers`` or fitted
+    hypotheses by SVD returned.
     """
 
     motion: RigidMotion
@@ -641,8 +646,11 @@ def ransac_register(src_points: Points, dst_points: Points,
     t = 0
 
     while t < cfg.max_iterations and t < required:
-        # iterations t+1 .. t+size; block position i is iteration t+1+i
-        size = min(max(_BLOCK, t), _MAX_BLOCK, cfg.max_iterations - t, required - t)
+        # iterations t+1 .. t+size; block position i is iteration t+1+i.
+        # Blocks double from _BLOCK until a bound exists, then run to it.
+        bounded = required < cfg.max_iterations
+        size = min(_MAX_BLOCK if bounded else max(_BLOCK, t), _MAX_BLOCK,
+                   cfg.max_iterations - t, required - t)
         idx = _sample_block(growth, n, t + 1, size, sample_rng)
         pending = _elc_live(a, b, idx, cfg.elc_tolerance) \
             if cfg.rejection == "elc" else np.arange(size)
@@ -665,20 +673,17 @@ def ransac_register(src_points: Points, dst_points: Points,
 
         # walk the survivors in iteration order, scoring them chunk by chunk;
         # a survivor is fitted only once a chunk needs it: one chunk first,
-        # then every survivor up to the current bound, then past the bound
-        # only what completes a chunk that starts within it.  A block that
-        # starts with a bound fits its first chunk and everything up to the
-        # bound in one call.
+        # then every survivor up to the current bound, and none past it.  A
+        # block that starts with a bound ends within it and fits all its
+        # survivors in one call.
         last_gain = t
-        fit(_SCORE_CHUNK if required == cfg.max_iterations
-            else max(_SCORE_CHUNK, int(np.searchsorted(pending, required - t))))
+        if not bounded:
+            fit(_SCORE_CHUNK)
         for c in itertools.count(0, _SCORE_CHUNK):
             if len(live) < c + _SCORE_CHUNK:
                 fit(int(np.searchsorted(pending, required - t)))
             if c >= len(live) or t + 1 + live[c] > required:
                 break
-            while len(live) < c + _SCORE_CHUNK and len(pending):
-                fit(c + _SCORE_CHUNK - len(live))
             chunk = slice(c, c + _SCORE_CHUNK)
             masks, counts = _scored(rot[chunk], trans[chunk], models[chunk], feats,
                                     a.T, bt, gate, best.inlier_count)

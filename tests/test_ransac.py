@@ -959,9 +959,10 @@ def result_key(res):
 
 
 def test_results_do_not_depend_on_the_block_schedule(monkeypatch):
-    # Generator.integers with array bounds draws row by row, so where a
-    # block starts or ends changes no draw and no result.  A 10% scene runs
-    # to a cap that ends mid-block; a 30% scene stops early mid-block.
+    # each index is drawn from one double of Generator.random, row by row,
+    # so where a block starts or ends changes no draw and no result.  A 10%
+    # scene runs to a cap that ends mid-block; a 30% scene stops early
+    # mid-block.
     scenes = [(make_planted(np.random.default_rng([seed, 24]), n=300, frac=frac,
                             sigma=0.2), cap)
               for seed, frac, cap in ((0, 0.1, 600), (1, 0.3, 3000))]
@@ -984,21 +985,69 @@ def test_results_do_not_depend_on_the_block_schedule(monkeypatch):
     assert stops == {"early_stop", "iteration_cap"}
 
 
-def test_blocks_start_at_the_first_size_and_stay_bounded(monkeypatch):
-    counts = []
+def recorded_blocks(monkeypatch, src, dst, corrs, cfg):
+    """The run's result and the (t, count) of each block it drew."""
+    blocks = []
     sample_block = ransac_module._sample_block
 
     def recording(growth, n, t, count, rng):
-        counts.append(count)
+        blocks.append((t - 1, count))
         return sample_block(growth, n, t, count, rng)
 
     monkeypatch.setattr(ransac_module, "_sample_block", recording)
+    return ransac_register(src, dst, corrs, cfg), blocks
+
+
+def test_blocks_start_at_the_first_size_and_stay_bounded(monkeypatch):
     src, dst, corrs, labels, truth = make_planted(
         np.random.default_rng(25), n=300, frac=0.05, sigma=0.2)
-    res = ransac_register(src, dst, corrs, engine_cfg(max_iterations=50_000))
+    res, blocks = recorded_blocks(monkeypatch, src, dst, corrs,
+                                  engine_cfg(max_iterations=50_000))
+    counts = [count for _, count in blocks]
     assert res.iterations_run == sum(counts) == 50_000
     assert counts[0] <= _BLOCK
     assert max(counts) == _MAX_BLOCK     # the run is long enough to reach it
+
+
+@pytest.mark.parametrize("prosac", [True, False])
+def test_blocks_run_to_the_bound_once_one_exists(prosac, monkeypatch):
+    # blocks double from _BLOCK only while no bound exists; after the first
+    # one, each block runs to the bound in effect where it starts.  With
+    # PROSAC the first bound comes while doubling would still draw small
+    # blocks; uniform sampling finds it within a block.
+    src, dst, corrs, labels, truth = make_planted(
+        np.random.default_rng(26), n=300, frac=0.05, sigma=0.1)
+    cap = 50_000
+    cfg = engine_cfg(max_iterations=cap, confidence=0.99, use_prosac=prosac)
+    res, blocks = recorded_blocks(monkeypatch, src, dst, corrs, cfg)
+    assert res.converged_by == "early_stop"
+    if prosac:
+        assert res.best_history[0][0] < _MAX_BLOCK // 4
+    assert sum(count for _, count in blocks) == res.iterations_run
+    bounded = 0
+    for t, count in blocks:
+        found = [c for it, c, _ in res.best_history if it <= t]
+        required = required_iterations(cfg.confidence, found[-1] / len(corrs), cap) \
+            if found else cap
+        if required < cap:
+            bounded += 1
+            assert count == min(_MAX_BLOCK, cap - t, required - t), (t, count)
+        else:
+            assert count == min(max(_BLOCK, t), _MAX_BLOCK, cap - t), (t, count)
+    assert bounded >= 3
+
+
+def test_blocks_double_while_no_bound_exists(monkeypatch):
+    # collinear correspondences never give a proper fit, so no model sets
+    # a bound and the blocks keep doubling up to _MAX_BLOCK
+    line = np.linspace(0.0, 50.0, 200)[:, None] * np.array([1.0, 2.0, 3.0])
+    n = len(line)
+    corrs = Correspondences(np.arange(n), np.arange(n), np.ones(n), np.ones(n),
+                            np.ones(n, dtype=bool))
+    res, blocks = recorded_blocks(monkeypatch, line, line + 1.0, corrs,
+                                  engine_cfg(max_iterations=10_000))
+    assert res.converged_by == "iteration_cap" and res.best_history == ()
+    assert [count for _, count in blocks] == [256, 256, 512, 1024, 2048, 4096, 1808]
 
 
 def test_engine_fits_only_the_survivors_it_scores(monkeypatch):
@@ -1036,6 +1085,16 @@ def test_config_validation():
         RansacConfig(confidence=1.0)
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
+
+
+@pytest.mark.parametrize("value", [2.5, 1e3, "1000"])
+def test_config_refuses_an_iteration_cap_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="^max_iterations must be an integer"):
+        RansacConfig(max_iterations=value)
+
+
+def test_config_takes_a_numpy_integer_iteration_cap():
+    assert RansacConfig(max_iterations=np.int64(1000)).max_iterations == 1000
 
 
 @pytest.mark.parametrize("name", ["inlier_threshold", "elc_tolerance"])
