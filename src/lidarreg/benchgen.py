@@ -23,6 +23,7 @@ only for the pairs it draws.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,9 @@ class SelectorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("k", "target_count"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0.0 < self.min_overlap < 1.0:

@@ -14,6 +14,7 @@ and the selection is one stable sort of the priority order by cell.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class GpfConfig:
     phi: float = 2.0
 
     def __post_init__(self):
+        if not isinstance(self.grid_m, numbers.Integral):
+            raise ValueError(f"grid_m must be an integer, got {self.grid_m!r}")
         if self.grid_m < 1:
             raise ValueError(f"grid_m must be >= 1, got {self.grid_m}")
         if not 0.0 < self.phi < np.inf:

@@ -12,34 +12,35 @@ the downstream filtering and sampling stages:
 Distance ties are broken toward the lowest row index, which keeps the
 output reproducible.
 
-The search is an exact brute force done as one blocked matrix product
-that serves both directions.  Both sets are shifted by one common vector,
-and each block of source rows gets a float32 estimate of every squared
-distance, |q|^2 + |r|^2 - 2 q.r, from one GEMM.  Per source row, argmin
-finds the best and the second-best estimate; the forward candidates are
+The search is an exact brute force in two steps.  Both sets are shifted
+by one common vector, and blocks of source rows get an estimate of every
+squared distance, |q|^2 + |r|^2 - 2 q.r, from one GEMM.  The forward step
+takes each source row's best and second-best estimate by argmin, and the
 entries within a proven rounding-error window of the second best: those
-two, and the further entries of the rare rows whose third best lies in
-the window too.  Per target row, each block lowers a running bound on
-its nearest squared distance by the block's column minimum, and records
-the rows whose minimum lies within a window of the bound.  After the
-last block the bound is final, and each block is estimated again at its
-recorded rows still within their window; the entries within it are the
-reverse candidates.  All candidates are re-measured with the arithmetic
+two, and the rare further ones.  They are re-measured with the arithmetic
 of a plain scan, ``sqrt(sum((r - q)**2))``, and ranked by (distance, row
-index).  The windows always hold the scan's nearest and second-nearest
-rows, so the output equals the scan's bit for bit; the bound is derived
-in ``_nearest``.
+index).
 
-Each search runs in one dtype.  It runs in float64, whose windows are
-2**29 times narrower, when the centered values would overflow or
-underflow float32, and again from the first block when a float32 block
-keeps more than four forward candidates per query row and target row,
-or a reverse pass more than four per query row and recorded row; the
-float32 search is then dropped with all it found.  Candidates are
-re-measured and ranked in batches of about a block's entries, and the
-records are settled under the running bound once they outgrow a block,
-so working memory is bounded by the block size and the row counts, not
-by N x M.
+The mutual step decides the nearest source row of each target row that
+some source row holds as nearest.  The row's claim is the least nearest
+distance D among those source rows, held by the lowest of them.  Any
+other source row lies at least its second-nearest distance from the row,
+so only source rows with that distance at most D can take the row from
+its claim; on well-separated descriptors there are none.  Their entries
+are estimated, those within a window of the lesser of D^2 and the row's
+least estimate are re-measured, and all are ranked with the claim by
+(distance, source row index).  The windows always hold the scan's
+answer, so the output equals the scan's bit for bit; they are derived in
+``_nearest``.
+
+Estimates are float64, whose windows are 2**29 times narrower, where the
+centered values would overflow or underflow float32.  A float32 forward
+block that keeps more than four candidates per query row and target row
+reruns the whole search in float64; a float32 mutual tile over that
+budget reruns only the mutual step, as the forward result is exact in
+either dtype.  Candidates are re-measured in batches of about a block's
+entries and the mutual step's tiles fit the block's buffer, so working
+memory is bounded by the block size and the row counts, not by N x M.
 """
 
 from __future__ import annotations
@@ -78,24 +79,23 @@ class Correspondences:
 
 # Query rows per block are sized so one block's estimate matrix holds about
 # this many entries (1 MB in float32; the passes over a block run faster
-# than over smaller or larger blocks); the selection masks scale with it.
+# than over smaller or larger blocks); the mutual step's tiles share the
+# block's buffer and the selection mask scales with it.
 _BLOCK_ENTRIES = 1 << 18
-# Candidates are re-measured in pieces of about this many entries, 32 KB
-# temporaries.  Two live temporaries of 256 KB made glibc return the heap
-# top and fault it back in on the next call: 500-700 minor faults, a third
-# of a 700 x 700 match's time.
-_PIECE_ENTRIES = 1 << 12
-# A float32 search stops at the first block that keeps more than this many
-# forward candidates per query row and target row, or reverse pass that
-# keeps more per query row and recorded row, and runs again from the first
-# block in float64, whose windows are 2**29 times narrower.  Blocks keep
-# about two forward candidates per query row and one reverse candidate per
-# target row.  At the budget, re-measuring costs about as much as a float64
-# block (2.5 against 1.5 ms at 5k x 5k rows).  One far row widens every
-# float32 window of the other set: at 5k x 5k 16-D rows (2-vCPU host, one
-# BLAS thread) the search took 72-76 ms with one far target row and
-# 90-114 ms with one far source row, rerun in float64, and 4.0-4.4 s
-# without a budget.
+# Candidates are re-measured in pieces of about this many entries,
+# gathered, subtracted and squared in place in one buffer per call (512 KB
+# per operand).  Fresh temporaries per piece cost more: 40 trajectory
+# pairs matched in 5.7% more time with fresh 32 KB pieces (2-vCPU host,
+# one BLAS thread), and fresh 256 KB pieces once made glibc return the
+# heap top and fault it back in on every call.  Full 1k- and 5k-point
+# pairs through register_pair take no minor fault with the buffer.
+_PIECE_ENTRIES = 1 << 16
+# The float32 budget (see the module docstring).  Blocks keep about two
+# candidates per query row, and tiles about one per target row.  At the
+# budget, re-measuring costs about as much as a float64 block (2.5 against
+# 1.5 ms at 5k x 5k rows).  One far target row widens every float32
+# forward window, and one far query row every mutual one: without a
+# budget, a 5k x 5k 16-D search with one far target row took 4.0-4.4 s.
 _CANDIDATES_PER_ROW = 4
 # Float32 estimates are used while the largest squared centered norms,
 # summed over both sets, lie in this range; outside it they could overflow,
@@ -131,59 +131,84 @@ def _errors(q_norm, r_norm, dim, dtype, pad):
     return k * (q_norm + r_norm.max() + pad) + tiny, k * (q_norm.max() + r_norm + pad) + tiny
 
 
-def _candidates(est, q_window, r_err, r_reach, r_upper, mask, budget):
-    """One block's forward candidates and the rows its reverse pass records.
+def _candidates(est, q_window, mask, budget):
+    """One block's forward candidates, or None if there are more than ``budget``.
 
-    Query indices are local to the block.  Forward candidates lie within
+    Query indices are local to the block.  Candidates lie within
     ``q_window`` of their query's second-best estimate: the best and the
-    second-best entry, found by argmin, and the entries of the rare queries
-    whose third-best estimate lies in the window too.  ``r_upper`` bounds
-    each row's nearest squared distance over the queries seen, and is first
-    lowered by this block's estimates plus ``r_err``; the rows whose least
-    estimate in the block lies within ``r_reach`` of it are recorded.
-    Returns (query, row) of the forward candidates and (row, least
-    estimate) of the recorded rows, or None if there are more than
-    ``budget`` forward candidates.  Each query's two best entries of
+    second-best entry, found by argmin, and the entries of the rare
+    queries whose third-best estimate lies in the window too.  Returns
+    (query, row) of the candidates.  Each query's two best entries of
     ``est`` are left at inf.
     """
-    least = est.min(axis=0)
-    np.minimum(r_upper, least + r_err, out=r_upper)
-    recorded = np.flatnonzero(least <= (r_upper + r_reach).astype(est.dtype))
     at = np.arange(len(est))
     first = est.argmin(axis=1)
     est[at, first] = np.inf
     second = est.argmin(axis=1)
     q_limit = est[at, second] + q_window
     est[at, second] = np.inf
-    more = np.flatnonzero(est.min(axis=1) <= q_limit)
+    # the third best by argmin: as fast as min along rows of 5000 entries,
+    # and twice as fast along rows of 700 (35 against 69 us per block)
+    more = np.flatnonzero(est[at, est.argmin(axis=1)] <= q_limit)
     # flat indices and divmod: 2-D np.nonzero is several times slower here
     flat = np.flatnonzero(np.less_equal(est[more], q_limit[more, None],
                                         out=mask[:len(more)]))
     if 2 * len(est) + len(flat) > budget:
         return None
     qi, rj = np.divmod(flat, est.shape[1])
-    return (np.concatenate((at, at, more[qi])), np.concatenate((first, second, rj)),
-            recorded, least[recorded])
+    return np.concatenate((at, at, more[qi])), np.concatenate((first, second, rj))
+
+
+def _contenders(est, bound, window, mask, budget):
+    """(row, query) of the entries of one mutual tile, target rows by
+    queries, that lie within ``window`` of the lesser of their row's
+    ``bound`` and least estimate, or None if there are more than
+    ``budget``.  Like ``_candidates``, only the rare rows whose
+    second-least estimate lies in the window are compared whole; each
+    row's least entry of ``est`` is left at inf.
+    """
+    at = np.arange(len(est))
+    first = est.argmin(axis=1)
+    least = est[at, first]
+    limit = (np.minimum(bound, least) + window).astype(est.dtype)
+    est[at, first] = np.inf
+    more = np.flatnonzero(est[at, est.argmin(axis=1)] <= limit)
+    flat = np.flatnonzero(np.less_equal(est[more], limit[more, None],
+                                        out=mask[:len(more)]))
+    hit = np.flatnonzero(least <= limit)
+    if len(hit) + len(flat) > budget:
+        return None
+    rj, qi = np.divmod(flat, est.shape[1])
+    return np.concatenate((hit, more[rj])), np.concatenate((first[hit], qi))
 
 
 def _distances(rows, queries, rj, qi):
     """The scan's ``sqrt(sum((r - q)**2))`` for each pair (rows[rj], queries[qi])."""
     d = np.empty(len(rj))
     step = max(1, _PIECE_ENTRIES // rows.shape[1])
+    diff, other = np.empty((2, min(step, len(rj)), rows.shape[1]))
     for lo in range(0, len(rj), step):
-        diff = rows[rj[lo:lo + step]] - queries[qi[lo:lo + step]]
-        d[lo:lo + step] = np.sqrt(np.sum(diff ** 2, axis=1))
-    return d
+        hi = min(lo + step, len(rj))
+        a, b = diff[:hi - lo], other[:hi - lo]
+        # "clip" takes without buffering; every index is in range
+        np.take(rows, rj[lo:hi], axis=0, out=a, mode="clip")
+        np.take(queries, qi[lo:hi], axis=0, out=b, mode="clip")
+        np.subtract(a, b, out=a)
+        np.square(a, out=a)
+        # the sum over each contiguous row, as the scan's
+        np.sum(a, axis=1, out=d[lo:hi])
+    return np.sqrt(d, out=d)
 
 
 def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     """(d1, i1, d2, j1): nearest neighbors in both directions.
 
     Per query, d1 and i1 are the nearest row's distance and index and d2
-    the second-smallest distance (it may equal d1); per row, j1 is the
-    index of its nearest query.  Ties go to the lowest index.  Distances
-    are computed as ``sqrt(sum((r - q)**2))``, the arithmetic of a
-    brute-force scan, so the output equals that scan's bit for bit.
+    the second-smallest distance (it may equal d1).  Per row in i1's
+    image, j1 is the index of its nearest query; it is n on the other
+    rows.  Ties go to the lowest index.  Distances are computed as
+    ``sqrt(sum((r - q)**2))``, the arithmetic of a brute-force scan, so the
+    output equals that scan's bit for bit.
     """
     center = (rows.mean(axis=0) + queries.mean(axis=0)) / 2.0
     q_norm, r_norm = (np.einsum("ij,ij->i", c, c) for c in (x - center for x in (queries, rows)))
@@ -217,156 +242,157 @@ def _nearest(rows: NDArray[np.float64], queries: NDArray[np.float64]):
     # nearest).  Each query's candidates all come from its own block, so
     # one batch ranks them.
     #
-    # Reverse: est + err over the queries seen bounds a row's nearest X
-    # from above, and an entry whose est - err lies more than the slack
-    # above that bound ranks after the query that set it.  So the reverse
-    # candidates are the entries within err + slack of the bound.
-    # * The bound only falls, so the final bound is at most every running
-    #   bound: a block whose column minimum lies beyond the window under
-    #   the running bound holds no candidate under the final one either,
-    #   and recording under the running bound misses none.
-    # * A block estimated again, in another summation order, obeys the
-    #   same error bound, which holds in any order.
-    # * Each estimate + err is at least the least X, and so is the final
-    #   bound B = C + err, with C the row's least estimate over all
-    #   blocks.  The scan's nearest query q has an X within the scan's
-    #   rounding of the least X, which the slack covers, so every estimate
-    #   of its entry, first or again, lies within B + err + slack
-    #   (C + 2 err + slack): its block's minimum lies within the window
-    #   under every bound, and so does the entry.
-    # So the block is recorded and its entry for q is re-measured, and
-    # records settled early under a running bound keep a superset.  The
-    # best re-measured candidate is q: ties go to the lower query within a
-    # batch, and across batches to the earlier one, which holds the lower
-    # queries.
+    # Mutual: the forward distances are the scan's.  Take a row r in i1's
+    # image, its claim D, the least d1 of the queries holding r as
+    # nearest, and c, the lowest query at D.  The other queries holding r
+    # rank after c.  Any query q holding another row has r among its rows
+    # other than the nearest, so the scan puts q at least d2[q] from r,
+    # and q ranks at or before c only if d2[q] <= D; at an equal distance
+    # the lower index wins.  So the scan's nearest query q* to r is c, or
+    # one of the queries taken in d2 order up to D.  Say it is one of
+    # those.
+    # * q* ranks at or before every query, so its X is at most half the
+    #   slack, 4(D+4)v(...), above any query's X, and its estimate lies
+    #   within 2 err + slack of the row's least estimate over any set of
+    #   queries: its tile, or a piece of the tile.
+    # * The scan's distance of q* is at most D, so its X exceeds the
+    #   float64 D^2 by at most a relative (D+5)v, 2(D+5)v(...) absolute,
+    #   which the other half of the slack covers; its estimate lies within
+    #   err + slack of D^2.
+    # So q*'s estimate lies within 2 err + slack of the lesser of the two,
+    # and err also covers rounding that limit to the dtype.  The kept
+    # entries are re-measured and ranked with the claim by (distance,
+    # query index), and the least is q*.  A row whose claim no query can
+    # contend for keeps it without an estimate.
     low, high = _FLOAT32_SCALES
     pad = 2.0 ** -40 * scale
-    if low <= scale <= high:
-        found = _search(rows, queries, center, q_norm, r_norm, pad, np.float32)
-        if found is not None:
-            return found
-    return _search(rows, queries, center, q_norm, r_norm, pad, np.float64)
+
+    def search(dtype):
+        return _Search(rows, queries, center, q_norm, r_norm, pad, dtype)
+
+    estimates = search(np.float32 if low <= scale <= high else np.float64)
+    forward = estimates.forward()
+    if forward is None:
+        estimates = search(np.float64)
+        forward = estimates.forward()
+    j1 = estimates.mutual(*forward)
+    if j1 is None:
+        j1 = search(np.float64).mutual(*forward)
+    return (*forward, j1)
 
 
-def _search(rows, queries, center, q_norm, r_norm, pad, dtype):
-    """``_nearest``'s output from estimates in ``dtype``, or None.
+class _Search:
+    """Estimates in one dtype and the two steps of ``_nearest`` that read
+    them; a step returns None when a float32 block or tile goes over the
+    budget, and float64 has none."""
 
-    Each block of queries is estimated against every row, its forward
-    candidates are held and the rows its reverse pass needs recorded.  A
-    float32 search stops and returns None at the first block, or deferred
-    reverse pass, whose windows keep more than ``_CANDIDATES_PER_ROW``
-    candidates per query row and target (or recorded) row; ``_nearest``
-    then runs it again from the first block in float64, which has no
-    budget.
-    """
-    n, m, dim = len(queries), len(rows), rows.shape[1]
-    q_slack, r_slack = (2.0 * err for err in _errors(q_norm, r_norm, dim, np.float64, pad))
-    q_err, r_err = _errors(q_norm, r_norm, dim, dtype, pad)
-    q_aug, r_aug = _augmented(queries, rows, center, q_norm, r_norm, dtype)
-    q_window, r_reach = (2.0 * q_err + q_slack).astype(dtype), r_err + r_slack
-    per_row = _CANDIDATES_PER_ROW if dtype is np.float32 else np.inf
-    step = max(1, _BLOCK_ENTRIES // m)
-    r_upper = np.full(m, np.inf)
-    # one buffer and one mask serve every block: fresh block-sized arrays
-    # cost a page fault per 4 KB, which doubled the time of a 700 x 700
-    # match
-    buf = np.empty((min(step, n), m), dtype=dtype)
-    mask = np.empty((min(step, n), m), dtype=bool)
-    # per query, the nearest and second-nearest distance and the nearest
-    # row; per row, the distance to its nearest query over the batches
-    # settled, and that query
-    d1, d2, i1 = np.full(n, np.inf), np.full(n, np.inf), np.full(n, m)
-    j_dist, j1 = np.full(m, np.inf), np.full(m, n)
+    def __init__(self, rows, queries, center, q_norm, r_norm, pad, dtype):
+        n, m, dim = len(queries), len(rows), rows.shape[1]
+        self.rows, self.queries = rows, queries
+        q_slack, r_slack = (2.0 * err for err in _errors(q_norm, r_norm, dim, np.float64, pad))
+        q_err, r_err = _errors(q_norm, r_norm, dim, dtype, pad)
+        self.q_aug, self.r_aug = _augmented(queries, rows, center, q_norm, r_norm, dtype)
+        self.q_window = (2.0 * q_err + q_slack).astype(dtype)
+        self.r_window = 2.0 * r_err + r_slack
+        self.per_row = _CANDIDATES_PER_ROW if dtype is np.float32 else np.inf
+        self.step = max(1, _BLOCK_ENTRIES // m)
+        # one buffer and one mask serve every block and tile: fresh
+        # block-sized arrays cost a page fault per 4 KB, which doubled the
+        # time of a 700 x 700 match
+        self.buf = np.empty((min(self.step, n), m), dtype=dtype)
+        self.mask = np.empty((min(self.step, n), m), dtype=bool)
 
-    def settle(qi, rj, fwd):
-        """Re-measure candidates and take the least into the outputs.
+    def forward(self):
+        """(d1, i1, d2) per query, or None over the budget."""
+        rows, queries = self.rows, self.queries
+        n, m = len(queries), len(rows)
+        d1, d2, i1 = np.full(n, np.inf), np.full(n, np.inf), np.full(n, m)
+        # candidates are settled in batches of about a block's entries,
+        # which bounds memory and spreads the per-call costs over several
+        # blocks
+        pending, held = [], 0
 
-        The forward ones hold all of each query's candidates, and the
-        reverse ones come in query order over the batches.  Ties go to the
-        lowest index: np.minimum.at over the indices of the entries at the
-        least distance.
-        """
-        d = _distances(rows, queries, rj, qi)
-        qi_f, rj_f, d_f = qi[fwd], rj[fwd], d[fwd]
-        np.minimum.at(d1, qi_f, d_f)
-        least = d_f == d1[qi_f]
-        np.minimum.at(i1, qi_f[least], rj_f[least])
-        rest = ~least | (rj_f != i1[qi_f])      # all but the nearest entry
-        np.minimum.at(d2, qi_f[rest], d_f[rest])
-        rev = ~fwd
-        qi_r, rj_r, d_r = qi[rev], rj[rev], d[rev]
-        before = j_dist[rj_r]
-        np.minimum.at(j_dist, rj_r, d_r)
-        # earlier batches hold lower query indices, so they keep exact ties
-        won = (d_r == j_dist[rj_r]) & (d_r < before)
-        j1[rj_r[won]] = n
-        np.minimum.at(j1, rj_r[won], qi_r[won])
+        def settle():
+            """Re-measure the held candidates and take the least into the
+            outputs; ties go to the lowest index, by np.minimum.at over the
+            indices of the entries at the least distance."""
+            qi, rj = (np.concatenate(part) for part in zip(*pending))
+            pending.clear()
+            d = _distances(rows, queries, rj, qi)
+            np.minimum.at(d1, qi, d)
+            least = d == d1[qi]
+            np.minimum.at(i1, qi[least], rj[least])
+            rest = ~least | (rj != i1[qi])      # all but the nearest entry
+            np.minimum.at(d2, qi[rest], d[rest])
 
-    # candidates are settled in batches of about a block's entries, which
-    # bounds memory and spreads the per-call costs over several blocks
-    pending, held = [], 0
-
-    def hold(qi, rj, fwd):
-        nonlocal pending, held
-        pending.append((qi, rj, np.full(len(qi), fwd)))
-        held += len(qi)
-        if held >= _BLOCK_ENTRIES:
-            flush()
-
-    def flush():
-        nonlocal pending, held
-        if pending:
-            batch = [np.concatenate(part) for part in zip(*pending)]
-            pending, held = [], 0       # freed before the re-measure
-            settle(*batch)
-
-    # per block, the rows whose least estimate lay within their reverse
-    # window, and those estimates
-    records, recorded = [], 0
-
-    def reverse():
-        """Hold the recorded blocks' reverse candidates under the current
-        bound; False if a block keeps more than the budget.
-
-        Each block is estimated again at its recorded rows still within
-        their window, in block order, into the block buffer.
-        """
-        for lo, hi, cols, least in records:
-            live = cols[least <= (r_upper[cols] + r_reach[cols]).astype(dtype)]
-            h, k = hi - lo, len(live)
-            est = np.matmul(q_aug[lo:hi], r_aug[:, live],
-                            out=buf.reshape(-1)[:h * k].reshape(h, k))
-            keep = np.less_equal(est, (r_upper[live] + r_reach[live]).astype(dtype),
-                                 out=mask.reshape(-1)[:h * k].reshape(h, k))
-            flat = np.flatnonzero(keep)
-            if len(flat) > per_row * (h + k):
-                return False
-            qi, j = np.divmod(flat, k)
-            hold(qi + lo, live[j], False)
-        records.clear()
-        return True
-
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        est = np.matmul(q_aug[lo:hi], r_aug, out=buf[:hi - lo])
-        found = _candidates(est, q_window[lo:hi], r_err, r_reach, r_upper, mask,
-                            per_row * (hi - lo + m))
-        if found is None:
-            return None
-        qi, rj, cols, least = found
-        hold(qi + lo, rj, True)
-        records.append((lo, hi, cols, least))
-        recorded += len(cols)
-        # records past a block's entries are settled under the running
-        # bound, which keeps a superset of the candidates
-        if recorded > _BLOCK_ENTRIES:
-            if not reverse():
+        for lo in range(0, n, self.step):
+            hi = min(lo + self.step, n)
+            est = np.matmul(self.q_aug[lo:hi], self.r_aug, out=self.buf[:hi - lo])
+            found = _candidates(est, self.q_window[lo:hi], self.mask,
+                                self.per_row * (hi - lo + m))
+            if found is None:
                 return None
-            recorded = 0
-    if not reverse():
-        return None
-    flush()
-    return d1, i1, d2, j1
+            pending.append((found[0] + lo, found[1]))
+            held += len(found[0])
+            if held >= _BLOCK_ENTRIES:
+                settle()
+                held = 0
+        if pending:
+            settle()
+        return d1, i1, d2
+
+    def mutual(self, d1, i1, d2):
+        """j1 per row (see ``_nearest``), or None over the budget."""
+        rows, queries = self.rows, self.queries
+        n, m = len(queries), len(rows)
+        # each row's claim: its least d1, held by the lowest query at it;
+        # contenders then lower the distance or the query
+        j_dist, j1 = np.full(m, np.inf), np.full(m, n)
+        np.minimum.at(j_dist, i1, d1)
+        at = d1 == j_dist[i1]
+        np.minimum.at(j1, i1[at], np.flatnonzero(at))
+        # per claimed row, the number of queries in d2 order that may
+        # contend for it; rows are taken in that order
+        order = np.argsort(d2, kind="stable")
+        claimed = np.flatnonzero(j1 < n)
+        reach = np.searchsorted(d2[order], j_dist[claimed], "right")
+        by = np.argsort(reach, kind="stable")
+        claimed, reach = claimed[by], reach[by]
+        lo = np.searchsorted(reach, 0, "right")     # rows before lo keep their claim
+        # queries in d2 order as columns and rows as rows: each row's
+        # entries are contiguous, where argmin runs fastest
+        q_aug = np.ascontiguousarray(self.q_aug[order[:reach[-1]]].T)
+        r_aug = self.r_aug.T
+        buf, mask = self.buf.reshape(-1), self.mask.reshape(-1)
+        size = len(buf)
+        while lo < len(claimed):
+            # the most rows whose tile, over the last row's queries, fits
+            # the buffer; one row's queries may take several pieces
+            w = min(len(reach) - lo, size // reach[lo])
+            k = max(1, np.count_nonzero(reach[lo:lo + w] * np.arange(1, w + 1) <= size))
+            cols, h = claimed[lo:lo + k], reach[lo + k - 1]
+            r_cols, bound, window = r_aug[cols], j_dist[cols] ** 2, self.r_window[cols]
+            piece = max(1, size // k)
+            kept_q, kept_r = [], []
+            for top in range(0, h, piece):
+                t = min(piece, h - top)
+                est = np.matmul(r_cols, q_aug[:, top:top + t], out=buf[:k * t].reshape(k, t))
+                found = _contenders(est, bound, window, mask[:k * t].reshape(k, t),
+                                    self.per_row * (t + k))
+                if found is None:
+                    return None
+                kept_r.append(cols[found[0]])
+                kept_q.append(order[top + found[1]])
+            qi, rj = np.concatenate(kept_q), np.concatenate(kept_r)
+            if len(qi):
+                d = _distances(rows, queries, rj, qi)
+                before = j_dist[rj]
+                np.minimum.at(j_dist, rj, d)
+                j1[rj[d < before]] = n
+                at = d == j_dist[rj]
+                np.minimum.at(j1, rj[at], qi[at])
+            lo += k
+        return j1
 
 
 def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64]) -> Correspondences:

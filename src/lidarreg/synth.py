@@ -25,6 +25,7 @@ between two frames or is nowhere near a match.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,6 +102,9 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_points", "descriptor_dim"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
         if not 0.0 < self.extent < math.inf:
@@ -244,6 +248,8 @@ class TrajectorySpec:
     sequence_id: str = "seq0"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_frames, numbers.Integral):
+            raise ValueError(f"n_frames must be an integer, got {self.n_frames!r}")
         if self.n_frames < 2:
             raise ValueError("n_frames must be at least 2")
         if not 0.0 <= self.frame_spacing < math.inf:

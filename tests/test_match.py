@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lidarreg import match
+from lidarreg import match, synth
 from lidarreg.match import Correspondences, match_features, mnn_filter
 
 
@@ -183,9 +183,10 @@ def test_near_ties_on_a_large_offset_follow_the_tie_contract(seed):
 
 
 def test_query_blocks_of_the_module_size_span_several_blocks(monkeypatch):
-    # 2000 rows give 131 queries per forward block and 300 rows give 873 per
-    # reverse block, so both passes run 3 blocks with a short last one; the
-    # candidates are re-measured in several pieces and a short last one
+    # 2000 rows give 131 queries per forward block, so 300 queries run 3
+    # blocks with a short last one; each step re-measures its entries in one
+    # call, in several pieces and a short last one
+    monkeypatch.setattr(match, "_PIECE_ENTRIES", 1 << 8)
     sizes = []
     distances = match._distances
 
@@ -199,12 +200,11 @@ def test_query_blocks_of_the_module_size_span_several_blocks(monkeypatch):
         src = rng.integers(-3, 4, (300, dim)).astype(np.float64)
         dst = rng.integers(-3, 4, (2000, dim)).astype(np.float64)
         assert len(src) % (match._BLOCK_ENTRIES // len(dst)) != 0
-        assert len(dst) % (match._BLOCK_ENTRIES // len(src)) != 0
         sizes.clear()
         _assert_equals_oracle(src, dst)
         piece = match._PIECE_ENTRIES // dim
-        assert len(sizes) == 1
-        assert sizes[0] > 3 * piece and sizes[0] % piece != 0
+        assert len(sizes) == 2
+        assert all(size > 3 * piece and size % piece != 0 for size in sizes)
 
 
 @pytest.mark.parametrize("block_entries", [1, 7, 100, 1000])
@@ -311,21 +311,31 @@ def test_fine_structure_inside_far_apart_clusters():
 
 
 # ---------------------------------------------------------------------------
-# float32 estimates and their two float64 fallbacks
+# float32 estimates and their float64 fallbacks
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def estimate_dtypes(monkeypatch):
-    """The dtype of every block of estimates the matcher scans, in order."""
+def _spy_dtypes(monkeypatch, name):
     seen = []
-    scan = match._candidates
+    scan = getattr(match, name)
 
     def spy(est, *args):
         seen.append(est.dtype)
         return scan(est, *args)
 
-    monkeypatch.setattr(match, "_candidates", spy)
+    monkeypatch.setattr(match, name, spy)
     return seen
+
+
+@pytest.fixture
+def estimate_dtypes(monkeypatch):
+    """The dtype of every forward block of estimates the matcher scans, in order."""
+    return _spy_dtypes(monkeypatch, "_candidates")
+
+
+@pytest.fixture
+def mutual_dtypes(monkeypatch):
+    """The dtype of every tile of estimates the mutual step scans, in order."""
+    return _spy_dtypes(monkeypatch, "_contenders")
 
 
 @pytest.mark.parametrize("scale, dtype", [
@@ -426,7 +436,7 @@ def test_nearest_source_in_the_last_block_after_near_ties(monkeypatch, per_row):
 
 
 # ---------------------------------------------------------------------------
-# re-measured entries and the deferred reverse pass
+# re-measured entries and the mutual step
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -444,9 +454,8 @@ def remeasured(monkeypatch):
 
 
 def test_random_sets_re_measure_about_two_entries_per_query_and_one_per_row(remeasured):
-    # each query re-measures its two best entries and each target row, once
-    # the last block has fixed its bound, about one entry: 6003 here, where
-    # settling the reverse candidates block by block re-measured 9161
+    # each query re-measures its two best entries, and each target row that
+    # a query may take from its claim about one: 4794 here
     rng = np.random.default_rng(21)
     src, dst = rng.normal(size=(2000, 16)), rng.normal(size=(2000, 16))
     match_features(src, dst)
@@ -472,55 +481,77 @@ def test_near_tie_extras_take_the_per_row_path(monkeypatch):
     assert len(extras) == 1 and extras[0] > 0
 
 
-def test_one_far_query_sends_the_search_to_float64_after_a_reverse_pass(
-        monkeypatch, estimate_dtypes, remeasured):
-    # one far query widens every float32 reverse window and the bound the
-    # float32 estimates give; when the records outgrow a block's entries,
-    # the reverse pass goes over budget, lowers the bound by float64
-    # estimates and sends the later blocks to float64
+def test_one_far_query_sends_only_the_mutual_step_to_float64(
+        monkeypatch, estimate_dtypes, mutual_dtypes, remeasured):
+    # one far query widens every float32 mutual window but no forward one:
+    # the forward blocks stay float32, and the mutual step's first tile
+    # goes over budget and the step alone reruns in float64
     monkeypatch.setattr(match, "_BLOCK_ENTRIES", 3000)
     rng = np.random.default_rng(20)
     src, dst = rng.normal(size=(400, 8)), rng.normal(size=(300, 8))
     src[5] *= 1e3
     _assert_equals_oracle(src, dst)
-    first = estimate_dtypes.index(np.dtype(np.float64))
-    assert 1 < first < len(estimate_dtypes) - 1
-    assert set(estimate_dtypes[first:]) == {np.dtype(np.float64)}
+    assert estimate_dtypes == [np.dtype(np.float32)] * -(-400 // (3000 // 300))
+    assert mutual_dtypes[0] == np.float32
+    assert len(mutual_dtypes) > 1 and set(mutual_dtypes[1:]) == {np.dtype(np.float64)}
     assert remeasured[0] < 4 * (len(src) + len(dst))
 
 
 def test_a_float32_search_over_its_budget_reruns_whole_in_float64(
         monkeypatch, estimate_dtypes):
-    # the far query above: when a float32 reverse pass goes over budget,
-    # the search starts again in float64 from the first block and drops
-    # all it found in float32, shown here by sending every float32 forward
-    # candidate to row 0
+    # ten equal queries in the last block, each at distance 0 from 200
+    # equal rows, keep more forward candidates than the budget; the search
+    # then starts again in float64 from the first block and drops all it
+    # found in float32, shown here by sending every float32 candidate to
+    # row 0
     monkeypatch.setattr(match, "_BLOCK_ENTRIES", 3000)
     scan = match._candidates
 
     def misplaced(est, *args):
         found = scan(est, *args)
         if found is not None and est.dtype == np.float32:
-            qi, rj, cols, least = found
-            found = qi, np.zeros_like(rj), cols, least
+            qi, rj = found
+            found = qi, np.zeros_like(rj)
         return found
 
     monkeypatch.setattr(match, "_candidates", misplaced)
     rng = np.random.default_rng(20)
     src, dst = rng.normal(size=(400, 8)), rng.normal(size=(300, 8))
-    src[5] *= 1e3
+    src[-10:] = dst[100:] = src[-1]
     _assert_equals_oracle(src, dst)
-    first = estimate_dtypes.index(np.dtype(np.float64))
-    assert first > 1
-    assert estimate_dtypes[first:] == [np.dtype(np.float64)] * -(-400 // (3000 // 300))
+    blocks = -(-400 // (3000 // 300))
+    assert estimate_dtypes == [np.dtype(np.float32)] * blocks + [np.dtype(np.float64)] * blocks
+
+
+def test_trajectory_descriptors_need_no_mutual_estimate(mutual_dtypes):
+    # descriptors of one world point seen from two frames lie far closer
+    # than any two points': no query's second-nearest distance reaches a
+    # row's claim, so every claim stands without an estimate
+    frames = synth.generate_trajectory(synth.TrajectorySpec(
+        n_frames=2, profile="random", frame_spacing=5.0, sensor_range=15.0, seed=3))
+    src, dst = synth.frame_descriptors(frames, seed=3)
+    _assert_equals_oracle(src, dst)
+    assert mutual_dtypes == []
+    assert match_features(src, dst).is_mnn.mean() > 0.5
+
+
+def test_an_exact_tie_from_a_lower_query_takes_the_row_from_its_claim():
+    # query 1 holds row 0 at distance 1; query 0, nearest to row 1, lies at
+    # exactly 1 from row 0 too, and the lower index wins the tie
+    src = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dst = np.array([[0.0, 0.0], [0.0, 1.5]])
+    _assert_equals_oracle(src, dst)
+    c = match_features(src, dst)
+    assert c.dst.tolist() == [1, 0] and c.feat_dist[1] == 1.0 and c.ratio[0] == 2.0
+    assert c.is_mnn.tolist() == [True, False]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tie_heavy_pair(), st.sampled_from([1, 7, 100]), st.sampled_from([0, 4]))
 def test_property_small_blocks_and_budgets_equal_the_oracle(pair, block_entries, per_row):
-    # a budget of 0 sends every block to float64 and 4 keeps most in
-    # float32, so the reverse pass settles both dtypes under their own
-    # limits; 1 and 7 entries settle the records under the running bound
+    # a budget of 0 sends every block and tile to float64 and 4 keeps most
+    # in float32, so both steps run in both dtypes under their own limits;
+    # 1 and 7 entries split a row's contenders into several pieces
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(match, "_BLOCK_ENTRIES", block_entries)
         mp.setattr(match, "_CANDIDATES_PER_ROW", per_row)

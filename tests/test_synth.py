@@ -13,6 +13,7 @@ import pytest
 from lidarreg import synth
 from lidarreg.benchgen import SelectorConfig, build_candidate_pool, motion_descriptor, overlap
 from lidarreg.cli import main
+from lidarreg.gpf import GpfConfig
 from lidarreg.geom import RigidMotion, apply, compose, inverse
 from lidarreg.match import match_features, mnn_filter
 from lidarreg.ransac import _squared_residuals, kabsch
@@ -418,3 +419,15 @@ def test_world_grid_cap_counts_the_points_the_grid_would_hold(monkeypatch, profi
     monkeypatch.setattr(synth, "_MAX_WORLD_POINTS", n_points - 1)
     with pytest.raises(ValueError, match="world grid would hold"):
         generate_trajectory(spec)
+
+
+@pytest.mark.parametrize("config, field", [
+    (SelectorConfig, "k"), (SelectorConfig, "target_count"), (GpfConfig, "grid_m"),
+    (SceneSpec, "n_points"), (SceneSpec, "descriptor_dim"), (TrajectorySpec, "n_frames"),
+])
+def test_configs_refuse_a_count_that_is_not_an_integer(config, field):
+    # a fractional count used to construct, and then gave float grid cells
+    # or a TypeError deep in the generators
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+        config(**{field: 2.5})
+    assert getattr(config(**{field: np.int64(40)}), field) == 40
