@@ -237,7 +237,8 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
     """One candidate per source frame: every k-th frame of each sequence
     becomes a source, and a target is drawn uniformly at random among the
     frames of the same sequence whose overlap with it exceeds min_overlap.
-    Sources with no qualifying target are skipped.
+    Sources with no qualifying target are skipped, and a frame with an
+    empty cloud is refused with a ``ValueError`` naming it.
 
     Targets qualify one at a time, every source whose bounding sphere can
     reach the target tested together, each from only as many of its points
@@ -252,6 +253,10 @@ def build_candidate_pool(sequences, cfg: SelectorConfig) -> list[CandidatePair]:
         times = [f.timestamp for f in frames]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("timestamps must be nondecreasing within a sequence")
+        for f in frames:
+            if len(f.cloud) == 0:
+                raise ValueError(f"sequence {f.sequence_id} frame {f.frame_index} "
+                                 "has an empty cloud")
         if len(frames) < 2:
             continue
         bounds = [_sphere(apply(f.pose, f.cloud)) for f in frames]

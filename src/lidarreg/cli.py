@@ -347,7 +347,8 @@ def _cmd_register(args: argparse.Namespace) -> int:
                          timing))
 
     if opt["threads"] > 1 and len(jobs) > 1:
-        with Pool(opt["threads"]) as pool:
+        # a pool starts all its workers at once: no more than there are pairs
+        with Pool(min(opt["threads"], len(jobs))) as pool:
             rows = pool.map(_register_job, jobs)
     else:
         rows = [_register_job(j) for j in jobs]

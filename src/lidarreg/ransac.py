@@ -17,12 +17,10 @@ from ``_BLOCK`` on, each as many as have run so far until a model sets
 the adaptive bound, and each up to that bound from then on, so short
 runs keep small blocks and long runs pay the per-block numpy overhead
 rarely.  A block's minimal samples are drawn in one call and screened by
-elc one edge at a time.  The survivors are then walked in iteration
-order and scored ``_SCORE_CHUNK`` models per product, each fitted just
-before its chunk is scored: one chunk first, then every survivor up to
-the current bound (all of a block's in one call when it starts with a
-bound), so a run that stops early fits little past its stopping
-iteration.  The fit is a closed-form Kabsch for three points
+elc one edge at a time, and the survivors are fitted in one call.  They
+are then walked in iteration order and scored ``_SCORE_CHUNK`` models per
+product; survivors past a bound that a new best sets are fitted but
+never scored.  The fit is a closed-form Kabsch for three points
 (``_fit_rigid``), elementwise over the stack, with no BLAS or LAPACK
 call, so each model is the same float on any BLAS kernel.  Local
 optimization, adaptive stopping and the reported counters
@@ -58,7 +56,6 @@ that drew with ``Generator.integers``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
@@ -652,37 +649,20 @@ def ransac_register(src_points: Points, dst_points: Points,
         size = min(_MAX_BLOCK if bounded else max(_BLOCK, t), _MAX_BLOCK,
                    cfg.max_iterations - t, required - t)
         idx = _sample_block(growth, n, t + 1, size, sample_rng)
-        pending = _elc_live(a, b, idx, cfg.elc_tolerance) \
+        live = _elc_live(a, b, idx, cfg.elc_tolerance) \
             if cfg.rejection == "elc" else np.arange(size)
-        # the fitted survivors with a proper fit, in iteration order, and
-        # their scoring rows
-        live = np.empty(0, dtype=np.int64)
-        rot, trans, models = np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 24))
-
-        def fit(count):
-            # fit the next count elc survivors, keeping the proper fits
-            nonlocal pending, live, rot, trans, models
-            pick, pending = pending[:count], pending[count:]
-            if not len(pick):
-                return
-            r, tr, ok = _fit_rigid(a[idx[pick]], b[idx[pick]])
-            r, tr = r[ok], tr[ok]
-            live = np.concatenate([live, pick[ok]])
-            rot, trans = np.concatenate([rot, r]), np.concatenate([trans, tr])
-            models = np.concatenate([models, _coefficients(r, tr, reach, b_reach, gate)])
+        # fit every elc survivor in one call, keeping the proper fits in
+        # iteration order, and their scoring rows
+        rot, trans, ok = _fit_rigid(a[idx[live]], b[idx[live]])
+        live, rot, trans = live[ok], rot[ok], trans[ok]
+        models = _coefficients(rot, trans, reach, b_reach, gate)
 
         # walk the survivors in iteration order, scoring them chunk by chunk;
-        # a survivor is fitted only once a chunk needs it: one chunk first,
-        # then every survivor up to the current bound, and none past it.  A
-        # block that starts with a bound ends within it and fits all its
-        # survivors in one call.
+        # survivors past a bound that a new best sets are fitted but never
+        # scored
         last_gain = t
-        if not bounded:
-            fit(_SCORE_CHUNK)
-        for c in itertools.count(0, _SCORE_CHUNK):
-            if len(live) < c + _SCORE_CHUNK:
-                fit(int(np.searchsorted(pending, required - t)))
-            if c >= len(live) or t + 1 + live[c] > required:
+        for c in range(0, len(live), _SCORE_CHUNK):
+            if t + 1 + live[c] > required:
                 break
             chunk = slice(c, c + _SCORE_CHUNK)
             masks, counts = _scored(rot[chunk], trans[chunk], models[chunk], feats,

@@ -372,6 +372,16 @@ def test_pool_rejects_decreasing_timestamps():
         build_candidate_pool([frames], SelectorConfig())
 
 
+def test_pool_refuses_an_empty_cloud_naming_its_frame():
+    pts = np.random.default_rng(3).uniform(-5, 5, (40, 3))
+    frames = [_frame("drive7", i, pts) for i in range(4)]
+    frames[2] = _frame("drive7", 2, np.empty((0, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^sequence drive7 frame 2 has an empty cloud$"):
+            build_candidate_pool([frames], SelectorConfig(k=1))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

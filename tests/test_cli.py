@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lidarreg.benchgen import SelectorConfig
-from lidarreg import io
+from lidarreg import cli, io
 from lidarreg.cli import main
 from lidarreg.geom import EulerAngles, GimbalLockError, RigidMotion, from_euler
 from lidarreg.io import (
@@ -400,6 +400,20 @@ def test_benchgen_bad_timestamp_exits_2_naming_the_line(traj_dir, tmp_path,
     assert not out.exists()
 
 
+def test_benchgen_empty_frame_cloud_exits_2_naming_the_frame(traj_dir, tmp_path,
+                                                             capsys):
+    data = tmp_path / "data"
+    shutil.copytree(traj_dir, data)
+    io.write_cloud_ply(data / "drive0" / "000002.ply", np.empty((0, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["benchgen", "--cloud-dir", str(data), "--pose-dir", str(data),
+                     "--out-pairs", str(tmp_path / "p.csv"), "--k", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sequence drive0 frame 2 has an empty cloud"]
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_benchgen_timestamp_count_must_match_poses(traj_dir, tmp_path, capsys):
     (tmp_path / "drive0.poses").write_bytes((traj_dir / "drive0.poses").read_bytes())
     (tmp_path / "drive0.times").write_text("0.0\n1.0\n")
@@ -437,6 +451,40 @@ def test_threads_do_not_change_the_output(traj_dir, pair_list,
                  "--seed", "7", "--timing", "off", "--threads", "3",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == register_output.read_bytes()
+
+
+def test_register_starts_no_more_workers_than_pairs(traj_dir, pair_list,
+                                                   tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(job) for job in jobs]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    pairs = tmp_path / "pairs.csv"
+    write_pair_list(pairs, read_pair_list(pair_list)[:2])
+
+    def run(threads):
+        out = tmp_path / f"threads-{threads}.jsonl"
+        assert main(["register", "--pairs", str(pairs), "--cloud-dir", str(traj_dir),
+                     "--desc-dir", str(traj_dir), "--seed", "7", "--timing", "off",
+                     "--threads", threads, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert run("8") == run("1")
+    assert sizes == [2]
 
 
 def test_worker_errors_cross_the_process_boundary(traj_dir, pair_list,

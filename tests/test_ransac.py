@@ -202,8 +202,9 @@ def test_stacked_fit_equals_kabsch_per_sample():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_fit_rows_do_not_depend_on_the_stack(seed):
-    # the engine fits a block's survivors in pieces as scoring reaches
-    # them; every row must come out as it does from the whole stack
+    # the engine fits each block's survivors as one stack, and the block
+    # schedule sets where stacks split; every row must come out as it does
+    # from the whole stack
     rng = np.random.default_rng([seed, 50])
     s = int(rng.integers(1, 4097))
     p, q = random_triangle_pairs(rng, s)
@@ -1050,23 +1051,35 @@ def test_blocks_double_while_no_bound_exists(monkeypatch):
     assert [count for _, count in blocks] == [256, 256, 512, 1024, 2048, 4096, 1808]
 
 
-def test_engine_fits_only_the_survivors_it_scores(monkeypatch):
-    # a run that stops near 100 iterations fits the elc survivors up to
-    # the stop, plus at most one chunk past it, not its whole first block
-    rows = []
+def test_each_block_is_fitted_in_one_call(monkeypatch):
+    # every block fits exactly its elc survivors, in one call, also the
+    # first block of a run that stops long before that block ends
+    blocks, fits = [], []
+    sample_block = ransac_module._sample_block
+
+    def recording(growth, n, t, count, rng):
+        blocks.append(sample_block(growth, n, t, count, rng))
+        return blocks[-1]
 
     def counting(p, q):
-        rows.append(len(p))
+        fits.append((len(blocks), p, q))
         return _fit_rigid(p, q)
 
+    monkeypatch.setattr(ransac_module, "_sample_block", recording)
     monkeypatch.setattr(ransac_module, "_fit_rigid", counting)
     src, dst, corrs, labels, truth = make_planted(
         np.random.default_rng(52), n=400, frac=0.4, sigma=0.05)
-    res = ransac_register(src, dst, corrs, engine_cfg(use_lo=False))
+    cfg = engine_cfg(use_lo=False)
+    res = ransac_register(src, dst, corrs, cfg)
     assert res.converged_by == "early_stop"
-    assert 50 <= res.iterations_run <= 150
-    survivors = res.iterations_run - res.hypotheses_rejected_fast
-    assert survivors <= sum(rows) <= survivors + ransac_module._SCORE_CHUNK
+    assert 50 <= res.iterations_run <= 150 < len(blocks[0])
+    order = priority_order(corrs)
+    a, b = src[corrs.src][order], dst[corrs.dst][order]
+    assert [block for block, _, _ in fits] == list(range(1, len(blocks) + 1))
+    for idx, (_, p, q) in zip(blocks, fits):
+        live = idx[_elc_live(a, b, idx, cfg.elc_tolerance)]
+        np.testing.assert_array_equal(p, a[live])
+        np.testing.assert_array_equal(q, b[live])
 
 
 def test_engine_requires_three_correspondences():
