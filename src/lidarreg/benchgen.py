@@ -147,7 +147,7 @@ def overlap(src: Points, tgt: Points, gt: RigidMotion, tau: float) -> float:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     src = apply(gt, src)
     (pts,) = _inside([src], tgt, tau)
-    hits = int(np.count_nonzero(SpatialIndex(tgt).within(pts, tau))) if len(pts) else 0
+    hits = int(np.count_nonzero(SpatialIndex(tgt).within(pts, tau)))
     return hits / len(src)
 
 

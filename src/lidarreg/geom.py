@@ -178,14 +178,19 @@ def voxel_downsample(points: Points, voxel_size: float) -> Points:
     The grid is anchored at the origin: point p falls in voxel
     floor(p / voxel_size).  Output rows are ordered by voxel key, which
     makes the result deterministic and the operation idempotent (each
-    centroid stays inside its own voxel).
+    centroid stays inside its own voxel).  A size that puts a key outside
+    the int64 range, as a tiny one does, is refused rather than merging
+    points.
     """
     if voxel_size <= 0.0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
     points = _cloud(points, "points")
-    if len(points) == 0:
-        return points.copy()
-    keys = np.floor(points / voxel_size).astype(np.int64)
+    scaled = points / voxel_size
+    # also false for a NaN size and for non-finite points
+    if not np.abs(scaled).max(initial=0.0) < 2.0 ** 63:
+        raise ValueError(f"voxel_size {voxel_size} gives voxel keys outside the "
+                         f"int64 range (or the points are not finite)")
+    keys = np.floor(scaled).astype(np.int64)
     # voxels in (x, y, z) key order, as np.unique(keys, axis=0) gives them
     order = np.lexsort(keys.T[::-1])
     sorted_keys = keys[order]
@@ -232,31 +237,28 @@ class SpatialIndex:
         """
         queries = _cloud(queries, "queries", row_ok=True)
         _check_radius(r)
-        n = len(self._points)
-        probe = min(2, n)
         out_d = np.full(len(queries), np.inf)
         out_i = np.full(len(queries), -1, dtype=np.int64)
-        dt, i = self._tree.query(queries, k=probe, distance_upper_bound=_pad(r))
-        dt, i = dt.reshape(len(queries), probe), i.reshape(len(queries), probe)
+        # a one-point tree answers the runner-up with inf at index n
+        dt, i = self._tree.query(queries, k=2, distance_upper_bound=_pad(r))
         # only rows whose padded search found a point are re-measured, with
         # the brute-force scan's arithmetic
-        rows = np.flatnonzero(i[:, 0] < n)
+        rows = np.flatnonzero(i[:, 0] < len(self._points))
         best_i = i[rows, 0]
         best_d = self._brute(best_i, queries[rows])
-        if probe > 1:
-            # the tree's and the scan's distances lie within a pad of each
-            # other either way, so a runner-up beyond _pad(_pad(dt0)) leaves
-            # every other point farther than the first in the scan's
-            # arithmetic too; closer than that, rounding may hide a tie or
-            # swap the order: pull everything within the first point's padded
-            # scan distance and rank by (distance, index)
-            for k in np.flatnonzero(dt[rows, 1] <= _pad(_pad(dt[rows, 0]))):
-                q = queries[rows[k]]
-                cand = np.asarray(self._tree.query_ball_point(q, _pad(best_d[k])),
-                                  dtype=np.int64)
-                cd = self._brute(cand, q)
-                j = np.lexsort((cand, cd))[0]
-                best_d[k], best_i[k] = cd[j], cand[j]
+        # the tree's and the scan's distances lie within a pad of each
+        # other either way, so a runner-up beyond _pad(_pad(dt0)) leaves
+        # every other point farther than the first in the scan's
+        # arithmetic too; closer than that, rounding may hide a tie or
+        # swap the order: pull everything within the first point's padded
+        # scan distance and rank by (distance, index)
+        for k in np.flatnonzero(dt[rows, 1] <= _pad(_pad(dt[rows, 0]))):
+            q = queries[rows[k]]
+            cand = np.asarray(self._tree.query_ball_point(q, _pad(best_d[k])),
+                              dtype=np.int64)
+            cd = self._brute(cand, q)
+            j = np.lexsort((cand, cd))[0]
+            best_d[k], best_i[k] = cd[j], cand[j]
         far = best_d > r
         best_d[far], best_i[far] = np.inf, -1
         out_d[rows], out_i[rows] = best_d, best_i

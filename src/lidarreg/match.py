@@ -384,13 +384,12 @@ class _Search:
                 kept_r.append(cols[found[0]])
                 kept_q.append(order[top + found[1]])
             qi, rj = np.concatenate(kept_q), np.concatenate(kept_r)
-            if len(qi):
-                d = _distances(rows, queries, rj, qi)
-                before = j_dist[rj]
-                np.minimum.at(j_dist, rj, d)
-                j1[rj[d < before]] = n
-                at = d == j_dist[rj]
-                np.minimum.at(j1, rj[at], qi[at])
+            d = _distances(rows, queries, rj, qi)
+            before = j_dist[rj]
+            np.minimum.at(j_dist, rj, d)
+            j1[rj[d < before]] = n
+            at = d == j_dist[rj]
+            np.minimum.at(j1, rj[at], qi[at])
             lo += k
         return j1
 
@@ -421,6 +420,8 @@ def match_features(src_desc: NDArray[np.float64], dst_desc: NDArray[np.float64])
     if src_desc.shape[1] != dst_desc.shape[1]:
         raise ValueError(
             f"descriptor dims differ: {src_desc.shape[1]} vs {dst_desc.shape[1]}")
+    if src_desc.shape[1] == 0:
+        raise ValueError("descriptors need at least one column")
     if len(src_desc) < 2 or len(dst_desc) < 2:
         raise ValueError("need at least two descriptors on each side")
     if not (np.isfinite(src_desc).all() and np.isfinite(dst_desc).all()):

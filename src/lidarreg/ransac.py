@@ -289,9 +289,10 @@ def _features(a: Points, b: Points) -> NDArray[np.float64]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _coefficients(rot, trans, reach: NDArray[np.float64], b_reach: float,
-                  gate: float) -> NDArray[np.float64]:
-    """(S, 24): per model, the 23 coefficients c of F, c @ F estimating its
-    squared residuals, and the half-width W of its window around ``gate``.
+                  gate: float) -> tuple[NDArray[np.float64], float]:
+    """(S, 23) and a float: per model, the coefficients c of F, c @ F
+    estimating its squared residuals, and the half-width W of the window
+    around ``gate`` that every model of the stack shares.
 
     ``reach`` holds (max|a_0|, max|a_1|, max|a_2|, 1) three times, and
     ``b_reach`` is max|b_0| + max|b_1| + max|b_2|.  Beyond
@@ -301,16 +302,16 @@ def _coefficients(rot, trans, reach: NDArray[np.float64], b_reach: float,
     """
     s = len(rot)
     p = np.concatenate([rot, trans[:, :, None]], axis=2).reshape(s, 12)
-    out = np.empty((s, 24))
+    out = np.empty((s, 23))
     out[:, 0] = 1.0
     np.multiply(p, -2.0, out=out[:, 1:13])
     gram = p[:, _GRAM_LEFT]
     gram *= p[:, _GRAM_RIGHT]
-    np.multiply(gram.reshape(s, 3, 10).sum(axis=1), _GRAM_SCALE, out=out[:, 13:23])
+    np.multiply(gram.reshape(s, 3, 10).sum(axis=1), _GRAM_SCALE, out=out[:, 13:])
     # The window.  Let u = 2**-53, gamma_k = ku/(1 - ku), g = gate, X the
     # exact |R a + t - b|^2 of the float R, t, a, b, and per model
     # V = |R| max|a| + |t| + max|b|, per axis, and N = |V|, at most the
-    # largest |[R | t]| . reach + b_reach of the models fitted together.
+    # largest |[R | t]| . reach + b_reach of the stack.
     # * The estimate E: c @ F errs from the exact sum of the rounded
     #   products by gamma_23 sum|c_k||f_k| in any summation order, with or
     #   without FMA (Higham, ch. 3).  Each f_k, and each c_k, is exact or
@@ -331,27 +332,25 @@ def _coefficients(rot, trans, reach: NDArray[np.float64], b_reach: float,
     # 80u (N^2 + g), covers computing W and the limits in float64, and
     # tiny, with that slack, covers underflow.
     n = float((np.abs(p) @ reach).max(initial=0.0)) + b_reach
-    out[:, 23] = 80.0 * 2.0 ** -53 * (n * n + gate) + sys.float_info.min
-    return out
+    return out, 80.0 * 2.0 ** -53 * (n * n + gate) + sys.float_info.min
 
 
-def _scored(rot, trans, models, feats, at, bt, gate: float, floor: int):
+def _scored(rot, trans, models, w: float, feats, at, bt, gate: float, floor: int):
     """Inlier masks and counts of a chunk of models, (S, n) and (S,).
 
     A count above ``floor`` and its mask are those of
     ``_squared_residuals(rot, trans, at, bt) <= gate``; a count at or below
     it bounds the exact count from above.  They come from the scoring
     product ``models @ feats`` of the models' ``_coefficients`` rows,
-    decided with the widest window of the chunk, which decides less than
-    each model's own.  All of a model's inliers estimate at or below
-    gate + W, so if no model has more than ``floor`` such entries, those
-    are returned.  Otherwise, if no estimate lies within the window, the
-    entries at or below gate - W are exactly the inliers; if one does, or
-    ``feats`` is None, the chunk is scored with ``_squared_residuals``.
+    decided with the window W of their stack.  All of a model's inliers
+    estimate at or below gate + W, so if no model has more than ``floor``
+    such entries, those are returned.  Otherwise, if no estimate lies
+    within the window, the entries at or below gate - W are exactly the
+    inliers; if one does, or ``feats`` is None, the chunk is scored with
+    ``_squared_residuals``.
     """
     if feats is not None:
-        est = models[:, :23] @ feats
-        w = float(models[:, 23].max())
+        est = models @ feats
         masks = est <= gate + w
         counts = masks.view(np.uint8).sum(axis=1, dtype=np.uint32)
         if counts.max() <= floor:
@@ -369,22 +368,23 @@ def required_iterations(confidence: float, inlier_fraction: float,
 
     ceil(log(1 - confidence) / log(1 - w^m)) with m = SAMPLE_SIZE, clamped
     to [1, max_iterations].
-    The boundary fractions behave sensibly: w=1 gives 1, w=0 gives the cap.
+    The boundary fractions behave sensibly: w=1 gives 1, w=0 gives the cap,
+    and so does any w whose quotient overflows.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if not 0.0 <= inlier_fraction <= 1.0:
         raise ValueError(f"inlier fraction must be in [0, 1], got {inlier_fraction}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     if inlier_fraction >= 1.0:
         return 1
     p_good = inlier_fraction ** SAMPLE_SIZE
     if p_good <= 0.0:
         return max_iterations
-    denom = math.log1p(-p_good)
-    if denom == 0.0:
-        return max_iterations
-    need = math.ceil(math.log1p(-confidence) / denom)
-    return int(min(max(need, 1), max_iterations))
+    # the quotient is inf for a vanishing p_good, so it is clamped before ceil
+    need = math.ceil(min(math.log1p(-confidence) / math.log1p(-p_good), max_iterations))
+    return int(max(need, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,7 @@ def _lo_step(best: Hypothesis, a: Points, b: Points, threshold: float) -> Hypoth
 
 _BLOCK = 256          # iterations in the first block
 _MAX_BLOCK = 4096     # iterations in the largest block
-_SCORE_CHUNK = 16     # models per residual pass
+_SCORE_CHUNK = 16     # models per scoring product
 
 
 @dataclass(frozen=True)
@@ -616,13 +616,9 @@ def ransac_register(src_points: Points, dst_points: Points,
     if n < SAMPLE_SIZE:
         raise ValueError(f"need at least {SAMPLE_SIZE} correspondences, got {n}")
 
-    a = _cloud(src_points, "src_points")[corrs.src]
-    b = _cloud(dst_points, "dst_points")[corrs.dst]
-    if cfg.use_prosac:
-        order = priority_order(corrs)
-        a, b = a[order], b[order]
-    else:
-        order = np.arange(n)
+    order = priority_order(corrs) if cfg.use_prosac else np.arange(n)
+    a = _cloud(src_points, "src_points")[corrs.src[order]]
+    b = _cloud(dst_points, "dst_points")[corrs.dst[order]]
 
     # the residuals' target rows, contiguous, and the squared inlier gate
     bt = np.ascontiguousarray(b.T)
@@ -642,12 +638,11 @@ def ransac_register(src_points: Points, dst_points: Points,
     required = cfg.max_iterations
     t = 0
 
-    while t < cfg.max_iterations and t < required:
+    while t < required:             # required_iterations clamps to the cap
         # iterations t+1 .. t+size; block position i is iteration t+1+i.
         # Blocks double from _BLOCK until a bound exists, then run to it.
         bounded = required < cfg.max_iterations
-        size = min(_MAX_BLOCK if bounded else max(_BLOCK, t), _MAX_BLOCK,
-                   cfg.max_iterations - t, required - t)
+        size = min(_MAX_BLOCK if bounded else max(_BLOCK, t), _MAX_BLOCK, required - t)
         idx = _sample_block(growth, n, t + 1, size, sample_rng)
         live = _elc_live(a, b, idx, cfg.elc_tolerance) \
             if cfg.rejection == "elc" else np.arange(size)
@@ -655,7 +650,7 @@ def ransac_register(src_points: Points, dst_points: Points,
         # iteration order, and their scoring rows
         rot, trans, ok = _fit_rigid(a[idx[live]], b[idx[live]])
         live, rot, trans = live[ok], rot[ok], trans[ok]
-        models = _coefficients(rot, trans, reach, b_reach, gate)
+        models, w = _coefficients(rot, trans, reach, b_reach, gate)
 
         # walk the survivors in iteration order, scoring them chunk by chunk;
         # survivors past a bound that a new best sets are fitted but never
@@ -665,7 +660,7 @@ def ransac_register(src_points: Points, dst_points: Points,
             if t + 1 + live[c] > required:
                 break
             chunk = slice(c, c + _SCORE_CHUNK)
-            masks, counts = _scored(rot[chunk], trans[chunk], models[chunk], feats,
+            masks, counts = _scored(rot[chunk], trans[chunk], models[chunk], w, feats,
                                     a.T, bt, gate, best.inlier_count)
             for k, count in enumerate(counts.tolist()):
                 it = t + 1 + int(live[c + k])
@@ -689,8 +684,7 @@ def ransac_register(src_points: Points, dst_points: Points,
 
     mask_input_order = np.zeros(n, dtype=bool)
     mask_input_order[order] = best.inlier_mask
-    converged_by = "early_stop" if t >= required and required < cfg.max_iterations \
-        else "iteration_cap"
+    converged_by = "early_stop" if required < cfg.max_iterations else "iteration_cap"
     return RegistrationResult(
         motion=best.motion,
         inlier_mask=mask_input_order,

@@ -158,8 +158,6 @@ def _capped_noise(rng: np.random.Generator, n: int, sigma: float) -> Points:
     # Gaussian displacement resampled until every norm is at most 3 sigma,
     # so a 3-sigma residual gate keeps every inlier
     out = rng.standard_normal((n, 3)) * sigma
-    if sigma == 0.0:
-        return out
     cap = NOISE_CAP_SIGMA * sigma
     while True:
         bad = np.flatnonzero(np.linalg.norm(out, axis=1) > cap)

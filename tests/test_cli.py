@@ -555,6 +555,76 @@ def test_a_failing_pair_is_an_error_row_and_the_batch_goes_on(
                for line in lines[1:]) == 40
 
 
+def test_zero_width_descriptors_are_error_rows_and_the_batch_goes_on(
+        traj_dir, pair_list, tmp_path, capsys):
+    # both frames of the first pair get width-0 descriptors: every pair
+    # that touches one of them is an error row, the others keep their
+    # bytes; the matcher once raised ZeroDivisionError and ended the batch
+    data = tmp_path / "data"
+    shutil.copytree(traj_dir, data)
+    listed = read_pair_list(pair_list)
+    frames = {listed[0].src, listed[0].tgt}
+
+    def run(name, threads="1"):
+        out = tmp_path / name
+        code = main(["register", "--pairs", str(pair_list), "--cloud-dir", str(data),
+                     "--desc-dir", str(data), "--seed", "7", "--timing", "off",
+                     "--threads", threads, "--out", str(out)])
+        return code, out.read_bytes().splitlines()
+
+    code, intact = run("intact.jsonl")
+    assert code == 0 and len(intact) == len(listed)
+    for frame in frames:
+        path = data / "drive0" / f"{frame:06d}.fdsc"
+        io.write_descriptors(path, read_descriptors(path)[:, :0])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rows = run("zero.jsonl")
+    assert code == 3
+    assert run("zero-threads.jsonl", "2") == (3, rows)
+    touched = [k for k, r in enumerate(listed) if {r.src, r.tgt} & frames]
+    assert 0 < len(touched) < len(listed)
+    for k, (row, want) in enumerate(zip(rows, intact)):
+        if k not in touched:
+            assert row == want
+            continue
+        row = json.loads(row)
+        assert row["status"] == "error"
+        assert row["error"] == ("descriptors need at least one column"
+                                if {listed[k].src, listed[k].tgt} <= frames
+                                else "descriptor dims differ: 0 vs 16"
+                                if listed[k].src in frames
+                                else "descriptor dims differ: 16 vs 0")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 * len(touched)
+    assert all(line.startswith("error: pair drive0 ") for line in err)
+    # one pair alone exits 2 in one line
+    first = data / "drive0" / f"{listed[0].src:06d}"
+    second = data / "drive0" / f"{listed[0].tgt:06d}"
+    assert main(["register", "--src", str(first.with_suffix(".ply")),
+                 "--dst", str(second.with_suffix(".ply")),
+                 "--src-desc", str(first.with_suffix(".fdsc")),
+                 "--dst-desc", str(second.with_suffix(".fdsc")),
+                 "--timing", "off", "--out", str(tmp_path / "one.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: descriptors need at least one column\n"
+
+
+def test_benchgen_tiny_voxel_exits_2_in_one_line_without_warnings(traj_dir, tmp_path,
+                                                                  capsys):
+    # at 1e-20 the voxel keys overflow int64; the clouds were once merged
+    # into a few centroids with only a cast warning
+    pairs = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["benchgen", "--cloud-dir", str(traj_dir),
+                     "--pose-dir", str(traj_dir), "--out-pairs", str(pairs),
+                     "--k", "1", "--r", "0.5", "--voxel", "1e-20"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: voxel_size 1e-20 gives voxel keys")
+    assert not pairs.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

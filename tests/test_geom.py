@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,24 @@ def test_voxel_equals_unique_row_grouping_bit_for_bit(seed):
 def test_voxel_rejects_bad_size():
     with pytest.raises(ValueError):
         voxel_downsample(np.zeros((4, 3)), 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_voxel_refuses_keys_past_int64_instead_of_merging_points():
+    # at 1e-20 the keys of 1,000 points in +-20 m overflow int64; they once
+    # came back as 14 centroids with only a cast warning
+    pts = np.random.default_rng(31).uniform(-20.0, 20.0, size=(1000, 3))
+    assert len(voxel_downsample(pts, 1e-15)) == 1000
+    for size in (1e-20, math.nan):
+        with pytest.raises(ValueError, match=rf"voxel_size {size} gives voxel keys"):
+            voxel_downsample(pts, size)
+    for bad in (math.inf, math.nan):
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            voxel_downsample(pts, 0.5)
+    # an empty cloud takes the general path
+    out = voxel_downsample(np.empty((0, 3)), 1e-20)
+    assert out.shape == (0, 3) and out.dtype == np.float64
 
 
 @pytest.mark.parametrize("shape", [(150, 2), (100, 4), (300,), (3,), (2, 3, 3)])

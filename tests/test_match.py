@@ -149,6 +149,12 @@ def test_match_rejects_dim_mismatch_and_tiny_sets():
         match_features(np.zeros((4, 3)), np.zeros((1, 3)))
 
 
+def test_match_refuses_zero_width_descriptors():
+    # the re-measuring step once divided by the width
+    with pytest.raises(ValueError, match="descriptors need at least one column"):
+        match_features(np.zeros((5, 0)), np.zeros((4, 0)))
+
+
 def test_output_order_is_source_order():
     rng = np.random.default_rng(6)
     src = rng.normal(size=(25, 7))

@@ -398,6 +398,31 @@ def test_required_iterations_boundaries():
     assert required_iterations(0.999, 1e-12, max_iterations=777) == 777
 
 
+def test_required_iterations_returns_the_cap_at_vanishing_fractions():
+    # below about 1e-103, log1p(-w**3) is so small that the quotient is inf;
+    # ceil once raised OverflowError on it
+    for w in [2e-104, 1e-106] + np.logspace(-110, -100, 201).tolist():
+        assert required_iterations(0.999, w) == 1_000_000
+        assert required_iterations(0.999, w, max_iterations=777) == 777
+
+
+def test_required_iterations_keeps_its_finite_values():
+    # the textbook formula, clamped after ceil, wherever its quotient is finite
+    cap = 10 ** 12
+    for conf in (1e-9, 0.5, 0.9, 0.99, 0.999, 0.9995, 1.0 - 1e-12):
+        for w in np.logspace(-12, math.log10(0.999999), 97).tolist():
+            need = math.ceil(math.log1p(-conf) / math.log1p(-w ** 3))
+            for c in (1, 500, cap):
+                assert required_iterations(conf, w, c) == min(max(need, 1), c), (conf, w, c)
+
+
+def test_required_iterations_refuses_a_cap_below_one():
+    # such a cap once came back for some fractions and 1 for others
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            required_iterations(0.999, 0.5, max_iterations=cap)
+
+
 def test_required_iterations_monotone_in_fraction():
     vals = [required_iterations(0.999, w) for w in (0.2, 0.3, 0.5, 0.8, 0.99)]
     assert vals == sorted(vals, reverse=True)
@@ -1138,11 +1163,11 @@ def test_engine_refuses_clouds_that_are_not_n_by_3(width):
 # ---------------------------------------------------------------------------
 
 def scoring_inputs(rot, trans, a, b, gate):
-    """The run's feature table and the models' coefficient rows, as
-    ``ransac_register`` makes them."""
+    """The run's feature table, and the models' coefficient rows and their
+    window, as ``ransac_register`` makes them."""
     a_max, b_max = np.abs(a).max(axis=0), np.abs(b).max(axis=0)
     reach = np.tile(np.append(a_max, 1.0), 3)
-    return _features(a, b), _coefficients(rot, trans, reach, float(b_max.sum()), gate)
+    return (_features(a, b),) + _coefficients(rot, trans, reach, float(b_max.sum()), gate)
 
 
 def mapped_rows(rot, trans, at):
@@ -1210,7 +1235,7 @@ def test_scoring_at_the_gate_equals_the_residual_pass(offset, monkeypatch):
     assert np.array_equal(sq[owner, planted], want)
     assert len(np.unique(want)) == 3
     ref = sq <= gate
-    feats, models = scoring_inputs(rot, trans, a, b, gate)
+    feats, models, w = scoring_inputs(rot, trans, a, b, gate)
     passes = []
 
     def spy(*args):
@@ -1224,7 +1249,7 @@ def test_scoring_at_the_gate_equals_the_residual_pass(offset, monkeypatch):
     for rows in [slice(None)] + [slice(s, s + 1) for s in range(_SCORE_CHUNK)]:
         want_masks = _squared_residuals(rot[rows], trans[rows], a.T, bt) <= gate
         passes.clear()
-        masks, counts = _scored(rot[rows], trans[rows], models[rows], feats, a.T, bt,
+        masks, counts = _scored(rot[rows], trans[rows], models[rows], w, feats, a.T, bt,
                                 gate, -1)
         assert np.array_equal(masks, want_masks)
         assert np.array_equal(counts, want_masks.sum(axis=1))
@@ -1233,7 +1258,7 @@ def test_scoring_at_the_gate_equals_the_residual_pass(offset, monkeypatch):
         assert passes == [rot[rows].shape]
     # with a floor above every count, the counts only bound the exact ones
     passes.clear()
-    masks, counts = _scored(rot, trans, models, feats, a.T, bt, gate, len(a))
+    masks, counts = _scored(rot, trans, models, w, feats, a.T, bt, gate, len(a))
     assert passes == []
     assert np.all(counts >= ref.sum(axis=1)) and np.all(masks >= ref)
 
@@ -1247,9 +1272,9 @@ def test_scoring_away_from_the_gate_needs_no_residual_pass(offset, monkeypatch):
     gate = _squared_gate(0.6)
     bt = np.ascontiguousarray(b.T)
     ref = _squared_residuals(rot, trans, a.T, bt) <= gate
-    feats, models = scoring_inputs(rot, trans, a, b, gate)
+    feats, models, w = scoring_inputs(rot, trans, a, b, gate)
     monkeypatch.setattr(ransac_module, "_squared_residuals", None)
-    masks, counts = _scored(rot, trans, models, feats, a.T, bt, gate, -1)
+    masks, counts = _scored(rot, trans, models, w, feats, a.T, bt, gate, -1)
     assert np.array_equal(masks, ref)
     assert np.array_equal(counts, ref.sum(axis=1))
     assert counts[0] >= 48
@@ -1268,8 +1293,8 @@ def test_engine_counts_equal_the_chunk_by_chunk_residual_pass(offset, monkeypatc
     # and the whole result against a run that scores every chunk with it
     chunks = []
 
-    def checked(rot, trans, models, feats, at, bt, gate, floor):
-        masks, counts = _scored(rot, trans, models, feats, at, bt, gate, floor)
+    def checked(rot, trans, models, w, feats, at, bt, gate, floor):
+        masks, counts = _scored(rot, trans, models, w, feats, at, bt, gate, floor)
         ref = _squared_residuals(rot, trans, at, bt) <= gate
         exact = ref.sum(axis=1)
         above = counts > floor
